@@ -22,7 +22,8 @@
 // The /metrics scrape of the restarted coordinator is written to
 // -metrics-out so CI can archive the journal counters as an artifact.
 //
-//	chaossmoke -daemon ./perftaintd -schedules 25 -metrics-out chaos_metrics.txt
+//	go run ./cmd/chaossmoke -schedules 25 -metrics-out chaos_metrics.txt   # builds ./cmd/perftaintd itself
+//	go run ./cmd/chaossmoke -daemon bin/perftaintd -schedules 25
 package main
 
 import (
@@ -33,132 +34,71 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/faultinject"
 	"repro/internal/leakcheck"
 	"repro/internal/service"
+	"repro/internal/smoketest"
 )
 
 var (
-	daemonPath = flag.String("daemon", "./perftaintd", "path to the perftaintd binary under test")
+	daemonPath = flag.String("daemon", "", "path to the perftaintd binary under test (empty = build ./cmd/perftaintd)")
 	schedules  = flag.Int("schedules", 25, "seeded fault schedules to sweep in phase 3")
 	metricsOut = flag.String("metrics-out", "chaos_metrics.txt", "file the restarted coordinator's /metrics scrape is written to")
 )
 
 // sweepReq is the reference design every phase runs.
-func sweepReq() service.SweepRequest {
-	return service.SweepRequest{
+func sweepReq() api.SweepRequest {
+	return api.SweepRequest{
 		App: "lulesh",
-		Axes: []service.SweepAxis{
+		Axes: []api.SweepAxis{
 			{Param: "p", Values: []float64{2, 4}},
 			{Param: "size", Values: []float64{10, 14}},
 		},
 	}
 }
 
-// daemon is one spawned perftaintd process.
-type daemon struct {
-	cmd  *exec.Cmd
-	addr string // host:port it listens on
-	base string // http://addr
-}
+// bg scopes every daemon and poll of the run; a hung phase is the CI
+// job's timeout to catch.
+var bg = context.Background()
 
-// startDaemon spawns perftaintd on addr with extra args and environment
-// entries, retrying briefly in case the previous owner of the port is
-// still letting go of it (the kill/restart phase reuses addresses).
-func startDaemon(addr string, extraEnv []string, args ...string) (*daemon, error) {
-	full := append([]string{"-addr", addr}, args...)
-	var lastErr error
-	for attempt := 0; attempt < 50; attempt++ {
-		cmd := exec.Command(*daemonPath, full...)
-		cmd.Env = append(os.Environ(), extraEnv...)
-		cmd.Stdout = os.Stderr
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			return nil, err
-		}
-		d := &daemon{cmd: cmd, addr: addr, base: "http://" + addr}
-		if err := waitHealthy(d.base, 10*time.Second); err == nil {
-			return d, nil
-		} else {
-			lastErr = err
-		}
-		_ = cmd.Process.Kill()
-		_, _ = cmd.Process.Wait()
-		time.Sleep(100 * time.Millisecond)
-	}
-	return nil, fmt.Errorf("daemon on %s never became healthy: %w", addr, lastErr)
-}
-
-// freeAddr reserves an ephemeral localhost port and returns it.
-func freeAddr() string {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+// startDaemon spawns the daemon under test; addr "" picks a free port.
+func startDaemon(what, addr string, env []string, args ...string) *smoketest.Daemon {
+	d, err := smoketest.StartDaemon(bg, *daemonPath, addr, env, args...)
 	if err != nil {
-		log.Fatalf("reserve port: %v", err)
+		log.Fatalf("%s: %v", what, err)
 	}
-	addr := l.Addr().String()
-	l.Close()
-	return addr
+	return d
 }
 
-// waitHealthy polls /healthz until it answers 200 or the deadline hits.
-func waitHealthy(base string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		resp, err := http.Get(base + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("no healthy answer within %v (last: %v)", timeout, err)
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
+// coordinatorArgs is the command line of a coordinator under test.
+func coordinatorArgs(extra ...string) []string {
+	return append([]string{"-coordinator", "-heartbeat-interval", "100ms"}, extra...)
 }
 
-// waitLiveWorkers polls the coordinator's stats until n workers are live.
-func waitLiveWorkers(base string, n int, timeout time.Duration) error {
-	c := service.NewClient(base)
-	deadline := time.Now().Add(timeout)
-	for {
-		st, err := c.Stats(context.Background())
-		if err == nil && st.Cluster != nil && st.Cluster.LiveWorkers >= n {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("cluster never reached %d live workers", n)
-		}
-		time.Sleep(25 * time.Millisecond)
+// startCluster spawns a coordinator (with extra args) plus one registered
+// worker and waits until the worker is live.
+func startCluster(what string, env []string, coordArgs ...string) (coord, worker *smoketest.Daemon) {
+	coord = startDaemon(what+" coordinator", "", env, coordinatorArgs(coordArgs...)...)
+	worker = startDaemon(what+" worker", "", env, "-join", coord.Base, "-heartbeat-interval", "100ms")
+	ctx, cancel := context.WithTimeout(bg, 10*time.Second)
+	defer cancel()
+	if err := smoketest.WaitLiveWorkers(ctx, coord.Base, 1); err != nil {
+		log.Fatalf("%s: %v", what, err)
 	}
+	return coord, worker
 }
 
 // sigterm asks the daemon to drain and requires a clean exit.
-func sigterm(d *daemon, name string) {
-	if d == nil || d.cmd.Process == nil {
-		return
-	}
-	_ = d.cmd.Process.Signal(syscall.SIGTERM)
-	done := make(chan error, 1)
-	go func() { done <- d.cmd.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			log.Fatalf("%s did not drain cleanly on SIGTERM: %v", name, err)
-		}
-	case <-time.After(30 * time.Second):
-		_ = d.cmd.Process.Kill()
-		log.Fatalf("%s hung on SIGTERM", name)
+func sigterm(d *smoketest.Daemon, name string) {
+	if err := d.Term(); err != nil {
+		log.Fatalf("%s: %v", name, err)
 	}
 }
 
@@ -186,7 +126,7 @@ func rawSweep(base string) ([]byte, error) {
 
 // linesOf re-marshals client-observed sweep lines into the canonical
 // stream form so they compare byte-for-byte against a raw golden stream.
-func linesOf(lines []service.SweepLine) []byte {
+func linesOf(lines []api.SweepLine) []byte {
 	var buf bytes.Buffer
 	for i := range lines {
 		raw, _ := json.Marshal(&lines[i])
@@ -210,6 +150,7 @@ func main() {
 	log.SetPrefix("chaossmoke: ")
 	flag.Parse()
 
+	defer smoketest.Cleanup()
 	golden := phaseGolden()
 	phaseKillResume(golden)
 	phaseSchedules(golden)
@@ -222,12 +163,8 @@ func main() {
 
 // phaseGolden records the uninterrupted single-daemon stream.
 func phaseGolden() []byte {
-	addr := freeAddr()
-	d, err := startDaemon(addr, nil)
-	if err != nil {
-		log.Fatalf("golden daemon: %v", err)
-	}
-	golden, err := rawSweep(d.base)
+	d := startDaemon("golden daemon", "", nil)
+	golden, err := rawSweep(d.Base)
 	if err != nil {
 		log.Fatalf("golden sweep: %v", err)
 	}
@@ -245,40 +182,23 @@ func phaseKillResume(golden []byte) {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	coordAddr := freeAddr()
-	coordArgs := []string{"-coordinator", "-cache-dir", dir, "-heartbeat-interval", "100ms", "-workers", "1", "-job-timeout", "120s"}
-	coord, err := startDaemon(coordAddr, nil, coordArgs...)
-	if err != nil {
-		log.Fatalf("coordinator: %v", err)
-	}
-	workerAddr := freeAddr()
-	worker, err := startDaemon(workerAddr, nil, "-join", coord.base, "-heartbeat-interval", "100ms")
-	if err != nil {
-		log.Fatalf("worker: %v", err)
-	}
-	if err := waitLiveWorkers(coord.base, 1, 10*time.Second); err != nil {
-		log.Fatal(err)
-	}
+	coordArgs := []string{"-cache-dir", dir, "-workers", "1", "-job-timeout", "120s"}
+	coord, worker := startCluster("phase 2", nil, coordArgs...)
 
 	// SIGKILL the coordinator after the second line; respawn it on the
 	// same address over the same cache dir while the client backs off.
 	var killOnce sync.Once
-	respawned := make(chan *daemon, 1)
-	var lines []service.SweepLine
-	client := retryingClient(coord.base)
-	err = client.Sweep(context.Background(), sweepReq(), func(l service.SweepLine) error {
+	respawned := make(chan *smoketest.Daemon, 1)
+	var lines []api.SweepLine
+	client := retryingClient(coord.Base)
+	err = client.Sweep(bg, sweepReq(), func(l api.SweepLine) error {
 		lines = append(lines, l)
 		if len(lines) == 2 {
 			killOnce.Do(func() {
 				log.Printf("phase 2: SIGKILL coordinator after %d lines", len(lines))
-				_ = coord.cmd.Process.Kill()
-				_, _ = coord.cmd.Process.Wait()
+				coord.Kill()
 				go func() {
-					d, err := startDaemon(coordAddr, nil, coordArgs...)
-					if err != nil {
-						log.Fatalf("coordinator restart: %v", err)
-					}
-					respawned <- d
+					respawned <- startDaemon("coordinator restart", coord.Addr, nil, coordinatorArgs(coordArgs...)...)
 				}()
 			})
 		}
@@ -294,14 +214,9 @@ func phaseKillResume(golden []byte) {
 
 	// The restarted coordinator's metrics are the journal's testimony:
 	// the sweep was replayed, and nothing is left open.
-	resp, err := http.Get(coord2.base + "/metrics")
+	metrics, err := smoketest.ScrapeMetrics(bg, coord2.Base, *metricsOut)
 	if err != nil {
 		log.Fatalf("metrics scrape: %v", err)
-	}
-	metrics, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err := os.WriteFile(*metricsOut, metrics, 0o644); err != nil {
-		log.Fatalf("write %s: %v", *metricsOut, err)
 	}
 	requireMetric(metrics, "perftaintd_journal_replays_total", func(v float64) bool { return v >= 1 })
 	requireMetric(metrics, "perftaintd_journal_open_jobs", func(v float64) bool { return v == 0 })
@@ -312,8 +227,8 @@ func phaseKillResume(golden []byte) {
 }
 
 // requireMetric asserts a sample is present and its value passes ok.
-func requireMetric(metrics []byte, name string, ok func(float64) bool) {
-	for _, line := range strings.Split(string(metrics), "\n") {
+func requireMetric(metrics, name string, ok func(float64) bool) {
+	for _, line := range strings.Split(metrics, "\n") {
 		if !strings.HasPrefix(line, name+" ") && !strings.HasPrefix(line, name+"{") {
 			continue
 		}
@@ -343,21 +258,11 @@ func phaseSchedules(golden []byte) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		coord, err := startDaemon(freeAddr(), env,
-			"-coordinator", "-cache-dir", dir, "-heartbeat-interval", "100ms", "-shard-timeout", "10s")
-		if err != nil {
-			log.Fatalf("seed %d: coordinator: %v", seed, err)
-		}
-		worker, err := startDaemon(freeAddr(), env, "-join", coord.base, "-heartbeat-interval", "100ms")
-		if err != nil {
-			log.Fatalf("seed %d: worker: %v", seed, err)
-		}
-		if err := waitLiveWorkers(coord.base, 1, 10*time.Second); err != nil {
-			log.Fatalf("seed %d: %v", seed, err)
-		}
+		coord, worker := startCluster(fmt.Sprintf("seed %d", seed), env,
+			"-cache-dir", dir, "-shard-timeout", "10s")
 
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-		lines, err := retryingClient(coord.base).SweepAll(ctx, sweepReq())
+		ctx, cancel := context.WithTimeout(bg, 2*time.Minute)
+		lines, err := retryingClient(coord.Base).SweepAll(ctx, sweepReq())
 		cancel()
 		seen := make(map[int]bool)
 		for _, l := range lines {
@@ -381,13 +286,13 @@ func phaseSchedules(golden []byte) {
 }
 
 // parseLines decodes a raw stream into lines.
-func parseLines(raw []byte) []service.SweepLine {
-	var out []service.SweepLine
+func parseLines(raw []byte) []api.SweepLine {
+	var out []api.SweepLine
 	for _, line := range bytes.Split(raw, []byte{'\n'}) {
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		var rec service.SweepLine
+		var rec api.SweepLine
 		if err := json.Unmarshal(line, &rec); err != nil {
 			log.Fatalf("bad golden line %q: %v", line, err)
 		}
@@ -399,7 +304,7 @@ func parseLines(raw []byte) []service.SweepLine {
 // linesMatchModuloJobID compares artifacts ignoring job-ID labels (a
 // fault that kills an acceptance append before it is durable legally
 // shifts the retried sweep's ID block).
-func linesMatchModuloJobID(got, want []service.SweepLine) bool {
+func linesMatchModuloJobID(got, want []api.SweepLine) bool {
 	if len(got) != len(want) {
 		return false
 	}

@@ -9,42 +9,35 @@
 // pass the identity check while proving nothing — and scrapes the
 // coordinator's final /metrics into a file for the CI artifact upload.
 //
-//	go build -o bin/perftaintd ./cmd/perftaintd
+//	go run ./cmd/clustersmoke -metrics-out cluster_metrics.txt   # builds ./cmd/perftaintd itself
 //	go run ./cmd/clustersmoke -daemon bin/perftaintd -metrics-out cluster_metrics.txt
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
-	"net/http"
-	"os"
-	"os/exec"
-	"regexp"
 	"sync"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/modelreg"
 	"repro/internal/runner"
 	"repro/internal/service"
+	"repro/internal/smoketest"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("clustersmoke: ")
-	daemon := flag.String("daemon", "", "path to the perftaintd binary (required)")
+	daemon := flag.String("daemon", "", "path to the perftaintd binary (empty = build ./cmd/perftaintd)")
 	metricsOut := flag.String("metrics-out", "", "write the coordinator's final /metrics scrape to this file")
 	timeout := flag.Duration("timeout", 10*time.Minute, "overall smoke deadline")
 	flag.Parse()
-	if *daemon == "" {
-		log.Fatal("clustersmoke requires -daemon PATH (a perftaintd binary)")
-	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
@@ -74,6 +67,7 @@ func smokeConfig() modelreg.Config {
 }
 
 func run(ctx context.Context, daemon, metricsOut string) error {
+	defer smoketest.Cleanup()
 	// The golden: the same extraction, single-node and in-process. Its
 	// registry key is content-addressed over spec + design, so the
 	// cluster reproducing the key AND the model set proves the sharded
@@ -97,26 +91,26 @@ func run(ctx context.Context, daemon, metricsOut string) error {
 		return err
 	}
 
-	coord, err := startDaemon(ctx, daemon, "-coordinator")
+	coord, err := smoketest.StartDaemon(ctx, daemon, "", nil, "-coordinator")
 	if err != nil {
 		return fmt.Errorf("start coordinator: %w", err)
 	}
-	defer coord.stop()
-	var workers [2]*proc
+	defer coord.Term()
+	var workers [2]*smoketest.Daemon
 	for i := range workers {
-		w, err := startDaemon(ctx, daemon, "-worker", "-join", coord.base)
+		w, err := smoketest.StartDaemon(ctx, daemon, "", nil, "-worker", "-join", coord.Base)
 		if err != nil {
 			return fmt.Errorf("start worker %d: %w", i, err)
 		}
-		defer w.stop()
+		defer w.Term()
 		workers[i] = w
 	}
 
-	client := service.NewClient(coord.base)
-	if err := waitLiveWorkers(ctx, client, len(workers)); err != nil {
+	client := service.NewClient(coord.Base)
+	if err := smoketest.WaitLiveWorkers(ctx, coord.Base, len(workers)); err != nil {
 		return err
 	}
-	log.Printf("cluster up: coordinator %s, %d live workers", coord.base, len(workers))
+	log.Printf("cluster up: coordinator %s, %d live workers", coord.Base, len(workers))
 
 	// Stream the extraction through the coordinator and SIGKILL one
 	// worker the moment the first design point lands — from then on the
@@ -127,8 +121,8 @@ func run(ctx context.Context, daemon, metricsOut string) error {
 	resp, err := client.ModelsStream(ctx, req, func(ev modelreg.Event) {
 		if ev.Type == "point" {
 			killOnce.Do(func() {
-				log.Printf("first design point streamed (%d/%d) — SIGKILLing worker %s", ev.Points, ev.Total, workers[0].base)
-				_ = workers[0].cmd.Process.Kill()
+				log.Printf("first design point streamed (%d/%d) — SIGKILLing worker %s", ev.Points, ev.Total, workers[0].Base)
+				workers[0].Kill()
 			})
 		}
 	})
@@ -162,7 +156,7 @@ func run(ctx context.Context, daemon, metricsOut string) error {
 		st.Cluster.ShardsDispatched, st.Cluster.ShardsLocal, st.Cluster.ShardRetries, st.Cluster.HeartbeatMisses)
 
 	if metricsOut != "" {
-		if err := scrapeMetrics(ctx, coord.base, metricsOut); err != nil {
+		if _, err := smoketest.ScrapeMetrics(ctx, coord.Base, metricsOut); err != nil {
 			return err
 		}
 		log.Printf("wrote coordinator /metrics scrape to %s", metricsOut)
@@ -171,8 +165,8 @@ func run(ctx context.Context, daemon, metricsOut string) error {
 }
 
 // modelRequest is the wire form of the smoke design.
-func modelRequest(cfg modelreg.Config) service.ModelRequest {
-	req := service.ModelRequest{
+func modelRequest(cfg modelreg.Config) api.ModelRequest {
+	req := api.ModelRequest{
 		App:      cfg.App,
 		Params:   cfg.Params,
 		Defaults: cfg.Defaults,
@@ -183,105 +177,7 @@ func modelRequest(cfg modelreg.Config) service.ModelRequest {
 		Metrics:  cfg.Metrics,
 	}
 	for _, ax := range cfg.Axes {
-		req.Axes = append(req.Axes, service.SweepAxis{Param: ax.Param, Values: ax.Values})
+		req.Axes = append(req.Axes, api.SweepAxis{Param: ax.Param, Values: ax.Values})
 	}
 	return req
-}
-
-// proc is one launched daemon: its base URL and the handle to stop it.
-type proc struct {
-	base string
-	cmd  *exec.Cmd
-}
-
-func (p *proc) stop() {
-	_ = p.cmd.Process.Signal(os.Interrupt)
-	_ = p.cmd.Wait()
-}
-
-// startDaemon launches the perftaintd binary on an OS-assigned port with
-// the given extra arguments and returns once it announces its address.
-// Binding ":0" and reading the announcement avoids port races on busy
-// CI runners (the same discipline as cmd/servicesmoke).
-func startDaemon(ctx context.Context, path string, extra ...string) (*proc, error) {
-	cmd := exec.CommandContext(ctx, path, append([]string{"-addr", "127.0.0.1:0"}, extra...)...)
-	cmd.Stdout = os.Stderr
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, fmt.Errorf("start daemon %s: %w", path, err)
-	}
-	addrc := make(chan string, 1)
-	go func() {
-		re := regexp.MustCompile(`listening on (\S+)`)
-		sc := bufio.NewScanner(stderr)
-		announced := false
-		for sc.Scan() {
-			line := sc.Text()
-			fmt.Fprintln(os.Stderr, line)
-			if !announced {
-				if m := re.FindStringSubmatch(line); m != nil {
-					announced = true
-					addrc <- m[1]
-				}
-			}
-		}
-		close(addrc)
-	}()
-	stop := func() {
-		_ = cmd.Process.Signal(os.Interrupt)
-		_ = cmd.Wait()
-	}
-	select {
-	case addr, ok := <-addrc:
-		if !ok {
-			stop()
-			return nil, fmt.Errorf("daemon exited before announcing its address")
-		}
-		return &proc{base: "http://" + addr, cmd: cmd}, nil
-	case <-ctx.Done():
-		stop()
-		return nil, fmt.Errorf("daemon never announced its address: %w", ctx.Err())
-	}
-}
-
-// waitLiveWorkers polls the coordinator's stats until n workers are live.
-func waitLiveWorkers(ctx context.Context, client *service.Client, n int) error {
-	t := time.NewTicker(100 * time.Millisecond)
-	defer t.Stop()
-	for {
-		st, err := client.Stats(ctx)
-		if err == nil && st.Cluster != nil && st.Cluster.LiveWorkers >= n {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("cluster never reached %d live workers: %w", n, ctx.Err())
-		case <-t.C:
-		}
-	}
-}
-
-// scrapeMetrics fetches the coordinator's Prometheus exposition and
-// writes it to path for the CI artifact upload.
-func scrapeMetrics(ctx context.Context, base, path string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metrics", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return fmt.Errorf("scrape /metrics: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("scrape /metrics: HTTP %d", resp.StatusCode)
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
 }

@@ -2,7 +2,7 @@
 // analysis daemon. It launches a real perftaintd process with a
 // persistent cache dir and a per-client rate limit, drives it with N
 // concurrent clients submitting mixed traffic (single analyses, NDJSON
-// sweeps, model extractions, stats polls), then kills the daemon and
+// sweeps, model extractions, stats polls), then stops the daemon and
 // starts a fresh one over the same cache dir. It exits non-zero unless:
 //
 //   - no request ever answered a 5xx during the storm;
@@ -14,43 +14,38 @@
 // The final /metrics scrape is written to -metrics-out so CI can attach
 // it as an artifact.
 //
-//	go build -o bin/perftaintd ./cmd/perftaintd
+//	go run ./cmd/loadsmoke -clients 8              # builds ./cmd/perftaintd itself
 //	go run ./cmd/loadsmoke -daemon bin/perftaintd -clients 8
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"os"
-	"os/exec"
-	"regexp"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/service"
+	"repro/internal/smoketest"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("loadsmoke: ")
-	daemon := flag.String("daemon", "", "path to the perftaintd binary (required)")
+	daemon := flag.String("daemon", "", "path to the perftaintd binary (empty = build ./cmd/perftaintd)")
 	clients := flag.Int("clients", 8, "concurrent load-generating clients")
 	perClient := flag.Int("requests", 12, "requests each client submits")
 	rate := flag.Float64("rate", 1, "per-client admission rate handed to the daemon (low enough that a 12-request burst must trip it)")
 	metricsOut := flag.String("metrics-out", "loadsmoke_metrics.txt", "file the final /metrics scrape is written to")
 	timeout := flag.Duration("timeout", 5*time.Minute, "overall smoke deadline")
 	flag.Parse()
-	if *daemon == "" {
-		log.Fatal("-daemon is required: loadsmoke exists to exercise a real process restart")
-	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
@@ -69,6 +64,7 @@ type counters struct {
 }
 
 func run(ctx context.Context, daemon string, clients, perClient int, rate float64, metricsOut string) error {
+	defer smoketest.Cleanup()
 	cacheDir, err := os.MkdirTemp("", "loadsmoke-cache-*")
 	if err != nil {
 		return err
@@ -76,52 +72,18 @@ func run(ctx context.Context, daemon string, clients, perClient int, rate float6
 	defer os.RemoveAll(cacheDir)
 
 	// --- Phase 1: storm a rate-limited daemon with mixed traffic. ---
-	base, stop, err := startDaemon(ctx, daemon,
-		"-cache-dir", cacheDir, "-rate", fmt.Sprint(rate), "-workers", "4")
+	first, err := phaseStorm(ctx, daemon, cacheDir, clients, perClient, rate)
 	if err != nil {
 		return err
 	}
-	var cnt counters
-	if err := storm(ctx, base, clients, perClient, &cnt); err != nil {
-		stop()
-		return err
-	}
-	fmt.Printf("loadsmoke: storm: %d ok, %d rate-limited, %d server errors, %d other errors\n",
-		cnt.ok.Load(), cnt.rateLimited.Load(), cnt.serverErrs.Load(), cnt.otherErrs.Load())
-	if cnt.serverErrs.Load() > 0 {
-		stop()
-		return fmt.Errorf("%d responses were 5xx under load", cnt.serverErrs.Load())
-	}
-	if cnt.rateLimited.Load() == 0 {
-		stop()
-		return fmt.Errorf("limiter never engaged: %d clients x %d requests all admitted at rate %g",
-			clients, perClient, rate)
-	}
-	if cnt.ok.Load() == 0 {
-		stop()
-		return fmt.Errorf("no request succeeded — the limiter starved everything")
-	}
-	// Extract a model set so the restart has a zero-rebuild artifact to
-	// serve, and scrape /metrics once while warm.
-	client := service.NewClient(base)
-	first, err := client.Models(ctx, modelRequest())
-	if err != nil {
-		stop()
-		return fmt.Errorf("model extraction before restart: %w", err)
-	}
-	if _, err := scrapeMetrics(ctx, base, ""); err != nil {
-		stop()
-		return fmt.Errorf("metrics scrape before restart: %w", err)
-	}
-	stop() // SIGINT + wait: the graceful-drain path, not a hard kill
 
 	// --- Phase 2: a fresh process over the same cache dir. ---
-	base2, stop2, err := startDaemon(ctx, daemon, "-cache-dir", cacheDir, "-workers", "4")
+	d2, err := smoketest.StartDaemon(ctx, daemon, "", nil, "-cache-dir", cacheDir, "-workers", "4")
 	if err != nil {
 		return err
 	}
-	defer stop2()
-	client2 := service.NewClient(base2)
+	defer d2.Term()
+	client2 := service.NewClient(d2.Base)
 	warm, err := client2.Models(ctx, modelRequest())
 	if err != nil {
 		return fmt.Errorf("model extraction after restart: %w", err)
@@ -132,7 +94,7 @@ func run(ctx context.Context, daemon string, clients, perClient int, rate float6
 	if warm.Key != first.Key {
 		return fmt.Errorf("model key drifted across restart: %s vs %s", warm.Key, first.Key)
 	}
-	if _, err := client2.Analyze(ctx, service.AnalyzeRequest{App: "lulesh"}); err != nil {
+	if _, err := client2.Analyze(ctx, api.AnalyzeRequest{App: "lulesh"}); err != nil {
 		return fmt.Errorf("analyze after restart: %w", err)
 	}
 	st, err := client2.Stats(ctx)
@@ -150,7 +112,7 @@ func run(ctx context.Context, daemon string, clients, perClient int, rate float6
 
 	// Final scrape, kept as the CI artifact; sanity-check the disk-hit
 	// family is present and non-zero in the exposition itself.
-	text, err := scrapeMetrics(ctx, base2, metricsOut)
+	text, err := smoketest.ScrapeMetrics(ctx, d2.Base, metricsOut)
 	if err != nil {
 		return fmt.Errorf("metrics scrape after restart: %w", err)
 	}
@@ -160,13 +122,50 @@ func run(ctx context.Context, daemon string, clients, perClient int, rate float6
 	return nil
 }
 
+// phaseStorm runs the rate-limited daemon through the storm, extracts the
+// model set the restart must serve, and drains the daemon gracefully.
+func phaseStorm(ctx context.Context, daemon, cacheDir string, clients, perClient int, rate float64) (*api.ModelResponse, error) {
+	d, err := smoketest.StartDaemon(ctx, daemon, "", nil,
+		"-cache-dir", cacheDir, "-rate", fmt.Sprint(rate), "-workers", "4")
+	if err != nil {
+		return nil, err
+	}
+	defer d.Term() // SIGTERM + wait: the graceful-drain path, not a hard kill
+	var cnt counters
+	if err := storm(ctx, d.Base, clients, perClient, &cnt); err != nil {
+		return nil, err
+	}
+	fmt.Printf("loadsmoke: storm: %d ok, %d rate-limited, %d server errors, %d other errors\n",
+		cnt.ok.Load(), cnt.rateLimited.Load(), cnt.serverErrs.Load(), cnt.otherErrs.Load())
+	if cnt.serverErrs.Load() > 0 {
+		return nil, fmt.Errorf("%d responses were 5xx under load", cnt.serverErrs.Load())
+	}
+	if cnt.rateLimited.Load() == 0 {
+		return nil, fmt.Errorf("limiter never engaged: %d clients x %d requests all admitted at rate %g",
+			clients, perClient, rate)
+	}
+	if cnt.ok.Load() == 0 {
+		return nil, fmt.Errorf("no request succeeded — the limiter starved everything")
+	}
+	// Extract a model set so the restart has a zero-rebuild artifact to
+	// serve, and scrape /metrics once while warm.
+	first, err := service.NewClient(d.Base).Models(ctx, modelRequest())
+	if err != nil {
+		return nil, fmt.Errorf("model extraction before restart: %w", err)
+	}
+	if _, err := smoketest.ScrapeMetrics(ctx, d.Base, ""); err != nil {
+		return nil, fmt.Errorf("metrics scrape before restart: %w", err)
+	}
+	return first, nil
+}
+
 // modelRequest is the small LULESH modeling design both phases submit;
 // identical bytes, so the second phase addresses the first's artifact.
-func modelRequest() service.ModelRequest {
-	return service.ModelRequest{
+func modelRequest() api.ModelRequest {
+	return api.ModelRequest{
 		App:    "lulesh",
 		Params: []string{"p", "size"},
-		Axes: []service.SweepAxis{
+		Axes: []api.SweepAxis{
 			{Param: "p", Values: []float64{2, 4}},
 			{Param: "size", Values: []float64{4, 5}},
 		},
@@ -190,12 +189,12 @@ func storm(ctx context.Context, base string, clients, perClient int, cnt *counte
 				var err error
 				switch i % 4 {
 				case 0, 1:
-					_, err = cl.Analyze(ctx, service.AnalyzeRequest{App: "lulesh"})
+					_, err = cl.Analyze(ctx, api.AnalyzeRequest{App: "lulesh"})
 				case 2:
-					err = cl.Sweep(ctx, service.SweepRequest{
+					err = cl.Sweep(ctx, api.SweepRequest{
 						App:  "lulesh",
-						Axes: []service.SweepAxis{{Param: "p", Values: []float64{2, 4}}},
-					}, func(service.SweepLine) error { return nil })
+						Axes: []api.SweepAxis{{Param: "p", Values: []float64{2, 4}}},
+					}, func(api.SweepLine) error { return nil })
 				default:
 					_, err = cl.Stats(ctx)
 				}
@@ -213,7 +212,7 @@ func classify(err error, cnt *counters) {
 		cnt.ok.Add(1)
 		return
 	}
-	var apiErr *service.APIError
+	var apiErr *api.APIError
 	if errors.As(err, &apiErr) {
 		switch {
 		case apiErr.StatusCode == http.StatusTooManyRequests:
@@ -236,81 +235,4 @@ type clientIDTransport struct{ id string }
 func (t clientIDTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	req.Header.Set(service.ClientIDHeader, t.id)
 	return http.DefaultTransport.RoundTrip(req)
-}
-
-// scrapeMetrics GETs /metrics, optionally writing the exposition to out.
-func scrapeMetrics(ctx context.Context, base, out string) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metrics", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("GET /metrics: %s", resp.Status)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
-	if !strings.HasPrefix(resp.Header.Get("Content-Type"), "text/plain; version=0.0.4") {
-		return "", fmt.Errorf("unexpected /metrics content type %q", resp.Header.Get("Content-Type"))
-	}
-	if out != "" {
-		if err := os.WriteFile(out, raw, 0o644); err != nil {
-			return "", err
-		}
-	}
-	return string(raw), nil
-}
-
-// startDaemon launches the perftaintd binary on an OS-assigned port with
-// extra flags and returns the base URL plus a stop function that sends
-// SIGINT and waits for the graceful drain.
-func startDaemon(ctx context.Context, path string, extra ...string) (string, func(), error) {
-	args := append([]string{"-addr", "127.0.0.1:0"}, extra...)
-	cmd := exec.CommandContext(ctx, path, args...)
-	cmd.Stdout = os.Stderr
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		return "", nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return "", nil, fmt.Errorf("start daemon %s: %w", path, err)
-	}
-	addrc := make(chan string, 1)
-	go func() {
-		re := regexp.MustCompile(`listening on (\S+)`)
-		sc := bufio.NewScanner(stderr)
-		announced := false
-		for sc.Scan() {
-			line := sc.Text()
-			fmt.Fprintln(os.Stderr, line)
-			if !announced {
-				if m := re.FindStringSubmatch(line); m != nil {
-					announced = true
-					addrc <- m[1]
-				}
-			}
-		}
-		close(addrc)
-	}()
-	stop := func() {
-		_ = cmd.Process.Signal(os.Interrupt)
-		_ = cmd.Wait()
-	}
-	select {
-	case addr, ok := <-addrc:
-		if !ok {
-			stop()
-			return "", nil, fmt.Errorf("daemon exited before announcing its address")
-		}
-		return "http://" + addr, stop, nil
-	case <-ctx.Done():
-		stop()
-		return "", nil, fmt.Errorf("daemon never announced its address: %w", ctx.Err())
-	}
 }

@@ -16,9 +16,6 @@
 //	perftaint job -addr ... -id job-1 -wait        # poll it to completion
 //	perftaint stats -addr host:7070
 //
-// (Bare flags with no subcommand — the original CLI shape — still run a
-// local analysis, but print a deprecation note; use analyze.)
-//
 // The model subcommand runs the end-to-end sweep→fit pipeline (locally
 // or against a daemon) and emits the model set as JSON; report renders
 // that JSON as Markdown and/or self-contained HTML:
@@ -54,6 +51,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/appgen"
 	"repro/internal/apps"
 	"repro/internal/cliutil"
@@ -65,65 +63,47 @@ import (
 )
 
 // jsonReport is the daemon's wire projection plus the CLI-only tainted
-// selection dump — one projection (service.NewAnalysisResult) feeds both
+// selection dump — one projection (api.NewAnalysisResult) feeds both
 // surfaces, so the golden snapshots gate them together.
 type jsonReport struct {
-	service.AnalysisResult
+	api.AnalysisResult
 	Selections []string `json:"tainted_selections"`
 }
+
+// usage is printed (exit 2) when no known subcommand is named; bare
+// flags are not a mode.
+const usage = `usage: perftaint <subcommand> [flags]
+
+  analyze   run one analysis (in-process, or on a daemon with -addr)
+  serve     run the analysis daemon in-process
+  submit    submit a configuration or a sweep to a daemon
+  job       fetch (or wait for) a daemon job
+  stats     print a daemon's counters
+  model     extract performance models (in-process, or on a daemon with -addr)
+  report    render a model set as Markdown and/or HTML
+  corpus    score the generated validation corpus against its manifest
+
+Run 'perftaint <subcommand> -h' for a subcommand's flags.
+`
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("perftaint: ")
+	subcommands := map[string]func([]string){
+		"analyze": runAnalyze, "serve": runServe, "submit": runSubmit, "stats": runStats,
+		"job": runJob, "model": runModel, "report": runReport, "corpus": runCorpus,
+	}
 	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "analyze":
-			runAnalyze(os.Args[2:])
+		if run, ok := subcommands[os.Args[1]]; ok {
+			run(os.Args[2:])
 			return
-		case "serve":
-			runServe(os.Args[2:])
-			return
-		case "submit":
-			runSubmit(os.Args[2:])
-			return
-		case "stats":
-			runStats(os.Args[2:])
-			return
-		case "job":
-			runJob(os.Args[2:])
-			return
-		case "model":
-			runModel(os.Args[2:])
-			return
-		case "report":
-			runReport(os.Args[2:])
-			return
-		case "corpus":
-			runCorpus(os.Args[2:])
-			return
-		default:
-			// Anything that isn't a flag is a mistyped subcommand; falling
-			// through to a multi-second local analysis would bury the typo.
-			if !strings.HasPrefix(os.Args[1], "-") {
-				log.Fatalf("unknown subcommand %q (want analyze, serve, submit, job, model, report, corpus, or stats)",
-					os.Args[1])
-			}
+		}
+		if !strings.HasPrefix(os.Args[1], "-") {
+			log.Printf("unknown subcommand %q", os.Args[1])
 		}
 	}
-	runLocal(os.Args[1:])
-}
-
-// runLocal is the original flags-only CLI shape, kept as a deprecated
-// alias so existing scripts don't break. It is the same analysis as
-// `perftaint analyze` without -addr; only the note on stderr differs.
-func runLocal(args []string) {
-	fs := flag.NewFlagSet("perftaint", flag.ExitOnError)
-	app := fs.String("app", "lulesh", "application to analyze: lulesh or milc")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the analysis to this file")
-	memProfile := fs.String("memprofile", "", "write an allocation profile (after the analysis) to this file")
-	fs.Parse(args)
-	log.Print("note: bare `perftaint -app ...` is deprecated; use `perftaint analyze` (same flags, plus -config and -addr)")
-	analyzeLocal(*app, nil, *cpuProfile, *memProfile, interp.ModeFast)
+	fmt.Fprint(os.Stderr, usage)
+	os.Exit(2)
 }
 
 // runAnalyze runs one analysis: in-process when -addr is empty, against
@@ -158,7 +138,7 @@ func runAnalyze(args []string) {
 		if mode != interp.ModeFast {
 			log.Fatal("-engine selects the in-process interpreter; a daemon's tier is fixed by its own -engine flag")
 		}
-		job, err := newClient(*addr, *retries).Analyze(context.Background(), service.AnalyzeRequest{
+		job, err := newClient(*addr, *retries).Analyze(context.Background(), api.AnalyzeRequest{
 			App:       *app,
 			Config:    overrides,
 			TimeoutMS: timeout.Milliseconds(),
@@ -167,7 +147,7 @@ func runAnalyze(args []string) {
 			log.Fatal(err)
 		}
 		emitJSON(job)
-		if job.Status != service.StatusDone {
+		if job.Status != api.StatusDone {
 			os.Exit(1)
 		}
 		return
@@ -175,8 +155,8 @@ func runAnalyze(args []string) {
 	analyzeLocal(*app, overrides, *cpuProfile, *memProfile, mode)
 }
 
-// analyzeLocal is the in-process pipeline shared by `perftaint analyze`
-// (without -addr) and the deprecated bare-flags mode.
+// analyzeLocal is the in-process pipeline behind `perftaint analyze`
+// without -addr.
 func analyzeLocal(appName string, overrides apps.Config, cpuProfile, memProfile string, mode interp.Mode) {
 	app, ok := service.BundledApps()[appName]
 	if !ok {
@@ -235,8 +215,8 @@ func analyzeLocal(appName string, overrides apps.Config, cpuProfile, memProfile 
 	}
 
 	out := jsonReport{
-		AnalysisResult: *service.NewAnalysisResult(appName, core.SpecDigest(spec), rep,
-			service.DefaultCensusParams()),
+		AnalysisResult: *api.NewAnalysisResult(appName, core.SpecDigest(spec), rep,
+			api.DefaultCensusParams()),
 	}
 	for _, sel := range rep.Engine.TaintedSelections() {
 		out.Selections = append(out.Selections,
@@ -323,12 +303,12 @@ func runSubmit(args []string) {
 		}
 		enc := json.NewEncoder(os.Stdout)
 		failed := 0
-		err = client.Sweep(ctx, service.SweepRequest{
+		err = client.Sweep(ctx, api.SweepRequest{
 			App:       *app,
 			Defaults:  defaults,
 			Axes:      axes,
 			TimeoutMS: timeout.Milliseconds(),
-		}, func(line service.SweepLine) error {
+		}, func(line api.SweepLine) error {
 			if line.Error != "" {
 				failed++
 			}
@@ -347,7 +327,7 @@ func runSubmit(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	job, err := client.Analyze(ctx, service.AnalyzeRequest{
+	job, err := client.Analyze(ctx, api.AnalyzeRequest{
 		App:       *app,
 		Config:    overrides,
 		Async:     *async,
@@ -357,7 +337,7 @@ func runSubmit(args []string) {
 		log.Fatal(err)
 	}
 	emitJSON(job)
-	if !*async && job.Status != service.StatusDone {
+	if !*async && job.Status != api.StatusDone {
 		os.Exit(1)
 	}
 }
@@ -377,7 +357,7 @@ func runJob(args []string) {
 	client := newClient(*addr, *retries)
 	ctx := context.Background()
 	var (
-		info *service.JobInfo
+		info *api.JobInfo
 		err  error
 	)
 	if *wait {
@@ -391,7 +371,7 @@ func runJob(args []string) {
 		log.Fatal(err)
 	}
 	emitJSON(info)
-	if *wait && info.Status != service.StatusDone {
+	if *wait && info.Status != api.StatusDone {
 		os.Exit(1)
 	}
 }
@@ -474,8 +454,8 @@ func runModel(args []string) {
 }
 
 // modelRequest converts a local modeling config into the wire request.
-func modelRequest(cfg modelreg.Config) (service.ModelRequest, error) {
-	req := service.ModelRequest{
+func modelRequest(cfg modelreg.Config) (api.ModelRequest, error) {
+	req := api.ModelRequest{
 		App:      cfg.App,
 		Params:   cfg.Params,
 		Defaults: cfg.Defaults,
@@ -489,7 +469,7 @@ func modelRequest(cfg modelreg.Config) (service.ModelRequest, error) {
 		return req, fmt.Errorf("modeling config requires \"app\" when submitting to a daemon")
 	}
 	for _, ax := range cfg.Axes {
-		req.Axes = append(req.Axes, service.SweepAxis{Param: ax.Param, Values: ax.Values})
+		req.Axes = append(req.Axes, api.SweepAxis{Param: ax.Param, Values: ax.Values})
 	}
 	return req, nil
 }
@@ -633,14 +613,14 @@ func parseConfig(s string) (apps.Config, error) {
 }
 
 // parseAxes reads "p=2,4,8;size=4,5" into sweep axes.
-func parseAxes(s string) ([]service.SweepAxis, error) {
-	var out []service.SweepAxis
+func parseAxes(s string) ([]api.SweepAxis, error) {
+	var out []api.SweepAxis
 	for _, part := range strings.Split(s, ";") {
 		name, vals, ok := strings.Cut(strings.TrimSpace(part), "=")
 		if !ok {
 			return nil, fmt.Errorf("bad axis %q (want name=v1,v2,...)", part)
 		}
-		ax := service.SweepAxis{Param: name}
+		ax := api.SweepAxis{Param: name}
 		for _, v := range strings.Split(vals, ",") {
 			f, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
 			if err != nil {

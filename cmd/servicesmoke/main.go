@@ -6,25 +6,24 @@
 // served from the PreparedCache (hits > 0 in /v1/stats). It exits
 // non-zero with a diagnostic on any mismatch.
 //
-//	go build -o bin/perftaintd ./cmd/perftaintd
+//	go run ./cmd/servicesmoke                      # builds ./cmd/perftaintd itself
 //	go run ./cmd/servicesmoke -daemon bin/perftaintd
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"os/exec"
 	"reflect"
-	"regexp"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/service"
+	"repro/internal/smoketest"
 )
 
 // goldenSnapshot mirrors the schema of internal/core/testdata/*.json.
@@ -37,7 +36,7 @@ type goldenSnapshot struct {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("servicesmoke: ")
-	daemon := flag.String("daemon", "", "path to the perftaintd binary (empty = in-process server)")
+	daemon := flag.String("daemon", "", "path to the perftaintd binary (empty = build ./cmd/perftaintd)")
 	golden := flag.String("golden", "internal/core/testdata/lulesh_golden.json", "golden snapshot to compare against")
 	timeout := flag.Duration("timeout", 2*time.Minute, "overall smoke deadline")
 	flag.Parse()
@@ -51,6 +50,7 @@ func main() {
 }
 
 func run(ctx context.Context, daemon, goldenPath string) error {
+	defer smoketest.Cleanup()
 	raw, err := os.ReadFile(goldenPath)
 	if err != nil {
 		return fmt.Errorf("read golden snapshot: %w", err)
@@ -60,26 +60,22 @@ func run(ctx context.Context, daemon, goldenPath string) error {
 		return fmt.Errorf("parse golden snapshot: %w", err)
 	}
 
-	base, stop, err := startDaemon(ctx, daemon)
+	d, err := smoketest.StartDaemon(ctx, daemon, "", nil)
 	if err != nil {
 		return err
 	}
-	defer stop()
-
-	client := service.NewClient(base)
-	if err := waitHealthy(ctx, client); err != nil {
-		return err
-	}
+	defer d.Term()
+	client := service.NewClient(d.Base)
 
 	// Submit the LULESH taint config twice: identical results, and the
 	// second submission must be a cache hit.
-	var jobs [2]*service.JobInfo
+	var jobs [2]*api.JobInfo
 	for i := range jobs {
-		job, err := client.Analyze(ctx, service.AnalyzeRequest{App: "lulesh"})
+		job, err := client.Analyze(ctx, api.AnalyzeRequest{App: "lulesh"})
 		if err != nil {
 			return fmt.Errorf("analyze #%d: %w", i+1, err)
 		}
-		if job.Status != service.StatusDone || job.Result == nil {
+		if job.Status != api.StatusDone || job.Result == nil {
 			return fmt.Errorf("analyze #%d: job %s finished %q (error: %s)", i+1, job.ID, job.Status, job.Error)
 		}
 		jobs[i] = job
@@ -116,82 +112,4 @@ func run(ctx context.Context, daemon, goldenPath string) error {
 	fmt.Printf("servicesmoke: stats: %d hit(s), %d miss(es), %d completed job(s)\n",
 		st.Cache.Hits, st.Cache.Misses, st.Jobs.Completed)
 	return nil
-}
-
-// startDaemon launches the perftaintd binary (or an in-process server
-// when path is empty) on an OS-assigned port and returns the base URL.
-// Both paths bind ":0" and learn the real port from the daemon itself —
-// picking a free port up front and rebinding it would race other
-// processes on a busy CI runner.
-func startDaemon(ctx context.Context, path string) (string, func(), error) {
-	if path == "" {
-		srv, err := service.NewServer(service.Options{})
-		if err != nil {
-			return "", nil, err
-		}
-		ready := make(chan string, 1)
-		sctx, cancel := context.WithCancel(ctx)
-		done := make(chan error, 1)
-		go func() { done <- srv.ListenAndServe(sctx, "127.0.0.1:0", ready) }()
-		boundAddr := <-ready
-		return "http://" + boundAddr, func() { cancel(); <-done }, nil
-	}
-	cmd := exec.CommandContext(ctx, path, "-addr", "127.0.0.1:0")
-	cmd.Stdout = os.Stderr
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		return "", nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return "", nil, fmt.Errorf("start daemon %s: %w", path, err)
-	}
-	// The daemon announces "listening on 127.0.0.1:<port>" once bound;
-	// scan its stderr for that line (and keep relaying the rest).
-	addrc := make(chan string, 1)
-	go func() {
-		re := regexp.MustCompile(`listening on (\S+)`)
-		sc := bufio.NewScanner(stderr)
-		announced := false
-		for sc.Scan() {
-			line := sc.Text()
-			fmt.Fprintln(os.Stderr, line)
-			if !announced {
-				if m := re.FindStringSubmatch(line); m != nil {
-					announced = true
-					addrc <- m[1]
-				}
-			}
-		}
-		close(addrc)
-	}()
-	stop := func() {
-		_ = cmd.Process.Signal(os.Interrupt)
-		_ = cmd.Wait()
-	}
-	select {
-	case addr, ok := <-addrc:
-		if !ok {
-			stop()
-			return "", nil, fmt.Errorf("daemon exited before announcing its address")
-		}
-		return "http://" + addr, stop, nil
-	case <-ctx.Done():
-		stop()
-		return "", nil, fmt.Errorf("daemon never announced its address: %w", ctx.Err())
-	}
-}
-
-func waitHealthy(ctx context.Context, client *service.Client) error {
-	t := time.NewTicker(100 * time.Millisecond)
-	defer t.Stop()
-	for {
-		if err := client.Health(ctx); err == nil {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("daemon never became healthy: %w", ctx.Err())
-		case <-t.C:
-		}
-	}
 }

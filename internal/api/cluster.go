@@ -62,7 +62,8 @@ type ShardRequest struct {
 	// Configs are the fully-merged configurations of this shard, in
 	// design order.
 	Configs []apps.Config `json:"configs"`
-	// CensusParams selects each result's census column.
+	// CensusParams selects each result's census column; omitted, the
+	// lines carry no result projection, only the modeling observations.
 	CensusParams []string `json:"census_params,omitempty"`
 }
 

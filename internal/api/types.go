@@ -57,10 +57,12 @@ type SweepRequest struct {
 	// CensusParams selects the loop-relevance column of each result's
 	// census; defaults to {p, size}.
 	CensusParams []string `json:"census_params,omitempty"`
-	// TimeoutMS optionally gives each configuration job a start-TTL
-	// from submission (clamped to the server default). 0 — the default —
-	// means sweep jobs live as long as the streaming request itself, so
-	// the tail of a large design is not doomed by its siblings' runtime.
+	// TimeoutMS optionally gives the design points a start-TTL from
+	// submission (clamped to the server default): a sweep whose points
+	// have not all started by then stops with an in-band error line, and
+	// reconnecting resumes it. 0 — the default — means the points live as
+	// long as the streaming request itself, so the tail of a large design
+	// is not doomed by its siblings' runtime.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
@@ -73,7 +75,8 @@ type SweepLine struct {
 	Seq int64 `json:"seq"`
 	// Index is the record's position in design order.
 	Index int `json:"index"`
-	// JobID identifies the job that produced this record.
+	// JobID labels the design point: job-(first+index), from the block
+	// the sweep reserved at acceptance. Not resolvable via /v1/jobs.
 	JobID string `json:"job_id"`
 	// Config is the fully-merged configuration analyzed at this point.
 	Config apps.Config `json:"config"`

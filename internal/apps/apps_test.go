@@ -273,7 +273,7 @@ func TestMILCGatherBranchIsTaintedSelection(t *testing.T) {
 	for _, sel := range e.TaintedSelections() {
 		if sel.Key.Func == "g_gather_field" {
 			found = true
-			if !e.Table.Has(sel.Labels, e.Table.LabelOf("p")) {
+			if !sel.Labels.Has(e.Table.LabelOf("p")) {
 				t.Error("gather selection not tainted by p")
 			}
 		}

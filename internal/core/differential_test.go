@@ -20,7 +20,7 @@ import (
 func engineDump(r *Report) string {
 	e := r.Engine
 	var sb strings.Builder
-	mask := func(l taint.Label) uint64 { return e.Table.Mask(l) }
+	mask := func(l taint.Label) uint64 { return uint64(l) }
 	fmt.Fprintf(&sb, "instr=%d base=%d\n", r.Instructions, e.Table.NumBase())
 	for _, rec := range e.SortedLoops() {
 		fmt.Fprintf(&sb, "loop %s#%d@%d path=%s labels=%x iter=%d entries=%d\n",

@@ -217,7 +217,7 @@ func (r *Report) Coverage(modelParams []string) (rows []ParameterCoverage, union
 		fns := make(map[string]bool)
 		loops := 0
 		for key, l := range loopLabels {
-			if !counted(key.fn) || base == taint.None || !r.Engine.Table.Has(l, base) {
+			if !counted(key.fn) || base == taint.None || !l.Has(base) {
 				continue
 			}
 			fns[key.fn] = true

@@ -235,7 +235,7 @@ func fingerprint(res *interp.Result, err error, eng *taint.Engine) string {
 		if eng == nil {
 			return fmt.Sprintf("%d", l)
 		}
-		return fmt.Sprintf("%x(%s)", eng.Table.Mask(l), eng.Table.ExpandString(l))
+		return fmt.Sprintf("%x(%s)", uint64(l), eng.Table.ExpandString(l))
 	}
 	if err != nil {
 		fmt.Fprintf(&sb, "err=%v\n", err)

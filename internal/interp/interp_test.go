@@ -178,7 +178,7 @@ func TestDataFlowTaintThroughArithmetic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !e.Table.Has(res.Label, a) || !e.Table.Has(res.Label, c) {
+	if !res.Label.Has(a) || !res.Label.Has(c) {
 		t.Fatalf("return label %v must include a and c", e.Table.Expand(res.Label))
 	}
 }
@@ -198,7 +198,7 @@ func TestTaintThroughMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !e.Table.Has(res.Label, p) {
+	if !res.Label.Has(p) {
 		t.Fatal("taint lost through store/load")
 	}
 }
@@ -236,7 +236,7 @@ func TestControlFlowTaintPaperExample(t *testing.T) {
 	}
 	got := res.Label
 	for name, base := range map[string]taint.Label{"a": la, "b": lb, "c": lc} {
-		if !e.Table.Has(got, base) {
+		if !got.Has(base) {
 			t.Errorf("return label %v missing %s", e.Table.Expand(got), name)
 		}
 	}
@@ -284,7 +284,7 @@ func TestControlTaintPropagatesIntoCallees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !e.Table.Has(res.Label, p) {
+	if !res.Label.Has(p) {
 		t.Fatal("value produced by callee under tainted control must carry the control label")
 	}
 }
@@ -311,7 +311,7 @@ func TestLoopExitSinkRecordsDependencyAndIterations(t *testing.T) {
 	if rec == nil {
 		t.Fatal("no loop record for sumTo")
 	}
-	if !e.Table.Has(rec.Labels, n) {
+	if !rec.Labels.Has(n) {
 		t.Fatalf("loop labels %v missing n", e.Table.Expand(rec.Labels))
 	}
 	if rec.Iterations != 6 {
@@ -401,7 +401,7 @@ func TestControlDependenceThroughLoopBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !e.Table.Has(res.Label, size) {
+	if !res.Label.Has(size) {
 		t.Fatal("control dependence through loop bound not captured")
 	}
 
@@ -467,7 +467,7 @@ func TestTaintedSelectionBranchCoverage(t *testing.T) {
 	if sel[0].Key.Func != "main" {
 		t.Fatalf("selection in %q, want main", sel[0].Key.Func)
 	}
-	if !e.Table.Has(sel[0].Labels, p) {
+	if !sel[0].Labels.Has(p) {
 		t.Fatal("selection label must include p")
 	}
 }
@@ -639,7 +639,7 @@ func TestAbortScrubsBornCapacityTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !e.Table.Has(res.Label, n) {
+	if !res.Label.Has(n) {
 		t.Fatal("stale born state dropped the loop-exit control label after an aborted run")
 	}
 }

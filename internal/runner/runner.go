@@ -83,9 +83,7 @@ func (r *Runner) AnalyzeBatchPrepared(p *core.Prepared, cfgs []apps.Config) []Re
 // skipped and their Result.Err captures ctx's error. Jobs already running
 // finish normally — the dynamic stage is fuel-bounded, so a straggler
 // cannot outlive its fuel budget — which keeps every returned Result in
-// one of exactly two states: fully analyzed or never started. The analysis
-// daemon (internal/service) routes every scheduled job through this entry
-// point so per-job deadlines and client disconnects stop queued work.
+// one of exactly two states: fully analyzed or never started.
 func (r *Runner) AnalyzeBatchPreparedCtx(ctx context.Context, p *core.Prepared, cfgs []apps.Config) []Result {
 	out := make([]Result, len(cfgs))
 	Map(r.workers(), len(cfgs), func(i int) {

@@ -3,7 +3,6 @@ package service
 import (
 	"fmt"
 
-	"repro/internal/api"
 	"repro/internal/apps"
 )
 
@@ -24,62 +23,6 @@ func BundledApps() map[string]App {
 		"milc":   {New: apps.MILC, TaintConfig: apps.MILCTaintConfig},
 	}
 }
-
-// The wire surface lives in the versioned internal/api package — one
-// definition per type, consumed by the server, the Go client, and the
-// cluster worker protocol alike. The aliases below keep this package's
-// historical names (and the perftaint facade's re-exports) pointing at
-// the single authoritative definitions.
-type (
-	// AnalyzeRequest is the body of POST /v1/analyze.
-	AnalyzeRequest = api.AnalyzeRequest
-	// SweepAxis is one swept parameter of a SweepRequest.
-	SweepAxis = api.SweepAxis
-	// SweepRequest is the body of POST /v1/sweep.
-	SweepRequest = api.SweepRequest
-	// SweepLine is one NDJSON record of a sweep response.
-	SweepLine = api.SweepLine
-	// JobInfo is the wire view of one scheduled analysis job.
-	JobInfo = api.JobInfo
-	// AnalysisResult is the wire projection of a core.Report.
-	AnalysisResult = api.AnalysisResult
-	// JobStats aggregates scheduler counters for /v1/stats.
-	JobStats = api.JobStats
-	// StatsResponse is the body of GET /v1/stats.
-	StatsResponse = api.StatsResponse
-	// CacheStats is a point-in-time snapshot of the PreparedCache
-	// counters.
-	CacheStats = api.CacheStats
-	// ModelRequest is the body of POST /v1/models.
-	ModelRequest = api.ModelRequest
-	// ModelResponse is the body of a finished model extraction.
-	ModelResponse = api.ModelResponse
-	// APIError is a decoded error response from the daemon.
-	APIError = api.APIError
-)
-
-// Job lifecycle states reported by the API (aliases of the api package
-// constants).
-const (
-	// StatusQueued marks a job submitted but not yet claimed.
-	StatusQueued = api.StatusQueued
-	// StatusRunning marks a job claimed and executing.
-	StatusRunning = api.StatusRunning
-	// StatusDone marks a successfully finished job.
-	StatusDone = api.StatusDone
-	// StatusFailed marks a job whose analysis failed.
-	StatusFailed = api.StatusFailed
-	// StatusCanceled marks a job canceled before it could start.
-	StatusCanceled = api.StatusCanceled
-)
-
-// NewAnalysisResult projects a report into its wire form (alias of
-// api.NewAnalysisResult).
-var NewAnalysisResult = api.NewAnalysisResult
-
-// DefaultCensusParams is the census column used when a request does not
-// name its model parameters: the paper's {p, size}.
-func DefaultCensusParams() []string { return api.DefaultCensusParams() }
 
 // mergedConfig overlays overrides on the app's default taint config.
 func mergedConfig(app App, overrides apps.Config) apps.Config {

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/diskcache"
@@ -240,10 +241,10 @@ func (c *PreparedCache) Digests() []string {
 }
 
 // Stats snapshots the counters.
-func (c *PreparedCache) Stats() CacheStats {
+func (c *PreparedCache) Stats() api.CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{
+	return api.CacheStats{
 		Hits:      c.hits,
 		Misses:    c.misses,
 		DiskHits:  c.diskHits,

@@ -62,7 +62,7 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// apiError decodes the server's api.ErrorBody envelope into an APIError.
+// apiError decodes the server's api.ErrorBody envelope into an api.APIError.
 func apiError(resp *http.Response) error {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 	out := &api.APIError{StatusCode: resp.StatusCode}
@@ -209,8 +209,8 @@ func (c *Client) Health(ctx context.Context) error {
 }
 
 // Stats fetches the daemon counters.
-func (c *Client) Stats(ctx context.Context) (*StatsResponse, error) {
-	var out StatsResponse
+func (c *Client) Stats(ctx context.Context) (*api.StatsResponse, error) {
+	var out api.StatsResponse
 	if err := c.do(ctx, http.MethodGet, "/v1/stats", nil, &out); err != nil {
 		return nil, err
 	}
@@ -220,8 +220,8 @@ func (c *Client) Stats(ctx context.Context) (*StatsResponse, error) {
 // Analyze submits one configuration and returns the finished job (the
 // server runs it inline unless req.Async is set, in which case the
 // returned job is still queued — poll it with Job or WaitJob).
-func (c *Client) Analyze(ctx context.Context, req AnalyzeRequest) (*JobInfo, error) {
-	var out JobInfo
+func (c *Client) Analyze(ctx context.Context, req api.AnalyzeRequest) (*api.JobInfo, error) {
+	var out api.JobInfo
 	if err := c.do(ctx, http.MethodPost, "/v1/analyze", &req, &out); err != nil {
 		return nil, err
 	}
@@ -229,8 +229,8 @@ func (c *Client) Analyze(ctx context.Context, req AnalyzeRequest) (*JobInfo, err
 }
 
 // Job fetches a job by id.
-func (c *Client) Job(ctx context.Context, id string) (*JobInfo, error) {
-	var out JobInfo
+func (c *Client) Job(ctx context.Context, id string) (*api.JobInfo, error) {
+	var out api.JobInfo
 	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &out); err != nil {
 		return nil, err
 	}
@@ -238,7 +238,7 @@ func (c *Client) Job(ctx context.Context, id string) (*JobInfo, error) {
 }
 
 // WaitJob polls a job until it reaches a terminal status or ctx expires.
-func (c *Client) WaitJob(ctx context.Context, id string, poll time.Duration) (*JobInfo, error) {
+func (c *Client) WaitJob(ctx context.Context, id string, poll time.Duration) (*api.JobInfo, error) {
 	if poll <= 0 {
 		poll = 50 * time.Millisecond
 	}
@@ -250,7 +250,7 @@ func (c *Client) WaitJob(ctx context.Context, id string, poll time.Duration) (*J
 			return nil, err
 		}
 		switch info.Status {
-		case StatusDone, StatusFailed, StatusCanceled:
+		case api.StatusDone, api.StatusFailed, api.StatusCanceled:
 			return info, nil
 		}
 		select {
@@ -324,7 +324,7 @@ func scanNDJSON(r io.Reader, emit func(line []byte) error) error {
 // design point exactly once, in order, across any number of daemon
 // restarts. Progress resets the attempt budget, so a long sweep is not
 // starved by retries spent on earlier disconnects.
-func (c *Client) Sweep(ctx context.Context, req SweepRequest, emit func(SweepLine) error) error {
+func (c *Client) Sweep(ctx context.Context, req api.SweepRequest, emit func(api.SweepLine) error) error {
 	idem := idempotencyKey(&req)
 	var lastSeq int64
 	for attempt := 0; ; attempt++ {
@@ -352,7 +352,7 @@ func (c *Client) Sweep(ctx context.Context, req SweepRequest, emit func(SweepLin
 // sweepOnce runs one connection's worth of a sweep, advancing *lastSeq
 // as lines are consumed and skipping journal-replayed lines the caller
 // has already seen.
-func (c *Client) sweepOnce(ctx context.Context, req *SweepRequest, idem string, lastSeq *int64, emit func(SweepLine) error) error {
+func (c *Client) sweepOnce(ctx context.Context, req *api.SweepRequest, idem string, lastSeq *int64, emit func(api.SweepLine) error) error {
 	hdr := map[string]string{api.HeaderIdempotencyKey: idem}
 	if *lastSeq > 0 {
 		hdr[api.HeaderLastSeq] = fmt.Sprintf("%d", *lastSeq)
@@ -363,7 +363,7 @@ func (c *Client) sweepOnce(ctx context.Context, req *SweepRequest, idem string, 
 	}
 	defer resp.Body.Close()
 	return scanNDJSON(resp.Body, func(line []byte) error {
-		var rec SweepLine
+		var rec api.SweepLine
 		if err := json.Unmarshal(line, &rec); err != nil {
 			return fmt.Errorf("service: decode sweep line: %w", err)
 		}
@@ -389,16 +389,16 @@ func (c *Client) sweepOnce(ctx context.Context, req *SweepRequest, idem string, 
 // idempotencyKey derives the resume key from the request content: the
 // same design resubmitted by a reconnecting client (even a restarted
 // client process) addresses the same journaled job on the server.
-func idempotencyKey(req *SweepRequest) string {
+func idempotencyKey(req *api.SweepRequest) string {
 	raw, _ := json.Marshal(req)
 	sum := sha256.Sum256(raw)
 	return hex.EncodeToString(sum[:])
 }
 
 // SweepAll collects a sweep into a slice; convenient for small designs.
-func (c *Client) SweepAll(ctx context.Context, req SweepRequest) ([]SweepLine, error) {
-	var out []SweepLine
-	err := c.Sweep(ctx, req, func(l SweepLine) error {
+func (c *Client) SweepAll(ctx context.Context, req api.SweepRequest) ([]api.SweepLine, error) {
+	var out []api.SweepLine
+	err := c.Sweep(ctx, req, func(l api.SweepLine) error {
 		out = append(out, l)
 		return nil
 	})

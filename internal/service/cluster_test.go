@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/leakcheck"
 )
 
@@ -90,10 +91,10 @@ func waitLiveWorkers(t *testing.T, c *Client, want int) {
 
 // clusterSweepReq is the reference design the byte-identity tests run:
 // 12 points, enough to split into several shards across two workers.
-func clusterSweepReq() SweepRequest {
-	return SweepRequest{
+func clusterSweepReq() api.SweepRequest {
+	return api.SweepRequest{
 		App: "lulesh",
-		Axes: []SweepAxis{
+		Axes: []api.SweepAxis{
 			{Param: "p", Values: []float64{2, 4, 6, 8}},
 			{Param: "size", Values: []float64{10, 14, 18}},
 		},
@@ -101,7 +102,7 @@ func clusterSweepReq() SweepRequest {
 }
 
 // rawSweep POSTs a sweep and returns the exact response bytes.
-func rawSweep(t *testing.T, baseURL string, req SweepRequest) []byte {
+func rawSweep(t *testing.T, baseURL string, req api.SweepRequest) []byte {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -268,10 +269,10 @@ func TestClusterCoordinatorWithoutWorkersRunsLocally(t *testing.T) {
 }
 
 func TestClusterModelExtractionMatchesSingleNode(t *testing.T) {
-	req := ModelRequest{
+	req := api.ModelRequest{
 		App:    "lulesh",
 		Params: []string{"p", "size"},
-		Axes: []SweepAxis{
+		Axes: []api.SweepAxis{
 			{Param: "p", Values: []float64{2, 4, 6, 8}},
 			{Param: "size", Values: []float64{10, 14, 18}},
 		},

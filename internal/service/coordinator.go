@@ -13,11 +13,7 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/apps"
-	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/modelreg"
-	"repro/internal/runner"
 )
 
 // workerRef is the coordinator's record of one registered worker. All
@@ -225,7 +221,7 @@ func (co *coordinator) handlePreparedServe(w http.ResponseWriter, r *http.Reques
 // shard is one contiguous slice of a design in flight.
 type shardState struct {
 	start int
-	cfgs  []apps.Config
+	d     design // the sweep's design cut down to this shard's cfgs
 	done  chan struct{}
 	lines []api.ShardLine
 	err   error
@@ -250,25 +246,26 @@ func (co *coordinator) shardSize(n int) int {
 	return sz
 }
 
-// runSharded partitions cfgs into contiguous shards, executes them
-// across the live workers (with retry and local fallback), and emits
-// every ShardLine in absolute design order — the same order and content
-// a single node produces, which is what makes the merged stream
-// byte-identical. emit runs on this goroutine; an emit error aborts
-// outstanding shards.
-func (co *coordinator) runSharded(ctx context.Context, app, digest string, prepared *core.Prepared, cfgs []apps.Config, censusParams []string, emit func(api.ShardLine) error) error {
+// runSharded is the cluster point source: it partitions d.cfgs into
+// contiguous shards, executes them across the live workers (with retry
+// and local fallback), and emits every ShardLine in design order, indexed
+// from 0 within d.cfgs — the same order and content runPoints produces,
+// which is what makes the merged stream byte-identical. emit runs on
+// this goroutine; an emit error aborts outstanding shards.
+func (co *coordinator) runSharded(ctx context.Context, d design, emit func(api.ShardLine) error) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	size := co.shardSize(len(cfgs))
+	size := co.shardSize(len(d.cfgs))
 	var shards []*shardState
-	for start := 0; start < len(cfgs); start += size {
+	for start := 0; start < len(d.cfgs); start += size {
 		end := start + size
-		if end > len(cfgs) {
-			end = len(cfgs)
+		if end > len(d.cfgs) {
+			end = len(d.cfgs)
 		}
-		sh := &shardState{start: start, cfgs: cfgs[start:end], done: make(chan struct{})}
+		sh := &shardState{start: start, d: d, done: make(chan struct{})}
+		sh.d.cfgs = d.cfgs[start:end]
 		shards = append(shards, sh)
-		go co.runShard(ctx, app, digest, prepared, censusParams, sh)
+		go co.runShard(ctx, sh)
 	}
 	for _, sh := range shards {
 		select {
@@ -290,17 +287,19 @@ func (co *coordinator) runSharded(ctx context.Context, app, digest string, prepa
 
 // runShard drives one shard to completion: dispatch to the best live
 // worker, retry elsewhere on failure with capped backoff, and fall back
-// to local execution once retries or workers run out. A worker that
-// fails a dispatch is benched (marked dead) until its next heartbeat.
-func (co *coordinator) runShard(ctx context.Context, app, digest string, prepared *core.Prepared, censusParams []string, sh *shardState) {
+// to the local pool once retries or workers run out. A worker that fails
+// a dispatch is benched (marked dead) until its next heartbeat. A shard
+// the sweep's own cancellation interrupted ends in sh.err; whatever
+// lines it holds are never emitted.
+func (co *coordinator) runShard(ctx context.Context, sh *shardState) {
 	defer close(sh.done)
 	req := &api.ShardRequest{
 		Protocol:     api.ProtocolVersion,
-		App:          app,
-		SpecDigest:   digest,
+		App:          sh.d.app,
+		SpecDigest:   sh.d.digest,
 		Start:        sh.start,
-		Configs:      sh.cfgs,
-		CensusParams: censusParams,
+		Configs:      sh.d.cfgs,
+		CensusParams: sh.d.censusParams,
 	}
 	var lastFailed *workerRef
 	for attempt := 0; ; attempt++ {
@@ -317,7 +316,11 @@ func (co *coordinator) runShard(ctx context.Context, app, digest string, prepare
 			// finish — run it on the coordinator's own pool. A worker dying
 			// mid-shard therefore loses exactly that shard's work, never
 			// the sweep.
-			sh.lines = co.runShardLocal(ctx, app, digest, prepared, censusParams, sh)
+			sh.err = co.s.runPoints(ctx, sh.d, func(line api.ShardLine) error {
+				line.Index += sh.start
+				sh.lines = append(sh.lines, line)
+				return nil
+			})
 			co.mu.Lock()
 			co.shardsLocal++
 			co.mu.Unlock()
@@ -417,54 +420,6 @@ func (co *coordinator) dispatch(ctx context.Context, ref *workerRef, req *api.Sh
 		}
 	}
 	return lines, nil
-}
-
-// runShardLocal executes a shard on the coordinator's own runner,
-// producing exactly the lines a worker would have streamed.
-func (co *coordinator) runShardLocal(ctx context.Context, app, digest string, prepared *core.Prepared, censusParams []string, sh *shardState) []api.ShardLine {
-	results := (&runner.Runner{Workers: co.s.opts.Workers}).AnalyzeBatchPreparedCtx(ctx, prepared, sh.cfgs)
-	lines := make([]api.ShardLine, len(results))
-	for i, res := range results {
-		lines[i] = shardLine(app, digest, sh.start+res.Index, censusParams, res)
-	}
-	return lines
-}
-
-// shardLine projects one analysis result into its wire record at the
-// given absolute index. Both execution sites — the worker's /v1/shard
-// handler and the coordinator's local fallback — route through this, so
-// the merged stream cannot depend on where a design point ran.
-func shardLine(app, digest string, index int, censusParams []string, res runner.Result) api.ShardLine {
-	line := api.ShardLine{Index: index}
-	if res.Err != nil {
-		line.Error = res.Err.Error()
-		return line
-	}
-	line.Result = api.NewAnalysisResult(app, digest, res.Report, censusParams)
-	line.Iterations = modelreg.SumLoopIterations(res.Report)
-	line.Instructions = res.Report.Instructions
-	return line
-}
-
-// sampleSweep adapts the shard scheduler to modelreg's SweepFunc: the
-// design executes across the cluster and every shard line arrives as a
-// distilled Sample in design order. Measurement synthesis and fitting
-// stay on the coordinator, so the artifact (and its registry key) is
-// identical to a single-node extraction.
-func (co *coordinator) sampleSweep(app, digest string, prepared *core.Prepared) modelreg.SweepFunc {
-	return func(ctx context.Context, cfgs []apps.Config, consume func(modelreg.Sample) error) error {
-		return co.runSharded(ctx, app, digest, prepared, cfgs, nil, func(line api.ShardLine) error {
-			if line.Error != "" {
-				return fmt.Errorf("modelreg: design point %d (%v): %s", line.Index, cfgs[line.Index], line.Error)
-			}
-			return consume(modelreg.Sample{
-				Index:        line.Index,
-				Config:       cfgs[line.Index],
-				Iterations:   line.Iterations,
-				Instructions: line.Instructions,
-			})
-		})
-	}
 }
 
 // stats snapshots the cluster state for /v1/stats.

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/api"
 )
 
 // postJSON fires a raw POST so tests can control headers and bodies the
@@ -98,16 +100,16 @@ func TestServeRateLimits429(t *testing.T) {
 	_, client := testServer(t, Options{Workers: 1, Rate: 0.001, Burst: 1})
 	ctx := context.Background()
 
-	if _, err := client.Analyze(ctx, AnalyzeRequest{App: "lulesh"}); err != nil {
+	if _, err := client.Analyze(ctx, api.AnalyzeRequest{App: "lulesh"}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := client.Analyze(ctx, AnalyzeRequest{App: "lulesh"})
+	_, err := client.Analyze(ctx, api.AnalyzeRequest{App: "lulesh"})
 	if err == nil {
 		t.Fatal("second request admitted past an empty bucket")
 	}
-	var apiErr *APIError
+	var apiErr *api.APIError
 	if !errors.As(err, &apiErr) {
-		t.Fatalf("err = %T %v, want *APIError", err, err)
+		t.Fatalf("err = %T %v, want *api.APIError", err, err)
 	}
 	if apiErr.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429", apiErr.StatusCode)
@@ -174,11 +176,11 @@ func TestServeCapsRequestBodies(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	_, client := testServer(t, Options{Workers: 1, Rate: 0.001, Burst: 1})
 	ctx := context.Background()
-	if _, err := client.Analyze(ctx, AnalyzeRequest{App: "lulesh"}); err != nil {
+	if _, err := client.Analyze(ctx, api.AnalyzeRequest{App: "lulesh"}); err != nil {
 		t.Fatal(err)
 	}
 	// Burn the bucket so the rejection counter is non-zero.
-	if _, err := client.Analyze(ctx, AnalyzeRequest{App: "lulesh"}); err == nil {
+	if _, err := client.Analyze(ctx, api.AnalyzeRequest{App: "lulesh"}); err == nil {
 		t.Fatal("expected a 429 to feed the rejection counter")
 	}
 
@@ -231,10 +233,10 @@ func TestSweepDrainEmitsTerminalErrorLine(t *testing.T) {
 	ctx := context.Background()
 
 	lines := 0
-	err := client.Sweep(ctx, SweepRequest{
+	err := client.Sweep(ctx, api.SweepRequest{
 		App:  "slow",
-		Axes: []SweepAxis{{Param: "n", Values: []float64{2e6, 2e6, 2e6, 2e6}}},
-	}, func(line SweepLine) error {
+		Axes: []api.SweepAxis{{Param: "n", Values: []float64{2e6, 2e6, 2e6, 2e6}}},
+	}, func(line api.SweepLine) error {
 		lines++
 		if lines == 1 {
 			// Cancel the daemon's base context while the later configs are

@@ -121,16 +121,8 @@ func newMetrics() *Metrics {
 	}}
 }
 
-// Stage returns the histogram for one of the Stage* names (nil for
-// unknown stages, so a typo observes nothing rather than panicking).
+// Stage returns the histogram for one of the Stage* names.
 func (m *Metrics) Stage(name string) *Histogram { return m.stages[name] }
-
-// ObserveStage records one latency against a stage histogram.
-func (m *Metrics) ObserveStage(name string, d time.Duration) {
-	if h := m.stages[name]; h != nil {
-		h.Observe(d.Seconds())
-	}
-}
 
 // rateLimitedInc counts one 429 rejection.
 func (m *Metrics) rateLimitedInc() {

@@ -10,9 +10,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/apps"
-	"repro/internal/journal"
 	"repro/internal/modelreg"
-	"repro/internal/runner"
 )
 
 // ResolveModelDefaults overlays a modeling config's defaults on the
@@ -27,7 +25,7 @@ func ResolveModelDefaults(app App, cfg modelreg.Config) modelreg.Config {
 
 // modelConfig assembles the modelreg configuration from a request and
 // the app's taint defaults.
-func (s *Server) modelConfig(req ModelRequest, app App) modelreg.Config {
+func (s *Server) modelConfig(req api.ModelRequest, app App) modelreg.Config {
 	cfg := modelreg.Config{
 		App:      req.App,
 		Params:   req.Params,
@@ -48,7 +46,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(w, r, 1) {
 		return
 	}
-	var req ModelRequest
+	var req api.ModelRequest
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
@@ -69,146 +67,72 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	}
 	key := modelreg.Key(digest, cfg)
 
-	// The sweep+fit runs on its own bounded runner (same worker count as
-	// the scheduler pool); the registry's singleflight guarantees one
-	// build per key however many clients ask at once. The build is
-	// scoped to the SERVER's lifetime, not this request's: joiners of an
-	// in-flight build must not fail because the first requester
-	// disconnected, so a build, once started, runs to completion (it is
-	// fuel-bounded and capped by MaxSweepConfigs) and warms the registry
-	// even if every requester has gone away. Daemon shutdown cancels it.
-	build := func(onEvent func(modelreg.Event)) (*modelreg.ModelSet, error) {
-		start := time.Now()
-		// The design sweep shards across the cluster when this daemon
-		// coordinates live workers; fitting, measurement synthesis, and
-		// ranking always run here, so the artifact (and its registry key)
-		// is identical either way. A coordinator without live workers
-		// sweeps locally like any standalone daemon.
-		sweep := modelreg.LocalSweep(&runner.Runner{Workers: s.opts.Workers}, prepared)
-		if s.coord != nil && s.coord.hasLive() {
-			sweep = s.coord.sampleSweep(req.App, digest, prepared)
-		}
-		// Journal-backed resume: measured samples are made durable as they
-		// arrive, keyed by the registry key, so a daemon restarted
-		// mid-extraction replays the journaled prefix (absolute indices
-		// preserved, hence identical synthetic noise, hence a byte-identical
-		// ModelSet and registry key) and sweeps only the remaining tail.
-		sweep = s.journaledSweep(key, sweep)
-		ms, err := modelreg.ExtractWith(s.baseCtx, sweep, s.opts.Workers, prepared, cfg, onEvent)
-		// The fit histogram observes real extractions only: cache and disk
-		// hits never reach this closure.
-		s.metrics.ObserveStage(StageFit, time.Since(start))
-		return ms, err
-	}
-
-	if !req.Stream {
-		ms, cached, err := s.models.Get(key, func() (*modelreg.ModelSet, error) {
-			return build(nil)
-		})
-		if err != nil {
-			status := http.StatusInternalServerError
-			if s.baseCtx.Err() != nil {
-				// Shutdown, not a server bug.
-				status = http.StatusServiceUnavailable
-			}
-			httpError(w, status, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, &ModelResponse{
-			Key: key, SpecDigest: digest, DesignDigest: ms.DesignDigest,
-			Cached: cached, ModelSet: ms,
-		})
-		return
-	}
-
 	// Streaming mode: progress events as they happen, one JSON object
 	// per line, then the terminal result. Joiners of someone else's
 	// in-flight build see no progress events (the builder owns them)
 	// but still receive the result line.
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	rc := http.NewResponseController(w)
-	var seq int64
-	emit := func(line *api.ModelStreamLine) {
-		seq++
-		line.Seq = seq
-		_ = enc.Encode(line)
-		_ = rc.Flush()
+	var emit func(line *api.ModelStreamLine)
+	var onEvent func(modelreg.Event)
+	if req.Stream {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.WriteHeader(http.StatusOK)
+		enc := json.NewEncoder(w)
+		rc := http.NewResponseController(w)
+		var seq int64
+		emit = func(line *api.ModelStreamLine) {
+			seq++
+			line.Seq = seq
+			_ = enc.Encode(line)
+			_ = rc.Flush()
+		}
+		onEvent = func(ev modelreg.Event) { emit(&api.ModelStreamLine{Event: ev}) }
 	}
-	ms, cached, err := s.models.Get(key, func() (*modelreg.ModelSet, error) {
-		return build(func(ev modelreg.Event) {
-			emit(&api.ModelStreamLine{Event: ev})
-		})
-	})
-	if err != nil {
-		emit(&api.ModelStreamLine{Event: modelreg.Event{Type: "error"}, Error: err.Error()})
-		return
-	}
-	emit(&api.ModelStreamLine{
-		Event: modelreg.Event{Type: "result"},
-		Key:   key, SpecDigest: digest, DesignDigest: ms.DesignDigest,
-		Cached: cached, ModelSet: ms,
-	})
-}
 
-// journaledSweep wraps a model-extraction SweepFunc with journal-backed
-// resume. Completed samples are journaled (fsynced) before they reach
-// the fit pipeline; on resume, the journaled prefix is re-fed with its
-// original absolute design indices — the synthetic measurement noise is
-// seeded per index, so replay reproduces the exact samples and the
-// finished ModelSet is byte-identical to an uninterrupted extraction —
-// then inner sweeps only the remaining design tail. A nil journal
-// returns inner unchanged.
-func (s *Server) journaledSweep(key string, inner modelreg.SweepFunc) modelreg.SweepFunc {
-	if s.journal == nil {
-		return inner
-	}
-	return func(ctx context.Context, cfgs []apps.Config, consume func(modelreg.Sample) error) error {
-		jj, err := s.journal.Acquire(ctx, journal.KindModel, key)
-		if err != nil {
-			return fmt.Errorf("service: model journal: %w", err)
+	// The registry's singleflight guarantees one build per key however
+	// many clients ask at once. The build is scoped to the SERVER's
+	// lifetime, not this request's: joiners of an in-flight build must not
+	// fail because the first requester disconnected, so a build, once
+	// started, runs to completion (it is fuel-bounded and capped by
+	// MaxSweepConfigs) and warms the registry even if every requester has
+	// gone away. Daemon shutdown cancels it.
+	ms, cached, err := s.models.Get(key, func() (*modelreg.ModelSet, error) {
+		start := time.Now()
+		// The design's points take the daemon's one design-point path,
+		// journaled under the registry key; fitting, measurement synthesis,
+		// and ranking always run here, so the artifact (and its key) is
+		// identical wherever the points ran and however often the
+		// extraction was interrupted.
+		sweep := func(ctx context.Context, cfgs []apps.Config, consume func(modelreg.Sample) error) error {
+			d := design{app: req.App, digest: digest, prepared: prepared, cfgs: cfgs}
+			return s.streamPoints(ctx, key, d, &modelSink{cfgs: cfgs, consume: consume})
 		}
-		defer jj.Release()
-		if acc, ok := jj.Accept(); ok && acc.N != len(cfgs) {
-			// Same key, different design size: do not trust the journal.
-			jj.Release()
-			return inner(ctx, cfgs, consume)
-		} else if !ok {
-			if err := jj.Append(journal.Record{Type: journal.TypeAccept, Kind: journal.KindModel,
-				Key: key, N: len(cfgs)}); err != nil {
-				return fmt.Errorf("service: model journal: %w", err)
-			}
-		}
-		samples := jj.Samples()
-		for _, rec := range samples {
-			smp := modelreg.Sample{Index: rec.Index, Config: cfgs[rec.Index],
-				Iterations: rec.Iterations, Instructions: rec.Instructions}
-			if err := consume(smp); err != nil {
-				return err
-			}
-		}
-		done := len(samples)
-		if done < len(cfgs) {
-			err := inner(ctx, cfgs[done:], func(smp modelreg.Sample) error {
-				// inner indexes relative to the tail it was handed; restore
-				// the absolute design position before journaling or fitting.
-				smp.Index += done
-				smp.Config = cfgs[smp.Index]
-				if err := jj.Append(journal.Record{Type: journal.TypeSample, Index: smp.Index,
-					Iterations: smp.Iterations, Instructions: smp.Instructions}); err != nil {
-					return fmt.Errorf("service: model journal: %w", err)
-				}
-				return consume(smp)
-			})
-			if err != nil {
-				return err
-			}
-		}
-		// The extraction itself succeeded; a failed terminal append only
-		// means the next submission replays instead of starting cold.
-		_ = jj.Done()
-		return nil
+		ms, err := modelreg.ExtractWith(s.baseCtx, sweep, s.opts.Workers, prepared, cfg, onEvent)
+		// The fit histogram observes real extractions only: cache and disk
+		// hits never reach this closure.
+		s.metrics.Stage(StageFit).ObserveSince(start)
+		return ms, err
+	})
+	var jerr *journalError
+	switch {
+	case err != nil && req.Stream:
+		emit(&api.ModelStreamLine{Event: modelreg.Event{Type: "error"}, Error: err.Error()})
+	case err != nil && (s.baseCtx.Err() != nil || errors.As(err, &jerr)):
+		// Shutdown or a journal hiccup, not a server bug: the resubmission
+		// resumes from what is durable.
+		httpError(w, http.StatusServiceUnavailable, err)
+	case err != nil:
+		httpError(w, http.StatusInternalServerError, err)
+	case req.Stream:
+		emit(&api.ModelStreamLine{
+			Event: modelreg.Event{Type: "result"},
+			Key:   key, SpecDigest: digest, DesignDigest: ms.DesignDigest,
+			Cached: cached, ModelSet: ms,
+		})
+	default:
+		writeJSON(w, http.StatusOK, &api.ModelResponse{
+			Key: key, SpecDigest: digest, DesignDigest: ms.DesignDigest,
+			Cached: cached, ModelSet: ms,
+		})
 	}
 }
 
@@ -219,7 +143,7 @@ func (s *Server) handleModelGet(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, fmt.Errorf("no model set under key %q", key))
 		return
 	}
-	writeJSON(w, http.StatusOK, &ModelResponse{
+	writeJSON(w, http.StatusOK, &api.ModelResponse{
 		Key: key, SpecDigest: ms.SpecDigest, DesignDigest: ms.DesignDigest,
 		Cached: true, ModelSet: ms,
 	})
@@ -227,9 +151,9 @@ func (s *Server) handleModelGet(w http.ResponseWriter, r *http.Request) {
 
 // Models submits one model-extraction request and returns the finished
 // (or cached) model set.
-func (c *Client) Models(ctx context.Context, req ModelRequest) (*ModelResponse, error) {
+func (c *Client) Models(ctx context.Context, req api.ModelRequest) (*api.ModelResponse, error) {
 	req.Stream = false
-	var out ModelResponse
+	var out api.ModelResponse
 	if err := c.do(ctx, http.MethodPost, "/v1/models", &req, &out); err != nil {
 		return nil, err
 	}
@@ -237,8 +161,8 @@ func (c *Client) Models(ctx context.Context, req ModelRequest) (*ModelResponse, 
 }
 
 // ModelByKey fetches a resident model set by its registry key.
-func (c *Client) ModelByKey(ctx context.Context, key string) (*ModelResponse, error) {
-	var out ModelResponse
+func (c *Client) ModelByKey(ctx context.Context, key string) (*api.ModelResponse, error) {
+	var out api.ModelResponse
 	if err := c.do(ctx, http.MethodGet, "/v1/models/"+key, nil, &out); err != nil {
 		return nil, err
 	}
@@ -256,9 +180,9 @@ func (c *Client) ModelByKey(ctx context.Context, key string) (*ModelResponse, er
 // across a reconnect — onEvent consumers should treat events as
 // at-least-once. The returned result is unaffected: it is served from
 // the content-addressed registry either way.
-func (c *Client) ModelsStream(ctx context.Context, req ModelRequest, onEvent func(modelreg.Event)) (*ModelResponse, error) {
+func (c *Client) ModelsStream(ctx context.Context, req api.ModelRequest, onEvent func(modelreg.Event)) (*api.ModelResponse, error) {
 	req.Stream = true
-	var result *ModelResponse
+	var result *api.ModelResponse
 	err := c.retry(ctx, func() error {
 		resp, err := c.stream(ctx, "/v1/models", &req, nil)
 		if err != nil {
@@ -273,7 +197,7 @@ func (c *Client) ModelsStream(ctx context.Context, req ModelRequest, onEvent fun
 			}
 			switch line.Type {
 			case "result":
-				result = &ModelResponse{Key: line.Key, SpecDigest: line.SpecDigest,
+				result = &api.ModelResponse{Key: line.Key, SpecDigest: line.SpecDigest,
 					DesignDigest: line.DesignDigest, Cached: line.Cached, ModelSet: line.ModelSet}
 			case "error":
 				// The server finished the extraction and it failed; retrying

@@ -2,21 +2,28 @@ package service
 
 import (
 	"context"
+	"io"
+	"net/http"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/api"
+	"repro/internal/apps"
+	"repro/internal/core"
 	"repro/internal/modelreg"
 )
 
 // modelTestRequest is a small but real LULESH modeling design.
-func modelTestRequest() ModelRequest {
-	return ModelRequest{
+func modelTestRequest() api.ModelRequest {
+	return api.ModelRequest{
 		App:      "lulesh",
 		Params:   []string{"p", "size"},
 		Defaults: map[string]float64{"regions": 4, "balance": 2, "cost": 1, "iters": 2},
-		Axes: []SweepAxis{
+		Axes: []api.SweepAxis{
 			{Param: "p", Values: []float64{2, 4}},
 			{Param: "size", Values: []float64{4, 5}},
 		},
@@ -154,21 +161,21 @@ func TestServeModelsRejectsBadDesigns(t *testing.T) {
 
 	cases := []struct {
 		name   string
-		mutate func(*ModelRequest)
+		mutate func(*api.ModelRequest)
 	}{
-		{"unknown app", func(r *ModelRequest) { r.App = "nope" }},
-		{"no axes", func(r *ModelRequest) { r.Axes = nil }},
-		{"unknown axis param", func(r *ModelRequest) { r.Axes[0].Param = "typo" }},
-		{"unswept model param", func(r *ModelRequest) { r.Params = []string{"p", "regions"} }},
-		{"unknown metric", func(r *ModelRequest) { r.Metrics = []string{"flops"} }},
-		{"oversized design", func(r *ModelRequest) {
+		{"unknown app", func(r *api.ModelRequest) { r.App = "nope" }},
+		{"no axes", func(r *api.ModelRequest) { r.Axes = nil }},
+		{"unknown axis param", func(r *api.ModelRequest) { r.Axes[0].Param = "typo" }},
+		{"unswept model param", func(r *api.ModelRequest) { r.Params = []string{"p", "regions"} }},
+		{"unknown metric", func(r *api.ModelRequest) { r.Metrics = []string{"flops"} }},
+		{"oversized design", func(r *api.ModelRequest) {
 			r.Axes[0].Values = []float64{2, 4, 8}
 			r.Axes[1].Values = []float64{4, 5, 6}
 		}},
 	}
 	for _, tc := range cases {
 		req := modelTestRequest()
-		req.Axes = []SweepAxis{
+		req.Axes = []api.SweepAxis{
 			{Param: "p", Values: append([]float64(nil), 2, 4)},
 			{Param: "size", Values: append([]float64(nil), 4, 5)},
 		}
@@ -176,5 +183,76 @@ func TestServeModelsRejectsBadDesigns(t *testing.T) {
 		if _, err := client.Models(ctx, req); err == nil || !strings.Contains(err.Error(), "400") {
 			t.Errorf("%s: want a 400, got %v", tc.name, err)
 		}
+	}
+}
+
+// TestEveryPointRunsOnThePool pins the one-executor contract: a model
+// extraction's design points run on the scheduler's pool like any other
+// analysis, so the run-stage histogram counts them and Options.Workers
+// bounds them together with a concurrent sweep.
+func TestEveryPointRunsOnThePool(t *testing.T) {
+	srv, client := testServer(t, Options{Workers: 1})
+	ctx := context.Background()
+	var inFlight, peak atomic.Int64
+	srv.sched.analyze = func(p *core.Prepared, cfg apps.Config) (*core.Report, error) {
+		n := inFlight.Add(1)
+		defer inFlight.Add(-1)
+		for m := peak.Load(); n > m && !peak.CompareAndSwap(m, n); m = peak.Load() {
+		}
+		time.Sleep(time.Millisecond) // widen any overlap
+		return p.Analyze(cfg)
+	}
+	runCount := func() string {
+		t.Helper()
+		resp, err := http.Get(client.BaseURL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const series = `perftaintd_stage_duration_seconds_count{stage="run"} `
+		_, after, ok := strings.Cut(string(raw), series)
+		if !ok {
+			t.Fatalf("no %s in /metrics", series)
+		}
+		count, _, _ := strings.Cut(after, "\n")
+		return count
+	}
+
+	// One registry miss of a 4-point design: 4 pool analyses (the
+	// pipeline's own taint run is not a design point).
+	if _, err := client.Models(ctx, modelTestRequest()); err != nil {
+		t.Fatal(err)
+	}
+	if got := runCount(); got != "4" {
+		t.Fatalf("run-stage histogram counts %s analyses after a 4-point extraction, want 4", got)
+	}
+
+	// A second extraction and a sweep at once still share the one worker.
+	other := modelTestRequest()
+	other.Seed = 99
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		if _, err := client.Models(ctx, other); err != nil {
+			t.Error(err)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		if _, err := client.SweepAll(ctx, resilienceSweepReq()); err != nil {
+			t.Error(err)
+		}
+	}()
+	wg.Wait()
+	if got := peak.Load(); got != 1 {
+		t.Fatalf("%d analyses were in flight at once on a Workers: 1 daemon", got)
+	}
+	if got := runCount(); got != "12" {
+		t.Fatalf("run-stage histogram counts %s analyses, want 12", got)
 	}
 }

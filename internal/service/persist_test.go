@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/apps"
 	"repro/internal/core"
 )
@@ -23,7 +24,7 @@ func TestServerRestartServesFromDisk(t *testing.T) {
 
 	// First daemon: pay the cold cost once.
 	srvA, clientA := testServer(t, Options{Workers: 2, CacheDir: dir})
-	if _, err := clientA.Analyze(ctx, AnalyzeRequest{App: "lulesh"}); err != nil {
+	if _, err := clientA.Analyze(ctx, api.AnalyzeRequest{App: "lulesh"}); err != nil {
 		t.Fatal(err)
 	}
 	first, err := clientA.Models(ctx, modelTestRequest())
@@ -64,7 +65,7 @@ func TestServerRestartServesFromDisk(t *testing.T) {
 	// The prepared spec was already rebuilt lazily for the models call
 	// above (resolve goes through the cache) and must be classified as a
 	// disk hit, never a miss.
-	if _, err := clientB.Analyze(ctx, AnalyzeRequest{App: "lulesh"}); err != nil {
+	if _, err := clientB.Analyze(ctx, api.AnalyzeRequest{App: "lulesh"}); err != nil {
 		t.Fatal(err)
 	}
 	if st := srvB.Cache().Stats(); st.DiskHits != 1 || st.Misses != 0 {
@@ -86,7 +87,7 @@ func TestServerRestartCleansDamagedDiskEntries(t *testing.T) {
 	ctx := context.Background()
 
 	srvA, clientA := testServer(t, Options{Workers: 2, CacheDir: dir})
-	if _, err := clientA.Analyze(ctx, AnalyzeRequest{App: "lulesh"}); err != nil {
+	if _, err := clientA.Analyze(ctx, api.AnalyzeRequest{App: "lulesh"}); err != nil {
 		t.Fatal(err)
 	}
 	first, err := clientA.Models(ctx, modelTestRequest())

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -34,10 +35,10 @@ func installFaults(t *testing.T, sched *faultinject.Schedule) {
 // resilienceSweepReq is the 4-point reference design the crash-resume
 // tests replay: small enough to sweep dozens of times, large enough to
 // have interior record boundaries to crash on.
-func resilienceSweepReq() SweepRequest {
-	return SweepRequest{
+func resilienceSweepReq() api.SweepRequest {
+	return api.SweepRequest{
 		App: "lulesh",
-		Axes: []SweepAxis{
+		Axes: []api.SweepAxis{
 			{Param: "p", Values: []float64{2, 4}},
 			{Param: "size", Values: []float64{10, 14}},
 		},
@@ -65,7 +66,7 @@ func goldenSweepBytes(t *testing.T) []byte {
 
 // postSweepRaw POSTs a sweep with no resume headers and returns the raw
 // response bytes plus the status, tolerating mid-stream aborts.
-func postSweepRaw(t *testing.T, baseURL string, req SweepRequest) ([]byte, int) {
+func postSweepRaw(t *testing.T, baseURL string, req api.SweepRequest) ([]byte, int) {
 	t.Helper()
 	raw, err := json.Marshal(req)
 	if err != nil {
@@ -80,67 +81,203 @@ func postSweepRaw(t *testing.T, baseURL string, req SweepRequest) ([]byte, int) 
 	return body, resp.StatusCode
 }
 
+// postModelArtifact streams the reference model extraction and returns
+// what the byte-identity contract covers for it — the registry key and
+// the ModelSet bytes of the terminal result line — or nothing when the
+// stream ended without one (expected under injected faults).
+func postModelArtifact(t *testing.T, baseURL string) ([]byte, int) {
+	t.Helper()
+	req := modelTestRequest()
+	req.Stream = true
+	raw, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(baseURL+"/v1/models", "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	for _, line := range bytes.Split(body, []byte{'\n'}) {
+		var rec struct {
+			Type     string          `json:"type"`
+			Key      string          `json:"key"`
+			ModelSet json.RawMessage `json:"model_set"`
+		}
+		if json.Unmarshal(line, &rec) == nil && rec.Type == "result" {
+			return append([]byte(rec.Key+"\n"), rec.ModelSet...), resp.StatusCode
+		}
+	}
+	return nil, resp.StatusCode
+}
+
 // TestSweepJournalReplayProperty is the crash-at-every-record-boundary
-// property: for each journal append k a clean run performs (acceptance,
-// one per design point, the terminal record — and one past the end as
-// the no-fault control), crash the append at k, restart a fresh daemon
-// over the same cache dir, and require the resubmitted sweep's stream to
-// be byte-identical to an uninterrupted journal-less run. frac 0 crashes
+// property, over both sinks of the design-point pipeline: for each
+// journal append k a clean run performs (acceptance, one per design
+// point, the terminal record — and one past the end as the no-fault
+// control), crash the append at k, restart a fresh daemon over the same
+// cache dir, and require the resubmission's artifact to be byte-identical
+// to an uninterrupted journal-less run — the whole stream for a sweep,
+// the registry key and ModelSet for a model extraction. frac 0 crashes
 // before any bytes of the record land; frac 0.5 leaves a torn frame for
 // recovery to truncate.
 func TestSweepJournalReplayProperty(t *testing.T) {
-	golden := goldenSweepBytes(t)
-	req := resilienceSweepReq()
-	const appends = 6 // accept + 4 points + done
-	for _, frac := range []float64{0, 0.5} {
-		for hit := 1; hit <= appends+1; hit++ {
-			t.Run(fmt.Sprintf("hit-%d-frac-%v", hit, frac), func(t *testing.T) {
-				leakcheck.Check(t)
-				dir := t.TempDir()
+	sinks := []struct {
+		prefix string // of the subtest names
+		submit func(t *testing.T, baseURL string) ([]byte, int)
+	}{
+		{"", func(t *testing.T, baseURL string) ([]byte, int) {
+			return postSweepRaw(t, baseURL, resilienceSweepReq())
+		}},
+		{"models-", postModelArtifact},
+	}
+	const appends = 6 // accept + 4 points + done, for either sink
+	for _, sink := range sinks {
+		ref, err := NewServer(Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := httptest.NewServer(ref.Handler())
+		golden, status := sink.submit(t, hs.URL)
+		hs.Close()
+		ref.Close()
+		if status != http.StatusOK || len(golden) == 0 {
+			t.Fatalf("%sgolden run returned %d: %s", sink.prefix, status, golden)
+		}
+		for _, frac := range []float64{0, 0.5} {
+			for hit := 1; hit <= appends+1; hit++ {
+				t.Run(fmt.Sprintf("%shit-%d-frac-%v", sink.prefix, hit, frac), func(t *testing.T) {
+					leakcheck.Check(t)
+					dir := t.TempDir()
 
-				// Phase 1: the daemon "crashes" at journal append hit: the
-				// record is cut short on disk and the append fails, aborting
-				// the stream exactly as process death at that boundary would.
-				installFaults(t, faultinject.MustSchedule(faultinject.Fault{
-					Site: faultinject.SiteJournalAppend, Hit: hit,
-					Kind: faultinject.KindCrash, Frac: frac,
-				}))
-				srvA, err := NewServer(Options{Workers: 2, CacheDir: dir})
-				if err != nil {
-					t.Fatal(err)
-				}
-				hsA := httptest.NewServer(srvA.Handler())
-				firstBody, _ := postSweepRaw(t, hsA.URL, req)
-				hsA.Close()
-				srvA.Close()
-				if hit > appends && !bytes.Equal(firstBody, golden) {
-					// The control run past the last boundary must already match.
-					t.Fatalf("unfaulted journaled run diverged from golden:\n got: %s\nwant: %s", firstBody, golden)
-				}
+					// Phase 1: the daemon "crashes" at journal append hit: the
+					// record is cut short on disk and the append fails, aborting
+					// the stream exactly as process death at that boundary would.
+					installFaults(t, faultinject.MustSchedule(faultinject.Fault{
+						Site: faultinject.SiteJournalAppend, Hit: hit,
+						Kind: faultinject.KindCrash, Frac: frac,
+					}))
+					srvA, err := NewServer(Options{Workers: 2, CacheDir: dir})
+					if err != nil {
+						t.Fatal(err)
+					}
+					hsA := httptest.NewServer(srvA.Handler())
+					firstBody, _ := sink.submit(t, hsA.URL)
+					hsA.Close()
+					srvA.Close()
+					if hit > appends && !bytes.Equal(firstBody, golden) {
+						// The control run past the last boundary must already match.
+						t.Fatalf("unfaulted journaled run diverged from golden:\n got: %s\nwant: %s", firstBody, golden)
+					}
 
-				// Phase 2: a fresh daemon over the same cache dir recovers the
-				// journal and the resubmission must reproduce the golden bytes.
-				faultinject.Install(nil)
-				srvB, err := NewServer(Options{Workers: 2, CacheDir: dir})
-				if err != nil {
-					t.Fatal(err)
-				}
-				hsB := httptest.NewServer(srvB.Handler())
-				defer hsB.Close()
-				defer srvB.Close()
-				body, status := postSweepRaw(t, hsB.URL, req)
-				if status != http.StatusOK {
-					t.Fatalf("resumed sweep returned %d: %s", status, body)
-				}
-				if !bytes.Equal(body, golden) {
-					t.Fatalf("resumed stream diverged from golden:\n got: %s\nwant: %s", body, golden)
-				}
+					// Phase 2: a fresh daemon over the same cache dir recovers the
+					// journal and the resubmission must reproduce the golden bytes.
+					faultinject.Install(nil)
+					srvB, err := NewServer(Options{Workers: 2, CacheDir: dir})
+					if err != nil {
+						t.Fatal(err)
+					}
+					hsB := httptest.NewServer(srvB.Handler())
+					defer hsB.Close()
+					defer srvB.Close()
+					body, status := sink.submit(t, hsB.URL)
+					if status != http.StatusOK {
+						t.Fatalf("resumed run returned %d: %s", status, body)
+					}
+					if !bytes.Equal(body, golden) {
+						t.Fatalf("resumed artifact diverged from golden:\n got: %s\nwant: %s", body, golden)
+					}
 
-				// The terminal record compacts the journal: nothing left open.
-				if st := srvB.journal.Stats(); st.OpenJobs != 0 {
-					t.Fatalf("journal still holds %d open jobs after completion", st.OpenJobs)
-				}
-			})
+					// The terminal record compacts the journal: nothing left open.
+					if st := srvB.journal.Stats(); st.OpenJobs != 0 {
+						t.Fatalf("journal still holds %d open jobs after completion", st.OpenJobs)
+					}
+				})
+			}
+		}
+	}
+}
+
+// gatedWriter is a ResponseWriter whose body writes block until release
+// closes; entered closes when the first one arrives. It pins a handler
+// inside a write, the one place a streaming handler is busy rather than
+// waiting on its next design point.
+type gatedWriter struct {
+	*httptest.ResponseRecorder
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (g *gatedWriter) Write(p []byte) (int, error) {
+	g.once.Do(func() { close(g.entered) })
+	<-g.release
+	return g.ResponseRecorder.Write(p)
+}
+
+// TestSweepCanceledPointIsNeverJournaled is the regression test for the
+// poisoned-journal bug: a point that never ran because its request was
+// canceled must not be journaled as a result — the journal key is
+// content-derived, so every later identical sweep would replay the
+// "canceled" error line forever. The window is a handler that is busy
+// (here: pinned in the replay write of a resumed sweep) while the client
+// goes away and the remaining points sit queued behind another tenant of
+// the one-worker pool; when it next looks, "point finished" and "request
+// canceled" are both true. The old per-endpoint loops picked between
+// them at random (so each round below poisoned the journal half the
+// time); the pipeline never records a context's error.
+func TestSweepCanceledPointIsNeverJournaled(t *testing.T) {
+	srv, client := testServer(t, Options{Workers: 1, CacheDir: t.TempDir(),
+		Apps: map[string]App{"slow": slowApp()}})
+	bg := context.Background()
+	raw, err := json.Marshal(api.SweepRequest{App: "slow", Axes: []api.SweepAxis{
+		{Param: "n", Values: []float64{100, 200, 300}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(ctx context.Context, w http.ResponseWriter) {
+		srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/sweep", bytes.NewReader(raw)).WithContext(ctx))
+	}
+	for round := 0; round < 6; round++ {
+		// An open journal with one durable point: the second point's
+		// append (hit 3) fails and aborts the first submission.
+		installFaults(t, faultinject.MustSchedule(faultinject.Fault{
+			Site: faultinject.SiteJournalAppend, Hit: 3, Kind: faultinject.KindError,
+		}))
+		post(bg, httptest.NewRecorder())
+		faultinject.Install(nil)
+
+		// Another tenant pins the only worker, so the resumed sweep's tail
+		// stays queued.
+		blocker, err := client.Analyze(bg, api.AnalyzeRequest{App: "slow", Async: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The resubmission is held inside the replay write of line 1 while
+		// its client goes away; it is released once the blocker is done.
+		ctx, cancel := context.WithCancel(bg)
+		gw := &gatedWriter{ResponseRecorder: httptest.NewRecorder(),
+			entered: make(chan struct{}), release: make(chan struct{})}
+		returned := make(chan struct{})
+		go func() { defer close(returned); post(ctx, gw) }()
+		<-gw.entered
+		cancel()
+		if _, err := client.WaitJob(bg, blocker.ID, 5*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		close(gw.release)
+		<-returned
+
+		rec := httptest.NewRecorder()
+		post(bg, rec)
+		lines := decodeSweepLines(t, rec.Body.Bytes())
+		if len(lines) != 3 {
+			t.Fatalf("round %d: resubmission streamed %d lines, want 3: %s", round, len(lines), rec.Body)
+		}
+		for _, l := range lines {
+			if l.Error != "" || l.Result == nil {
+				t.Fatalf("round %d: point %d replays a cancellation as its result: %q", round, l.Index, l.Error)
+			}
 		}
 	}
 }
@@ -163,8 +300,8 @@ func TestSweepClientReconnectResumesExactlyOnce(t *testing.T) {
 		Site: faultinject.SiteJournalAppend, Hit: 3, Kind: faultinject.KindError,
 	}))
 
-	var got []SweepLine
-	err := client.Sweep(context.Background(), resilienceSweepReq(), func(l SweepLine) error {
+	var got []api.SweepLine
+	err := client.Sweep(context.Background(), resilienceSweepReq(), func(l api.SweepLine) error {
 		got = append(got, l)
 		return nil
 	})
@@ -191,14 +328,14 @@ func TestSweepClientReconnectResumesExactlyOnce(t *testing.T) {
 }
 
 // decodeSweepLines parses a raw NDJSON stream into lines.
-func decodeSweepLines(t *testing.T, raw []byte) []SweepLine {
+func decodeSweepLines(t *testing.T, raw []byte) []api.SweepLine {
 	t.Helper()
-	var out []SweepLine
+	var out []api.SweepLine
 	for _, line := range bytes.Split(raw, []byte{'\n'}) {
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		var rec SweepLine
+		var rec api.SweepLine
 		if err := json.Unmarshal(line, &rec); err != nil {
 			t.Fatalf("bad stream line %q: %v", line, err)
 		}
@@ -209,7 +346,7 @@ func decodeSweepLines(t *testing.T, raw []byte) []SweepLine {
 
 // sweepLinesEqual compares two lines through their canonical JSON — the
 // representation the byte-identity contract is stated in.
-func sweepLinesEqual(a, b SweepLine) bool {
+func sweepLinesEqual(a, b api.SweepLine) bool {
 	ra, _ := json.Marshal(a)
 	rb, _ := json.Marshal(b)
 	return bytes.Equal(ra, rb)
@@ -321,7 +458,7 @@ func TestSweepRestartPreservesJobIDs(t *testing.T) {
 			t.Fatalf("resumed point %d labeled %q, want %q", i, line.JobID, want)
 		}
 	}
-	info, err := c.Analyze(context.Background(), AnalyzeRequest{App: "lulesh"})
+	info, err := c.Analyze(context.Background(), api.AnalyzeRequest{App: "lulesh"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +468,7 @@ func TestSweepRestartPreservesJobIDs(t *testing.T) {
 }
 
 // mustOKSweep is postSweepRaw requiring a 200.
-func mustOKSweep(t *testing.T, baseURL string, req SweepRequest) []byte {
+func mustOKSweep(t *testing.T, baseURL string, req api.SweepRequest) []byte {
 	t.Helper()
 	body, status := postSweepRaw(t, baseURL, req)
 	if status != http.StatusOK {

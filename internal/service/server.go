@@ -30,11 +30,15 @@
 // coordinator with no live workers degrades to ordinary local execution.
 // Architecture: every submission resolves its spec through the
 // PreparedCache (canonical SHA-256 of the spec content; singleflight
-// deduplication of concurrent misses; LRU bound), then enters the bounded
-// scheduler as an independent job with its own deadline context. Sweep
-// responses are written in deterministic design order as the per-config
-// jobs complete, so results are reproducible and large designs never
-// buffer in memory.
+// deduplication of concurrent misses; LRU bound). Every analysis then
+// runs on the one bounded worker pool (scheduler.go). A /v1/analyze
+// request is a job: one pool unit with an ID, a status record and a
+// start deadline. Sweeps and model extractions are designs: they take
+// the one design-point path (pipeline.go) — journal acceptance, replay
+// of the durable prefix, the remaining points from the pool or from the
+// cluster, append-then-deliver in deterministic design order — and
+// differ only in the sink that consumes the points, so results are
+// reproducible and large designs never buffer in memory.
 package service
 
 import (
@@ -66,8 +70,8 @@ import (
 // Options configures a Server; the zero value serves the bundled apps
 // with GOMAXPROCS workers and sensible bounds.
 type Options struct {
-	// Workers bounds concurrently running analysis jobs; <= 0 means
-	// GOMAXPROCS.
+	// Workers bounds concurrently running analyses, whichever endpoint
+	// asked for them; <= 0 means GOMAXPROCS.
 	Workers int
 	// CacheEntries bounds the PreparedCache LRU; <= 0 means 16.
 	CacheEntries int
@@ -214,7 +218,6 @@ func NewServer(opts Options) (*Server, error) {
 	s := &Server{
 		opts:    opts,
 		cache:   NewPreparedCache(opts.CacheEntries),
-		sched:   newScheduler(opts.Workers, opts.QueueDepth),
 		models:  modelreg.NewRegistry(opts.ModelEntries),
 		metrics: newMetrics(),
 		limiter: newRateLimiter(opts.Rate, opts.Burst),
@@ -261,8 +264,8 @@ func NewServer(opts Options) (*Server, error) {
 			return p, nil
 		}
 	}
-	s.cache.onBuild = func(d time.Duration) { s.metrics.ObserveStage(StagePrepare, d) }
-	s.sched.onRun = func(d time.Duration) { s.metrics.ObserveStage(StageRun, d) }
+	s.cache.onBuild = func(d time.Duration) { s.metrics.Stage(StagePrepare).Observe(d.Seconds()) }
+	s.sched = newScheduler(opts.Workers, opts.QueueDepth, s.metrics.Stage(StageRun))
 	s.baseCtx, s.stop = context.WithCancel(context.Background())
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
@@ -384,7 +387,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	resp := &StatsResponse{
+	resp := &api.StatsResponse{
 		UptimeMS:    time.Since(s.start).Milliseconds(),
 		Workers:     s.opts.Workers,
 		Engine:      s.engine.String(),
@@ -426,7 +429,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(w, r, 1) {
 		return
 	}
-	var req AnalyzeRequest
+	var req api.AnalyzeRequest
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
@@ -453,9 +456,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		// Async jobs outlive the submitting request.
 		base = context.Background()
 	}
-	j := s.sched.newJob(base, s.timeout(req.TimeoutMS), req.App, prepared, digest,
-		cfg, censusParams(req.CensusParams))
-	if err := s.sched.submit(r.Context(), j); err != nil {
+	j := s.sched.newJob(base, s.timeout(req.TimeoutMS), req.App, digest, cfg, censusParams(req.CensusParams))
+	if err := s.sched.submit(r.Context(), j, prepared); err != nil {
 		httpError(w, http.StatusServiceUnavailable, err)
 		return
 	}
@@ -473,7 +475,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
+	var req api.SweepRequest
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
@@ -494,7 +496,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("census_params: %w", err))
 		return
 	}
-	design := runner.Design{Spec: spec, Defaults: mergedConfig(app, req.Defaults)}
+	grid := runner.Design{Spec: spec, Defaults: mergedConfig(app, req.Defaults)}
 	// Size the grid incrementally while validating each axis: rejecting
 	// as soon as the partial product passes the cap means the product can
 	// never overflow, however many axes the request stacks up.
@@ -520,9 +522,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 				fmt.Errorf("design exceeds the server cap of %d configs", s.opts.MaxSweepConfigs))
 			return
 		}
-		design.Axes = append(design.Axes, runner.Axis{Param: ax.Param, Values: ax.Values})
+		grid.Axes = append(grid.Axes, runner.Axis{Param: ax.Param, Values: ax.Values})
 	}
-	cfgs := design.Configs()
+	cfgs := grid.Configs()
 	for i, cfg := range cfgs {
 		if err := validateConfig(spec, cfg); err != nil {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("config %d: %w", i, err))
@@ -536,8 +538,44 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	params := censusParams(req.CensusParams)
-	s.streamSweep(w, r, req, digest, prepared, cfgs, params)
+	// The stream dies with the request or the daemon, whichever first. A
+	// sweep has no start-TTL unless the request asks for one: the
+	// streaming request's lifetime already governs it, and a
+	// submission-anchored TTL would doom the tail of any design larger
+	// than workers x (TTL / run time).
+	ctx, cancel := context.WithCancel(r.Context())
+	defer cancel()
+	defer context.AfterFunc(s.baseCtx, cancel)()
+	if req.TimeoutMS > 0 {
+		var stop context.CancelFunc
+		ctx, stop = context.WithTimeout(ctx, s.timeout(req.TimeoutMS))
+		defer stop()
+	}
+
+	d := design{app: req.App, digest: digest, prepared: prepared, cfgs: cfgs,
+		censusParams: censusParams(req.CensusParams)}
+	sink := &sweepSink{s: s, d: d, w: w, rc: http.NewResponseController(w)}
+	if v := r.Header.Get(api.HeaderLastSeq); v != "" {
+		sink.last, _ = strconv.ParseInt(v, 10, 64)
+	}
+	key := sweepJournalKey(req.App, digest, cfgs, d.censusParams, r.Header.Get(api.HeaderIdempotencyKey))
+	err = s.streamPoints(ctx, key, d, sink)
+	var jerr *journalError
+	switch {
+	case err == nil || r.Context().Err() != nil:
+		// Complete, or nobody left to tell.
+	case !sink.begun:
+		// Never accepted: the client's retry starts (or resumes) cleanly.
+		httpError(w, http.StatusServiceUnavailable, err)
+	case errors.As(err, &jerr):
+		// A point the journal refuses is never exposed; the client's
+		// reconnect replays the durable prefix and re-runs it.
+		sink.control(0, fmt.Sprintf("journal append failed: %v", jerr.err))
+	case s.baseCtx.Err() != nil:
+		sink.control(sink.next, "server draining: sweep stopped before completion")
+	case errors.Is(err, context.DeadlineExceeded):
+		sink.control(sink.next, "timeout_ms elapsed: sweep stopped before its last point started")
+	}
 }
 
 // sweepJournalKey is a sweep's content address in the journal: the
@@ -554,196 +592,6 @@ func sweepJournalKey(app, digest string, cfgs []apps.Config, params []string, id
 	}{app, digest, cfgs, params, idem})
 	sum := sha256.Sum256(payload)
 	return hex.EncodeToString(sum[:])
-}
-
-// streamSweep executes a validated sweep and streams its NDJSON lines
-// with journal-backed crash resume. The dataflow per design point is
-// journal-append-then-emit: a line reaches the client only after it is
-// durable, so across any restart the journal's point prefix is a
-// superset of what any client consumed, and replaying that prefix
-// (skipping past the client's Last-Seq) before continuing live
-// reproduces the uninterrupted stream byte for byte. With no journal
-// (memory-only daemon) every journal call below is a no-op and the
-// handler behaves exactly as before, minus durability.
-func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, req SweepRequest, digest string, prepared *core.Prepared, cfgs []apps.Config, params []string) {
-	key := sweepJournalKey(req.App, digest, cfgs, params, r.Header.Get(api.HeaderIdempotencyKey))
-	jj, err := s.journal.Acquire(r.Context(), journal.KindSweep, key)
-	if err != nil {
-		httpError(w, http.StatusServiceUnavailable, fmt.Errorf("journal: %w", err))
-		return
-	}
-	defer jj.Release()
-
-	// Resume or accept. The journaled acceptance pins the job-ID block,
-	// so a restarted daemon labels resumed points exactly as the first
-	// process would have — part of the byte-identity contract.
-	n := len(cfgs)
-	var ids []string
-	if acc, ok := jj.Accept(); ok && acc.N == n {
-		ids = jobIDBlock(acc.FirstJobID, n)
-		s.sched.ensureJobCounter(acc.FirstJobID + uint64(n) - 1)
-	} else {
-		if ok {
-			// Same key, different shape: a journal this request cannot
-			// explain is not resumed; run unjournaled rather than guess.
-			jj.Release()
-			jj = nil
-		}
-		first, reserved := s.sched.reserveJobBlock(n)
-		ids = reserved
-		if err := jj.Append(journal.Record{Type: journal.TypeAccept, Kind: journal.KindSweep,
-			Key: key, App: req.App, SpecDigest: digest, N: n, FirstJobID: first}); err != nil {
-			httpError(w, http.StatusServiceUnavailable, fmt.Errorf("journal: %w", err))
-			return
-		}
-	}
-
-	var lastSeq int64
-	if v := r.Header.Get(api.HeaderLastSeq); v != "" {
-		lastSeq, _ = strconv.ParseInt(v, 10, 64)
-	}
-
-	points := jj.Points()
-	done := len(points)
-	remaining := cfgs[done:]
-
-	// Local jobs are submitted before the response header so queue
-	// saturation still answers a clean 503 (the journaled acceptance
-	// survives for the client's retry to resume).
-	distributed := s.coord != nil && s.coord.hasLive() && len(remaining) > 0
-	var jobs []*job
-	if !distributed {
-		// Sweep jobs get no start-TTL unless the request asks for one: the
-		// streaming request's lifetime already governs them, and a
-		// submission-anchored TTL would doom the tail of any design larger
-		// than workers x (TTL / run time).
-		var ttl time.Duration
-		if req.TimeoutMS > 0 {
-			ttl = s.timeout(req.TimeoutMS)
-		}
-		jobs = make([]*job, 0, len(remaining))
-		for i, cfg := range remaining {
-			j := s.sched.newJobWithID(ids[done+i], r.Context(), ttl, req.App, prepared, digest, cfg, params)
-			if err := s.sched.submit(r.Context(), j); err != nil {
-				httpError(w, http.StatusServiceUnavailable, err)
-				return
-			}
-			jobs = append(jobs, j)
-		}
-	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	rc := http.NewResponseController(w)
-	writeRaw := func(raw []byte) error {
-		if _, err := w.Write(raw); err != nil {
-			return err
-		}
-		if _, err := w.Write([]byte{'\n'}); err != nil {
-			return err
-		}
-		_ = rc.Flush()
-		return nil
-	}
-
-	// Replay the durable prefix byte for byte, skipping lines the
-	// reconnecting client already consumed.
-	for i, rec := range points {
-		if int64(i+1) <= lastSeq {
-			continue
-		}
-		if writeRaw(rec.Line) != nil {
-			return
-		}
-	}
-
-	// emitPoint makes one live design point durable, then streams it. A
-	// point the journal refuses is never exposed: the client gets an
-	// in-band abort line instead, and its reconnect replays the durable
-	// prefix and re-runs the refused point.
-	errJournal := errors.New("service: journal append failed")
-	emitPoint := func(index int, line *SweepLine) error {
-		raw, err := json.Marshal(line)
-		if err != nil {
-			return err
-		}
-		if err := jj.Append(journal.Record{Type: journal.TypePoint, Index: index, Line: raw}); err != nil {
-			abort := SweepLine{Error: fmt.Sprintf("journal append failed: %v", err)}
-			ab, _ := json.Marshal(&abort)
-			_ = writeRaw(ab)
-			return errJournal
-		}
-		return writeRaw(raw)
-	}
-
-	// drainLine announces graceful shutdown in-band: a final well-formed
-	// jobless error line lets the client distinguish "server stopped"
-	// from a truncated stream. Drain lines carry seq 0 and are never
-	// journaled — they are control flow, not results.
-	drainLine := func(index int) {
-		drain := SweepLine{Index: index, Error: "server draining: sweep stopped before completion"}
-		raw, _ := json.Marshal(&drain)
-		_ = writeRaw(raw)
-	}
-
-	if len(remaining) == 0 {
-		_ = jj.Done()
-		return
-	}
-
-	if distributed {
-		// Coordinator path: the remaining design shards across the
-		// cluster; merged bytes match the local path (same job-ID block,
-		// same line content, same order). Shard work dies with the request
-		// or the daemon, whichever first.
-		ctx, cancel := context.WithCancel(r.Context())
-		defer cancel()
-		stop := context.AfterFunc(s.baseCtx, cancel)
-		defer stop()
-
-		errDrain := errors.New("service: draining")
-		err := s.coord.runSharded(ctx, req.App, digest, prepared, remaining, params, func(line api.ShardLine) error {
-			if s.baseCtx.Err() != nil {
-				drainLine(done + line.Index)
-				return errDrain
-			}
-			abs := done + line.Index
-			out := SweepLine{Seq: int64(abs + 1), Index: abs, JobID: ids[abs], Config: cfgs[abs],
-				Result: line.Result, Error: line.Error}
-			return emitPoint(abs, &out)
-		})
-		switch {
-		case err == nil:
-			_ = jj.Done()
-		case errors.Is(err, errDrain) || errors.Is(err, errJournal):
-		case s.baseCtx.Err() != nil && r.Context().Err() == nil:
-			// The daemon died between lines (context cancellation surfaced
-			// from runSharded itself): still announce the drain in-band.
-			drainLine(0)
-		}
-		return
-	}
-
-	for i, j := range jobs {
-		abs := done + i
-		select {
-		case <-j.done:
-		case <-s.baseCtx.Done():
-			// Graceful shutdown: the scheduler is draining, so jobs not yet
-			// finished will never complete.
-			drainLine(abs)
-			return
-		case <-r.Context().Done():
-			return
-		}
-		info := j.Info()
-		line := SweepLine{Seq: int64(abs + 1), Index: abs, JobID: j.id, Config: j.cfg,
-			Result: info.Result, Error: info.Error}
-		if emitPoint(abs, &line) != nil {
-			return
-		}
-	}
-	_ = jj.Done()
 }
 
 // resolve maps an app name to its registry entry and its cached Prepared
@@ -782,7 +630,7 @@ func censusParams(req []string) []string {
 	if len(req) > 0 {
 		return req
 	}
-	return DefaultCensusParams()
+	return api.DefaultCensusParams()
 }
 
 // --- helpers ---

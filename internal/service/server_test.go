@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/leakcheck"
@@ -37,11 +38,11 @@ func TestServeAnalyzeMatchesDirectPipeline(t *testing.T) {
 		t.Fatalf("healthz: %v", err)
 	}
 
-	job, err := client.Analyze(ctx, AnalyzeRequest{App: "lulesh"})
+	job, err := client.Analyze(ctx, api.AnalyzeRequest{App: "lulesh"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job.Status != StatusDone || job.Result == nil {
+	if job.Status != api.StatusDone || job.Result == nil {
 		t.Fatalf("job = %+v, want done with result", job)
 	}
 
@@ -49,8 +50,8 @@ func TestServeAnalyzeMatchesDirectPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job.Result.Census != want.Census(DefaultCensusParams()) {
-		t.Errorf("served census drifted:\n got %+v\nwant %+v", job.Result.Census, want.Census(DefaultCensusParams()))
+	if job.Result.Census != want.Census(api.DefaultCensusParams()) {
+		t.Errorf("served census drifted:\n got %+v\nwant %+v", job.Result.Census, want.Census(api.DefaultCensusParams()))
 	}
 	if job.Result.Instructions != want.Instructions {
 		t.Errorf("instructions = %d, want %d", job.Result.Instructions, want.Instructions)
@@ -67,7 +68,7 @@ func TestServeCacheHitOnSecondSubmission(t *testing.T) {
 	_, client := testServer(t, Options{Workers: 2})
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
-		if _, err := client.Analyze(ctx, AnalyzeRequest{App: "lulesh"}); err != nil {
+		if _, err := client.Analyze(ctx, api.AnalyzeRequest{App: "lulesh"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -92,7 +93,7 @@ func TestServeCacheHitOnSecondSubmission(t *testing.T) {
 func TestServeAsyncJobLifecycle(t *testing.T) {
 	_, client := testServer(t, Options{Workers: 1})
 	ctx := context.Background()
-	job, err := client.Analyze(ctx, AnalyzeRequest{App: "milc", Async: true})
+	job, err := client.Analyze(ctx, api.AnalyzeRequest{App: "milc", Async: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestServeAsyncJobLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final.Status != StatusDone || final.Result == nil {
+	if final.Status != api.StatusDone || final.Result == nil {
 		t.Fatalf("final job = %+v, want done with result", final)
 	}
 	if final.Result.App != "milc" {
@@ -116,9 +117,9 @@ func TestServeAsyncJobLifecycle(t *testing.T) {
 func TestServeSweepStreamsDeterministicOrder(t *testing.T) {
 	_, client := testServer(t, Options{Workers: 4})
 	ctx := context.Background()
-	req := SweepRequest{
+	req := api.SweepRequest{
 		App: "lulesh",
-		Axes: []SweepAxis{
+		Axes: []api.SweepAxis{
 			{Param: "p", Values: []float64{2, 4}},
 			{Param: "size", Values: []float64{4, 5}},
 		},
@@ -169,12 +170,12 @@ func TestServeConcurrentMixedLoad(t *testing.T) {
 			if i%2 == 1 {
 				app = "milc"
 			}
-			job, err := client.Analyze(ctx, AnalyzeRequest{App: app})
+			job, err := client.Analyze(ctx, api.AnalyzeRequest{App: app})
 			if err != nil {
 				errs <- err
 				return
 			}
-			if job.Status != StatusDone {
+			if job.Status != api.StatusDone {
 				errs <- errFromJob(job)
 			}
 		}(i)
@@ -193,7 +194,7 @@ func TestServeConcurrentMixedLoad(t *testing.T) {
 	}
 }
 
-func errFromJob(j *JobInfo) error {
+func errFromJob(j *api.JobInfo) error {
 	raw, _ := json.Marshal(j)
 	return &jobError{string(raw)}
 }
@@ -205,33 +206,33 @@ func (e *jobError) Error() string { return "unexpected job state: " + e.s }
 func TestServeRejectsBadRequests(t *testing.T) {
 	_, client := testServer(t, Options{Workers: 1})
 	ctx := context.Background()
-	if _, err := client.Analyze(ctx, AnalyzeRequest{App: "nope"}); err == nil {
+	if _, err := client.Analyze(ctx, api.AnalyzeRequest{App: "nope"}); err == nil {
 		t.Error("unknown app accepted")
 	}
-	if _, err := client.Analyze(ctx, AnalyzeRequest{App: "lulesh", Config: apps.Config{"p": -1}}); err == nil {
+	if _, err := client.Analyze(ctx, api.AnalyzeRequest{App: "lulesh", Config: apps.Config{"p": -1}}); err == nil {
 		t.Error("non-positive p accepted")
 	}
-	if _, err := client.Analyze(ctx, AnalyzeRequest{App: "lulesh", Config: apps.Config{"sze": 5}}); err == nil {
+	if _, err := client.Analyze(ctx, api.AnalyzeRequest{App: "lulesh", Config: apps.Config{"sze": 5}}); err == nil {
 		t.Error("typo'd config parameter silently ignored instead of rejected")
 	}
-	if _, err := client.SweepAll(ctx, SweepRequest{
+	if _, err := client.SweepAll(ctx, api.SweepRequest{
 		App:  "lulesh",
-		Axes: []SweepAxis{{Param: "sze", Values: []float64{4, 5}}},
+		Axes: []api.SweepAxis{{Param: "sze", Values: []float64{4, 5}}},
 	}); err == nil {
 		t.Error("typo'd sweep axis silently ignored instead of rejected")
 	}
-	if _, err := client.Analyze(ctx, AnalyzeRequest{App: "lulesh", CensusParams: []string{"p", "sze"}}); err == nil {
+	if _, err := client.Analyze(ctx, api.AnalyzeRequest{App: "lulesh", CensusParams: []string{"p", "sze"}}); err == nil {
 		t.Error("typo'd census_params silently ignored instead of rejected")
 	}
-	if _, err := client.Analyze(ctx, AnalyzeRequest{App: "lulesh", Config: apps.Config{"p": 0.5}}); err == nil {
+	if _, err := client.Analyze(ctx, api.AnalyzeRequest{App: "lulesh", Config: apps.Config{"p": 0.5}}); err == nil {
 		t.Error("fractional p in (0,1) accepted; pipeline would truncate it to 0")
 	}
-	if _, err := client.SweepAll(ctx, SweepRequest{App: "lulesh"}); err == nil {
+	if _, err := client.SweepAll(ctx, api.SweepRequest{App: "lulesh"}); err == nil {
 		t.Error("axis-less sweep accepted")
 	}
-	if _, err := client.SweepAll(ctx, SweepRequest{
+	if _, err := client.SweepAll(ctx, api.SweepRequest{
 		App:  "lulesh",
-		Axes: []SweepAxis{{Param: "p"}},
+		Axes: []api.SweepAxis{{Param: "p"}},
 	}); err == nil {
 		t.Error("empty axis accepted")
 	}
@@ -243,9 +244,9 @@ func TestServeRejectsBadRequests(t *testing.T) {
 func TestServeSweepCapsDesignSize(t *testing.T) {
 	_, client := testServer(t, Options{Workers: 1, MaxSweepConfigs: 3})
 	vals := []float64{2, 4, 8, 16}
-	_, err := client.SweepAll(context.Background(), SweepRequest{
+	_, err := client.SweepAll(context.Background(), api.SweepRequest{
 		App:  "lulesh",
-		Axes: []SweepAxis{{Param: "p", Values: vals}},
+		Axes: []api.SweepAxis{{Param: "p", Values: vals}},
 	})
 	if err == nil {
 		t.Fatal("oversized design accepted")
@@ -253,16 +254,16 @@ func TestServeSweepCapsDesignSize(t *testing.T) {
 
 	// Stacking enough binary axes to overflow a naive size product must
 	// still be rejected (incremental check), as must repeated axes.
-	var many []SweepAxis
+	var many []api.SweepAxis
 	for i := 0; i < 70; i++ {
-		many = append(many, SweepAxis{Param: "p", Values: []float64{2, 4}})
+		many = append(many, api.SweepAxis{Param: "p", Values: []float64{2, 4}})
 	}
-	if _, err := client.SweepAll(context.Background(), SweepRequest{App: "lulesh", Axes: many}); err == nil {
+	if _, err := client.SweepAll(context.Background(), api.SweepRequest{App: "lulesh", Axes: many}); err == nil {
 		t.Fatal("2^70 design accepted (size product overflowed)")
 	}
-	if _, err := client.SweepAll(context.Background(), SweepRequest{
+	if _, err := client.SweepAll(context.Background(), api.SweepRequest{
 		App: "lulesh",
-		Axes: []SweepAxis{
+		Axes: []api.SweepAxis{
 			{Param: "p", Values: []float64{2}},
 			{Param: "p", Values: []float64{4}},
 		},
@@ -298,11 +299,11 @@ func TestServeStartTTLCancelsQueuedWork(t *testing.T) {
 	// is the only other legal outcome — never "failed".)
 	_, client := testServer(t, Options{Workers: 1})
 	ctx := context.Background()
-	first, err := client.Analyze(ctx, AnalyzeRequest{App: "lulesh", Async: true})
+	first, err := client.Analyze(ctx, api.AnalyzeRequest{App: "lulesh", Async: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := client.Analyze(ctx, AnalyzeRequest{App: "lulesh", Async: true, TimeoutMS: 1})
+	tight, err := client.Analyze(ctx, api.AnalyzeRequest{App: "lulesh", Async: true, TimeoutMS: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,8 +317,8 @@ func TestServeStartTTLCancelsQueuedWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	switch final.Status {
-	case StatusCanceled:
-	case StatusDone:
+	case api.StatusCanceled:
+	case api.StatusDone:
 		if final.Result == nil {
 			t.Fatalf("done job carries no result: %+v", final)
 		}
@@ -357,7 +358,7 @@ func TestServeCloseCancelsQueuedJobs(t *testing.T) {
 	ctx := context.Background()
 	var ids []string
 	for i := 0; i < 6; i++ {
-		job, err := client.Analyze(ctx, AnalyzeRequest{App: "slow", Async: true})
+		job, err := client.Analyze(ctx, api.AnalyzeRequest{App: "slow", Async: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -370,20 +371,20 @@ func TestServeCloseCancelsQueuedJobs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !info.Finished.IsZero() == (info.Status == StatusQueued || info.Status == StatusRunning) {
+		if !info.Finished.IsZero() == (info.Status == api.StatusQueued || info.Status == api.StatusRunning) {
 			t.Fatalf("job %s inconsistent after Close: %+v", id, info)
 		}
 		counts[info.Status]++
 	}
-	if n := counts[StatusQueued] + counts[StatusRunning]; n != 0 {
+	if n := counts[api.StatusQueued] + counts[api.StatusRunning]; n != 0 {
 		t.Fatalf("%d jobs left unfinished after Close: %v", n, counts)
 	}
-	if counts[StatusFailed] != 0 {
+	if counts[api.StatusFailed] != 0 {
 		t.Fatalf("jobs failed during drain: %v", counts)
 	}
 	// The worker can run at most a couple of jobs before Close lands
 	// (each takes ~100ms+); the rest of the backlog must be canceled.
-	if counts[StatusCanceled] == 0 {
+	if counts[api.StatusCanceled] == 0 {
 		t.Fatalf("Close ran the entire backlog instead of canceling queued jobs: %v", counts)
 	}
 }

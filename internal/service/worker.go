@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/faultinject"
-	"repro/internal/runner"
 )
 
 // workerLink is a daemon's membership in a cluster: the registration and
@@ -205,7 +204,6 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("spec digest mismatch for app %q: built %s, coordinator wants %s", req.App, digest, req.SpecDigest))
 		return
 	}
-	params := censusParams(req.CensusParams)
 	// Injected shard-stream faults model a worker dying or stalling
 	// mid-shard: the coordinator must re-dispatch the whole shard to a
 	// survivor (or run it locally) and the merged stream must not change.
@@ -233,14 +231,17 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
 	rc := http.NewResponseController(w)
-	rn := &runner.Runner{Workers: s.opts.Workers}
 	sent := 0
 	errCut := errors.New("injected shard stream cut")
-	err = rn.SweepFitCtx(r.Context(), prepared, req.Configs, func(res runner.Result) error {
+	d := design{app: req.App, digest: digest, prepared: prepared, cfgs: req.Configs,
+		censusParams: req.CensusParams}
+	// A shard whose request (or daemon) dies mid-way just ends short: the
+	// coordinator treats a short stream as a failed dispatch.
+	err = s.runPoints(r.Context(), d, func(line api.ShardLine) error {
 		if cutAt >= 0 && sent >= cutAt {
-			return errCut // drain the pool, then kill the connection below
+			return errCut
 		}
-		line := shardLine(req.App, digest, req.Start+res.Index, params, res)
+		line.Index += req.Start
 		if err := enc.Encode(&line); err != nil {
 			return err
 		}

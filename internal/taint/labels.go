@@ -102,17 +102,6 @@ func (t *Table) TryBase(name string) (Label, error) {
 // NumBase returns the number of distinct base labels.
 func (t *Table) NumBase() int { return len(t.byName) }
 
-// Union joins two labels. Kept as a method for boundary call sites; the
-// hot paths use the | operator directly.
-func (t *Table) Union(a, b Label) Label { return a | b }
-
-// Has reports whether label l includes base label base.
-func (t *Table) Has(l, base Label) bool { return l.Has(base) }
-
-// Mask returns l's raw bitmask over base ordinals — the label value itself
-// under the mask-native representation.
-func (t *Table) Mask(l Label) uint64 { return uint64(l) }
-
 // Expand returns the sorted parameter names contained in l. Bits beyond the
 // registered ordinals are ignored, so an over-approximated mask still
 // renders only known parameters.

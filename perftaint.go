@@ -19,6 +19,7 @@ package perftaint
 import (
 	"context"
 
+	"repro/internal/api"
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/extrap"
@@ -67,16 +68,16 @@ type (
 	// Client talks to a running perftaintd daemon.
 	Client = service.Client
 	// AnalyzeRequest is one configuration submitted to a daemon.
-	AnalyzeRequest = service.AnalyzeRequest
+	AnalyzeRequest = api.AnalyzeRequest
 	// SweepRequest is a full-factorial design submitted to a daemon; the
 	// results stream back as NDJSON lines in design order.
-	SweepRequest = service.SweepRequest
+	SweepRequest = api.SweepRequest
 	// SweepAxis is one swept parameter of a SweepRequest.
-	SweepAxis = service.SweepAxis
+	SweepAxis = api.SweepAxis
 	// SweepLine is one streamed result record of a sweep.
-	SweepLine = service.SweepLine
+	SweepLine = api.SweepLine
 	// JobInfo is the wire view of one scheduled analysis job.
-	JobInfo = service.JobInfo
+	JobInfo = api.JobInfo
 	// ModelConfig declares one end-to-end model extraction: the design
 	// to sweep, the parameters to model over, and the fitting cadence.
 	ModelConfig = modelreg.Config
@@ -90,10 +91,10 @@ type (
 	ModelEvent = modelreg.Event
 	// ModelRequest submits a model extraction to a daemon's
 	// POST /v1/models endpoint.
-	ModelRequest = service.ModelRequest
+	ModelRequest = api.ModelRequest
 	// ModelResponse is a daemon's model-extraction answer (model set
 	// plus its content address and cache provenance).
-	ModelResponse = service.ModelResponse
+	ModelResponse = api.ModelResponse
 )
 
 // Analyze runs the full Perf-Taint pipeline (build, static prune, tainted
