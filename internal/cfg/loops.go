@@ -35,7 +35,9 @@ func (l *Loop) Contains(b int) bool { return l.Blocks[b] }
 
 // Forest is the loop nesting forest of a function.
 type Forest struct {
-	Fn    *ir.Function
+	Fn *ir.Function
+	// Graph is the CFG the forest was derived from.
+	Graph *Graph
 	Loops []*Loop // all loops, outermost-first order within each nest
 	Roots []*Loop
 	// ByHeader maps header block index to its innermost loop.
@@ -54,6 +56,7 @@ func FindLoops(g *Graph) *Forest {
 	n := len(g.Fn.Blocks)
 	f := &Forest{
 		Fn:          g.Fn,
+		Graph:       g,
 		ByHeader:    make(map[int]*Loop),
 		InnermostAt: make([]*Loop, n),
 	}
@@ -258,12 +261,23 @@ func (l *Loop) String() string {
 	return fmt.Sprintf("loop@b%d(depth %d, %d blocks)", l.Header, l.Depth, len(l.Blocks))
 }
 
+// ModuleForests builds the CFG and loop forest of every function of m, in
+// FuncList order. The static pass, the analysis plan and the predecoder
+// all read this structure and none of them writes it, so core.Prepare
+// builds it once and hands the same forests to all three.
+func ModuleForests(m *ir.Module) []*Forest {
+	out := make([]*Forest, len(m.FuncList))
+	for i, fn := range m.FuncList {
+		out[i] = FindLoops(Build(fn))
+	}
+	return out
+}
+
 // CountLoops returns the total number of natural loops in module m.
 func CountLoops(m *ir.Module) int {
 	total := 0
-	for _, fn := range m.FuncList {
-		g := Build(fn)
-		total += len(FindLoops(g).Loops)
+	for _, f := range ModuleForests(m) {
+		total += len(f.Loops)
 	}
 	return total
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/apps"
-	"repro/internal/cfg"
 	"repro/internal/taint"
 )
 
@@ -34,11 +33,6 @@ func (r *Report) Census(modelParams []string) Census {
 	c.MPIFunctions = len(r.Spec.MPIUsed)
 	c.FunctionsTotal = len(r.Spec.Funcs) + c.MPIFunctions
 
-	kindOf := make(map[string]apps.Kind, len(r.Spec.Funcs))
-	for _, f := range r.Spec.Funcs {
-		kindOf[f.Name] = f.Kind
-	}
-
 	for _, f := range r.Spec.Funcs {
 		fc := r.Static[f.Name]
 		switch {
@@ -55,57 +49,25 @@ func (r *Report) Census(modelParams []string) Census {
 	c.PercentConstant = 100 * float64(c.PrunedStatically+c.PrunedDynamically) /
 		float64(len(r.Spec.Funcs))
 
-	// Loop census over the whole module.
-	inModel := make(map[string]bool, len(modelParams))
+	// Loop census over the whole module, from the plan's loop lists and
+	// the run's per-loop labels.
+	modelLabel := taint.None
 	for _, p := range modelParams {
-		inModel[p] = true
+		modelLabel |= r.Engine.Table.LabelOf(p)
 	}
-	type loopID struct {
-		fn string
-		id int
-	}
-	tainted := make(map[loopID][]string)
-	for k, rec := range r.Engine.Loops {
-		key := loopID{k.Func, k.LoopID}
-		tainted[key] = r.Engine.Table.Expand(
-			rec.Labels | labelOfDeps(r, tainted[key]))
-	}
-
-	for _, fn := range r.Module.FuncList {
-		g := cfg.Build(fn)
-		forest := cfg.FindLoops(g)
-		c.LoopsTotal += len(forest.Loops)
-		fc := r.Static[fn.Name]
-		for _, l := range forest.Loops {
-			if fc != nil {
-				if tc, ok := fc.Loops[l.ID]; ok && tc.Constant {
-					c.LoopsPrunedStatic++
-					continue
-				}
-			}
-			deps := tainted[loopID{fn.Name, l.ID}]
-			relevant := false
-			for _, d := range deps {
-				if inModel[d] {
-					relevant = true
-					break
-				}
-			}
-			if relevant {
+	pl := r.plan
+	for fn := 0; fn < pl.NumFuncs(); fn++ {
+		c.LoopsTotal += pl.NumLoops(fn)
+		for loop, l := range r.loopLabels[pl.loopBase[fn]:pl.loopBase[fn+1]] {
+			switch {
+			case pl.StaticLoop(fn, loop):
+				c.LoopsPrunedStatic++
+			case l&modelLabel != taint.None:
 				c.LoopsRelevant++
-			} else {
+			default:
 				c.LoopsUntaintedOther++
 			}
 		}
 	}
 	return c
-}
-
-// labelOfDeps folds an existing dependency list back into a label so
-// repeated census passes stay idempotent.
-func labelOfDeps(r *Report, deps []string) (l taint.Label) {
-	for _, d := range deps {
-		l |= r.Engine.Table.Base(d)
-	}
-	return l
 }

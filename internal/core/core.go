@@ -5,10 +5,10 @@ import (
 	"sync"
 
 	"repro/internal/apps"
+	"repro/internal/cfg"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/libdb"
-	"repro/internal/loopmodel"
 	"repro/internal/scev"
 	"repro/internal/taint"
 )
@@ -20,9 +20,16 @@ import (
 // and fanning the dynamic tainted runs out over configurations is what
 // makes batch analysis scale (see internal/runner).
 //
-// A Prepared value is immutable after construction and safe for concurrent
-// use: every Analyze call creates its own interpreter machine and taint
-// engine, and only reads the shared module, database, and static maps.
+// A Prepared value is safe for concurrent use: every Analyze call creates
+// its own interpreter machine and taint engine, and only reads the shared
+// module, database, static maps, predecoded program and analysis plan, all
+// immutable after construction. The one thing that grows is the table of
+// interned aggregation results: dependency maps, relevance set and volumes
+// are a pure function of a run's per-loop label masks, so runs with equal
+// masks — nearly every point of a sweep — share one immutable result.
+// Reports therefore share FuncDeps, LoopDeps, LibDeps, Relevant and
+// Volumes with other reports of the same Prepared and must treat them as
+// read-only.
 type Prepared struct {
 	Spec   *apps.Spec
 	Module *ir.Module
@@ -56,6 +63,16 @@ type Prepared struct {
 	// restarted daemon re-lowers on first compiled-mode use of a digest.
 	compiledOnce sync.Once
 	compiled     *interp.Compiled
+
+	// plan is the module-only half of the aggregation stages and of the
+	// census (call graph, bottom-up order, loop forests, static trips,
+	// library volumes), derived from the same forests as Static and Program.
+	plan *analysisPlan
+
+	// interned holds the aggregation result of each distinct mask
+	// signature seen so far (at most maxInterned); see aggregate.
+	internMu sync.Mutex
+	interned map[string]*aggregated
 }
 
 // CompiledProgram returns the compiled-closure artifact for Program,
@@ -106,26 +123,46 @@ func validateTaintParams(spec *apps.Spec) error {
 }
 
 // PrepareModule runs the static pass over an already built and verified
-// module, caching the artifacts for repeated dynamic runs.
+// module, caching the artifacts for repeated dynamic runs. The CFGs and
+// loop forests are built once and read by the static classification, the
+// analysis plan and the predecoder alike.
 func PrepareModule(spec *apps.Spec, mod *ir.Module, db *libdb.DB) *Prepared {
+	forests := cfg.ModuleForests(mod)
+	static := scev.AnalyzeForests(forests, db.Relevant)
 	return &Prepared{
 		Spec:    spec,
 		Module:  mod,
 		DB:      db,
 		Digest:  SpecDigest(spec),
-		Static:  scev.AnalyzeModule(mod, db.Relevant),
-		Program: interp.Predecode(mod),
+		Static:  static,
+		Program: interp.PredecodeForests(mod, forests),
+		plan:    newAnalysisPlan(mod, forests, static, db),
 	}
 }
+
+// ConfigError reports a configuration Analyze cannot run: the implicit MPI
+// parameter p is absent or not positive.
+type ConfigError struct {
+	// P is the offending value of p (zero when absent).
+	P float64
+}
+
+// Error keeps the message the untyped error carried, which travels in
+// sweep and shard lines.
+func (e *ConfigError) Error() string { return "core: config missing implicit parameter p" }
 
 // Analyze runs the per-configuration dynamic stage on the cached
 // artifacts: the tainted execution, dependency aggregation, symbolic
 // volumes, and the relevance filter. cfg must contain every spec parameter
-// plus the implicit MPI parameter p. Analyze is safe to call from multiple
-// goroutines on the same Prepared value.
+// plus the implicit MPI parameter p; a configuration without a positive p
+// is rejected with a *ConfigError before any per-run state is built.
+// Analyze is safe to call from multiple goroutines on the same Prepared
+// value.
 func (p *Prepared) Analyze(cfg apps.Config) (*Report, error) {
-	r := &Report{Spec: p.Spec, Module: p.Module, DB: p.DB, Static: p.Static}
-
+	pVal := int64(cfg["p"])
+	if pVal <= 0 {
+		return nil, &ConfigError{P: cfg["p"]}
+	}
 	// Stage 2: dynamic taint analysis. The predecoded program is shared
 	// read-only across all concurrent runs of this Prepared.
 	engine := taint.NewEngine()
@@ -137,10 +174,6 @@ func (p *Prepared) Analyze(cfg apps.Config) (*Report, error) {
 	if p.Mode == interp.ModeCompiled {
 		mach.Compiled = p.CompiledProgram()
 	}
-	pVal := int64(cfg["p"])
-	if pVal <= 0 {
-		return nil, fmt.Errorf("core: config missing implicit parameter p")
-	}
 	p.DB.Bind(mach, engine, libdb.RunConfig{CommSize: pVal, Rank: 0})
 
 	labels := make([]taint.Label, len(p.Spec.Params))
@@ -151,47 +184,5 @@ func (p *Prepared) Analyze(cfg apps.Config) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: tainted run: %w", err)
 	}
-	r.Engine = engine
-	r.Instructions = res.Instructions
-
-	// Stage 3: aggregation. FuncDeps is transitive over the call graph:
-	// the paper's models are calling-context profiles, so a function whose
-	// callee communicates inherits the callee's parametric dependencies
-	// (CalcQForElems inherits p from the boundary exchange it triggers).
-	r.LoopDeps = engine.FuncLoopDeps()
-	r.LibDeps = engine.FuncLibDeps()
-	r.FuncDeps = propagateDeps(p.Module, unionDeps(r.LoopDeps, r.LibDeps))
-
-	// Stage 4: symbolic volumes with static trip counts and library shapes.
-	loopDepFn := func(fn string, loopID int) []string {
-		l := taint.None
-		for k, rec := range engine.Loops {
-			if k.Func == fn && k.LoopID == loopID {
-				l |= rec.Labels
-			}
-		}
-		return engine.Table.Expand(l)
-	}
-	tripFn := func(fn string, loopID int) (int64, bool) {
-		fc := r.Static[fn]
-		if fc == nil {
-			return 0, false
-		}
-		tc, ok := fc.Loops[loopID]
-		if !ok || !tc.Constant {
-			return 0, false
-		}
-		return tc.Count, true
-	}
-	r.Volumes = loopmodel.Compute(p.Module, loopDepFn, tripFn, p.DB.ExternVolume())
-
-	// Stage 5: relevance (the taint-based instrumentation filter).
-	r.Relevant = make(map[string]bool)
-	for fn, deps := range r.FuncDeps {
-		if len(deps) > 0 {
-			r.Relevant[fn] = true
-		}
-	}
-	r.Relevant[p.Spec.Main().Name] = true
-	return r, nil
+	return p.aggregate(engine, res.Instructions), nil
 }

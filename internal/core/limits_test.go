@@ -42,3 +42,43 @@ func TestPrepareAcceptsMaxTaintParams(t *testing.T) {
 		t.Fatalf("Prepare rejected a spec at the mask budget: %v", err)
 	}
 }
+
+// A configuration without a positive p is rejected before any per-run
+// state exists: a malformed or hostile design point must cost nothing.
+func TestAnalyzeRejectsBadPBeforeAnyWork(t *testing.T) {
+	prep, err := Prepare(apps.LULESH())
+	if err != nil {
+		t.Fatal(err)
+	}
+	with := func(mutate func(apps.Config)) apps.Config {
+		cfg := apps.LULESHTaintConfig().Clone()
+		mutate(cfg)
+		return cfg
+	}
+	for _, c := range []struct {
+		name string
+		cfg  apps.Config
+		p    float64
+	}{
+		{"missing p", with(func(c apps.Config) { delete(c, "p") }), 0},
+		{"p = 0", with(func(c apps.Config) { c["p"] = 0 }), 0},
+		{"negative p", with(func(c apps.Config) { c["p"] = -4 }), -4},
+		{"empty config", apps.Config{}, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rep, err := prep.Analyze(c.cfg)
+			var ce *ConfigError
+			if rep != nil || !errors.As(err, &ce) {
+				t.Fatalf("Analyze = (%v, %v), want a *ConfigError", rep, err)
+			}
+			if ce.P != c.p {
+				t.Fatalf("ConfigError.P = %v, want %v", ce.P, c.p)
+			}
+			// The error value is the only allocation: no taint engine, no
+			// interpreter machine, no report.
+			if allocs := testing.AllocsPerRun(20, func() { prep.Analyze(c.cfg) }); allocs > 1 {
+				t.Fatalf("rejected configuration cost %v allocations", allocs)
+			}
+		})
+	}
+}

@@ -7,10 +7,7 @@
 package core
 
 import (
-	"sort"
-
 	"repro/internal/apps"
-	"repro/internal/cfg"
 	"repro/internal/extrap"
 	"repro/internal/ir"
 	"repro/internal/libdb"
@@ -48,6 +45,12 @@ type Report struct {
 
 	// Instructions is the dynamic cost of the tainted run.
 	Instructions int64
+
+	// plan is the Prepared's module-only structure; loopLabels is this
+	// run's label union per loop, indexed through plan.loopBase. Census
+	// reads both.
+	plan       *analysisPlan
+	loopLabels []taint.Label
 }
 
 // Analyze builds the module from spec, runs the static pass and the tainted
@@ -66,64 +69,6 @@ func Analyze(spec *apps.Spec, cfg apps.Config) (*Report, error) {
 // AnalyzeModule runs the pipeline on an already built module.
 func AnalyzeModule(spec *apps.Spec, mod *ir.Module, db *libdb.DB, cfg apps.Config) (*Report, error) {
 	return PrepareModule(spec, mod, db).Analyze(cfg)
-}
-
-// propagateDeps folds callee dependencies into callers bottom-up.
-func propagateDeps(mod *ir.Module, direct map[string][]string) map[string][]string {
-	cg := cfg.BuildCallGraph(mod)
-	order := cfg.TopoOrder(mod, cg)
-	out := make(map[string]map[string]bool, len(order))
-	for _, fn := range order {
-		set := make(map[string]bool)
-		for _, d := range direct[fn.Name] {
-			set[d] = true
-		}
-		for _, callee := range cg.Callees[fn.Name] {
-			for d := range out[callee] {
-				set[d] = true
-			}
-		}
-		out[fn.Name] = set
-	}
-	res := make(map[string][]string, len(out))
-	for fn, set := range out {
-		if len(set) == 0 {
-			continue
-		}
-		list := make([]string, 0, len(set))
-		for d := range set {
-			list = append(list, d)
-		}
-		sort.Strings(list)
-		res[fn] = list
-	}
-	return res
-}
-
-func unionDeps(a, b map[string][]string) map[string][]string {
-	set := make(map[string]map[string]bool)
-	merge := func(m map[string][]string) {
-		for fn, deps := range m {
-			if set[fn] == nil {
-				set[fn] = make(map[string]bool)
-			}
-			for _, d := range deps {
-				set[fn][d] = true
-			}
-		}
-	}
-	merge(a)
-	merge(b)
-	out := make(map[string][]string, len(set))
-	for fn, ds := range set {
-		list := make([]string, 0, len(ds))
-		for d := range ds {
-			list = append(list, d)
-		}
-		sort.Strings(list)
-		out[fn] = list
-	}
-	return out
 }
 
 // DependsOnAny reports whether function fn depends on any of the given

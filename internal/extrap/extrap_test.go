@@ -71,25 +71,32 @@ func TestDatasetValidate(t *testing.T) {
 
 func TestLstsqExactLine(t *testing.T) {
 	// y = 3 + 2x.
-	a := [][]float64{{1, 1}, {1, 2}, {1, 3}, {1, 4}}
+	x := []float64{1, 2, 3, 4}
 	y := []float64{5, 7, 9, 11}
-	c, err := lstsq(a, y)
-	if err != nil {
-		t.Fatal(err)
+	c, ok := lsq([][]float64{x}, y, -1)
+	if !ok {
+		t.Fatal("exact line reported singular")
 	}
 	if math.Abs(c[0]-3) > 1e-9 || math.Abs(c[1]-2) > 1e-9 {
 		t.Fatalf("coeffs = %v, want [3 2]", c)
 	}
+	// Leaving a row out of an exact line changes nothing.
+	if c, ok = lsq([][]float64{x}, y, 2); !ok || math.Abs(c[0]-3) > 1e-9 || math.Abs(c[1]-2) > 1e-9 {
+		t.Fatalf("leave-one-out coeffs = %v (ok=%v), want [3 2]", c, ok)
+	}
 }
 
 func TestLstsqSingular(t *testing.T) {
-	a := [][]float64{{1, 2}, {2, 4}, {3, 6}}
+	x := []float64{1, 2, 3}
 	y := []float64{1, 2, 3}
-	if _, err := lstsq(a, y); err == nil {
+	if _, ok := lsq([][]float64{x, {2, 4, 6}}, y, -1); ok {
 		t.Fatal("collinear design must be singular")
 	}
-	if _, err := lstsq(nil, nil); err == nil {
+	if _, ok := lsq(nil, nil, -1); ok {
 		t.Fatal("empty system must error")
+	}
+	if _, ok := lsq([][]float64{x[:2]}, y[:2], 0); ok {
+		t.Fatal("one row cannot determine two coefficients")
 	}
 }
 
@@ -379,8 +386,9 @@ func TestModelEvalFiniteProperty(t *testing.T) {
 
 func TestCrossValidationPenalizesTinyData(t *testing.T) {
 	d := synthSingle(func(x float64) float64 { return x }, []float64{2, 4})
-	shapes := []Term{{Factors: map[string]PowLog{"x": {I: 1}}}}
-	if cv := crossValidate(d, shapes); !math.IsInf(cv, 1) {
+	s := newSearch(d.values(), 1, SelectTraining)
+	copy(s.cols[0], []float64{2, 4})
+	if cv := s.crossValidate(0); !math.IsInf(cv, 1) {
 		t.Fatalf("cv on 2 points = %g, want +Inf", cv)
 	}
 }
@@ -392,13 +400,14 @@ func TestSliceForHoldsOthersAtMinimum(t *testing.T) {
 			d.Add(map[string]float64{"p": p, "s": s}, p*100+s)
 		}
 	}
-	sl := d.sliceFor("p")
-	if len(sl.Points) != 2 {
-		t.Fatalf("slice size = %d, want 2", len(sl.Points))
+	g := newGrids(DefaultSpace()).get(d, d.ParamNames)
+	sweep := g.axes[0].sweep
+	if g.axes[0].name != "p" || len(sweep) != 2 {
+		t.Fatalf("sweep of %s = rows %v, want 2 rows of p", g.axes[0].name, sweep)
 	}
-	for _, pt := range sl.Points {
-		if pt.Mean() != pt.Params["p"]*100+10 {
-			t.Fatalf("slice picked wrong s: %+v", pt)
+	for _, r := range sweep {
+		if pt := d.Points[r]; pt.Mean() != pt.Params["p"]*100+10 {
+			t.Fatalf("sweep picked wrong s: %+v", pt)
 		}
 	}
 }

@@ -62,15 +62,18 @@ func (e *FitError) Unwrap() error { return e.Err }
 // independent: a failing request only marks its own Fit.Err (always a
 // *FitError), never the whole batch.
 func FitAll(reqs []Request, opt Options, workers int) []Fit {
+	opt = opt.orDefault()
+	// One layout of the design serves every request measured on it.
+	gs := newGrids(opt.Space)
 	out := make([]Fit, len(reqs))
 	par.ForEach(workers, len(reqs), func(i int) {
 		req := reqs[i]
 		f := Fit{Name: req.Name}
 		var err error
 		if req.Param != "" {
-			f.Model, err = ModelSingle(req.Dataset, req.Param, opt)
+			f.Model, err = modelSingle(req.Dataset, req.Param, opt, gs)
 		} else {
-			f.Model, err = ModelMulti(req.Dataset, opt, req.Prior)
+			f.Model, err = modelMulti(req.Dataset, opt, req.Prior, gs)
 		}
 		if err != nil {
 			f.Model = nil

@@ -45,117 +45,161 @@ func (p *Prior) mulOK(group []string) bool {
 // parameter's sweep, and hypotheses combine those shapes additively and
 // multiplicatively. prior may be nil for pure black-box modeling.
 func ModelMulti(d *Dataset, opt Options, prior *Prior) (*Model, error) {
+	opt = opt.orDefault()
+	return modelMulti(d, opt, prior, newGrids(opt.Space))
+}
+
+func modelMulti(d *Dataset, opt Options, prior *Prior, gs *grids) (*Model, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
-	}
-	if opt.Space.MaxTerms == 0 {
-		opt = DefaultOptions()
 	}
 	if prior == nil {
 		prior = allowAll()
 	}
-
-	constModel, err := fitHypothesis(d, nil)
-	if err != nil {
-		return nil, fmt.Errorf("extrap: constant fit failed: %w", err)
+	y := d.values()
+	flat := newSearch(y, 0, opt.Selection)
+	constant, ok := flat.fit()
+	if !ok {
+		return nil, fmt.Errorf("extrap: constant fit failed: %w", errSingular)
 	}
 	if prior.ForceConstant {
-		constModel.CV = crossValidate(d, nil)
-		return constModel, nil
+		return flat.model(constant, nil), nil
 	}
 
 	// Active parameters: at least two distinct values and prior-allowed.
-	var active []string
-	for _, name := range d.ParamNames {
-		if len(d.distinct(name)) >= 2 && prior.allows(name) {
-			active = append(active, name)
+	g := gs.get(d, d.ParamNames)
+	var active []*axis
+	for a := range g.axes {
+		if ax := &g.axes[a]; len(ax.vals) >= 2 && prior.allows(ax.name) {
+			active = append(active, ax)
 		}
 	}
-	sort.Strings(active)
+	sort.Slice(active, func(i, j int) bool { return active[i].name < active[j].name })
 	if len(active) == 0 {
-		constModel.CV = crossValidate(d, nil)
-		return constModel, nil
+		return flat.model(constant, nil), nil
 	}
-	if len(active) == 1 {
-		return modelRestricted(d, active, opt, prior)
-	}
-	return modelRestricted(d, active, opt, prior)
+	return modelRestricted(g, y, active, constant, opt, prior), nil
 }
 
 // bestShape finds the strongest single-term shape for one parameter using
 // its dedicated sweep (the first multi-parameter heuristic of Extra-P).
-func bestShape(d *Dataset, param string, opt Options) (PowLog, bool) {
-	slice := d.sliceFor(param)
-	if len(slice.Points) < 3 {
-		return PowLog{}, false
+func bestShape(g *grid, y []float64, ax *axis, opt Options) (shape int, found bool) {
+	if len(ax.sweep) < 3 {
+		return 0, false
 	}
+	ys := make([]float64, len(ax.sweep))
+	for i, r := range ax.sweep {
+		ys[i] = y[r]
+	}
+	s := newSearch(ys, 1, opt.Selection)
 	bestScore := math.Inf(1)
-	var best PowLog
-	found := false
-	for _, pl := range opt.Space.Shapes() {
-		shapes := []Term{{Factors: map[string]PowLog{param: pl}}}
-		m, err := fitHypothesis(slice, shapes)
-		if err != nil {
-			continue
-		}
-		s := opt.score(slice, shapes, m)
-		if s < bestScore {
-			bestScore, best, found = s, pl, true
+	for si := range g.shapes {
+		ax.column(s.cols[0], si, ax.sweep)
+		if f, ok := s.fit(0); ok && f.score < bestScore {
+			bestScore, shape, found = f.score, si, true
 		}
 	}
-	return best, found
+	return shape, found
 }
 
-// modelRestricted runs the combination search over the given parameters.
-func modelRestricted(d *Dataset, params []string, opt Options, prior *Prior) (*Model, error) {
-	shapes := make(map[string]PowLog, len(params))
-	for _, p := range params {
-		if pl, ok := bestShape(d, p, opt); ok {
-			shapes[p] = pl
-		}
-	}
+// poolTerm is one candidate term of the combination search: the product of
+// the best shapes of its parameters (a single parameter for plain terms).
+type poolTerm struct {
+	axes []*axis
+	// shapes[i] is the shape of axes[i].
+	shapes []int
+}
+
+// modelRestricted runs the combination search over the given parameters,
+// which arrive sorted by name; constant is the fitted constant hypothesis
+// the search has to beat.
+func modelRestricted(g *grid, y []float64, params []*axis, constant fitted, opt Options, prior *Prior) *Model {
 	// Build the candidate term pool: one single term per parameter plus
 	// product terms for each prior-allowed group of 2..3 parameters.
-	var pool []Term
+	var pool []poolTerm
 	var have []string
-	for _, p := range params {
-		if pl, ok := shapes[p]; ok {
-			pool = append(pool, Term{Factors: map[string]PowLog{p: pl}})
-			have = append(have, p)
+	single := make(map[string]poolTerm, len(params))
+	for _, ax := range params {
+		if si, ok := bestShape(g, y, ax, opt); ok {
+			t := poolTerm{axes: []*axis{ax}, shapes: []int{si}}
+			pool = append(pool, t)
+			single[ax.name] = t
+			have = append(have, ax.name)
 		}
+	}
+	product := func(group []string) poolTerm {
+		var t poolTerm
+		for _, name := range group {
+			t.axes = append(t.axes, single[name].axes[0])
+			t.shapes = append(t.shapes, single[name].shapes[0])
+		}
+		return t
 	}
 	for _, group := range combinations(have, 2) {
 		if prior.mulOK(group) {
-			pool = append(pool, productTerm(shapes, group))
+			pool = append(pool, product(group))
 		}
 	}
 	if len(have) >= 3 {
 		for _, group := range combinations(have, 3) {
 			if prior.mulOK(group) {
-				pool = append(pool, productTerm(shapes, group))
+				pool = append(pool, product(group))
 			}
 		}
 	}
 
-	constModel, err := fitHypothesis(d, nil)
-	if err != nil {
-		return nil, err
+	// Candidate column i is pool term i over every point. Factors multiply
+	// in sorted parameter order starting from 1: float rounding is
+	// order-sensitive, and everything downstream of a fit — model
+	// selection, cross-validation, the content-addressed ModelSet bytes —
+	// must agree with Term.evalShape.
+	s := newSearch(y, len(pool), opt.Selection)
+	for i, t := range pool {
+		col := s.cols[i]
+		if len(t.axes) == 1 {
+			t.axes[0].column(col, t.shapes[0], nil)
+			continue
+		}
+		for r := range col {
+			v := 1.0
+			for k, ax := range t.axes {
+				v *= ax.basis[t.shapes[k]][ax.idx[r]]
+			}
+			col[r] = v
+		}
 	}
-	best := scored{model: constModel, score: opt.score(d, nil, constModel)}
-	bestComplexity := 0
+
+	best, bestComplexity := constant, 0
 
 	maxTerms := opt.Space.MaxTerms
 	if maxTerms < 1 {
 		maxTerms = 2
 	}
-	var hyps [][]Term
+	consider := func(terms ...int) {
+		f, ok := s.fit(terms...)
+		if !ok {
+			return
+		}
+		// More terms and more coupled parameters are more complex.
+		c := 0
+		for _, t := range terms {
+			c += 1 + len(pool[t].axes)
+		}
+		switch {
+		case improves(f.score, best.score, opt.MinImprovement):
+			best, bestComplexity = f, c
+		case c < bestComplexity && f.score <= best.score:
+			// Equal quality at lower complexity wins (Occam).
+			best, bestComplexity = f, c
+		}
+	}
 	for i := range pool {
-		hyps = append(hyps, []Term{pool[i]})
+		consider(i)
 	}
 	if maxTerms >= 2 {
 		for i := range pool {
 			for j := i + 1; j < len(pool); j++ {
-				hyps = append(hyps, []Term{pool[i], pool[j]})
+				consider(i, j)
 			}
 		}
 	}
@@ -163,50 +207,19 @@ func modelRestricted(d *Dataset, params []string, opt Options, prior *Prior) (*M
 		for i := range pool {
 			for j := i + 1; j < len(pool); j++ {
 				for k := j + 1; k < len(pool); k++ {
-					hyps = append(hyps, []Term{pool[i], pool[j], pool[k]})
+					consider(i, j, k)
 				}
 			}
 		}
 	}
-
-	for _, h := range hyps {
-		m, err := fitHypothesis(d, h)
-		if err != nil {
-			continue
+	return s.model(best, func(col int) map[string]PowLog {
+		t := pool[col]
+		f := make(map[string]PowLog, len(t.axes))
+		for k, ax := range t.axes {
+			f[ax.name] = g.shapes[t.shapes[k]]
 		}
-		s := opt.score(d, h, m)
-		c := complexity(h)
-		switch {
-		case improves(s, best.score, opt.MinImprovement):
-			best = scored{model: m, shapes: h, score: s}
-			bestComplexity = c
-		case c < bestComplexity && s <= best.score:
-			// Equal quality at lower complexity wins (Occam).
-			best = scored{model: m, shapes: h, score: s}
-			bestComplexity = c
-		}
-	}
-	best.model.CV = crossValidate(d, best.shapes)
-	return best.model, nil
-}
-
-// complexity orders hypotheses: more terms and more coupled parameters are
-// more complex.
-func complexity(shapes []Term) int {
-	c := 0
-	for _, t := range shapes {
-		c += 1 + len(t.Params())
-	}
-	return c
-}
-
-// productTerm multiplies the per-parameter shapes of group into one term.
-func productTerm(shapes map[string]PowLog, group []string) Term {
-	f := make(map[string]PowLog, len(group))
-	for _, p := range group {
-		f[p] = shapes[p]
-	}
-	return Term{Factors: f}
+		return f
+	})
 }
 
 // combinations returns all k-subsets of items preserving order.

@@ -42,18 +42,12 @@ func DefaultOptions() Options {
 	}
 }
 
-func (o Options) score(d *Dataset, shapes []Term, m *Model) float64 {
-	if o.Selection == SelectCV {
-		return crossValidate(d, shapes)
+// orDefault replaces options without a search space by DefaultOptions.
+func (o Options) orDefault() Options {
+	if o.Space.MaxTerms == 0 {
+		return DefaultOptions()
 	}
-	return m.SMAPE
-}
-
-// scored pairs a fitted hypothesis with its selection score.
-type scored struct {
-	model  *Model
-	shapes []Term
-	score  float64
+	return o
 }
 
 // ModelSingle fits the best PMNF model in one parameter. The search follows
@@ -61,30 +55,32 @@ type scored struct {
 // then two-term combinations seeded by the best one-term candidates, and
 // keep additional complexity only when it buys at least MinImprovement.
 func ModelSingle(d *Dataset, param string, opt Options) (*Model, error) {
+	opt = opt.orDefault()
+	return modelSingle(d, param, opt, newGrids(opt.Space))
+}
+
+func modelSingle(d *Dataset, param string, opt Options, gs *grids) (*Model, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	if opt.Space.MaxTerms == 0 {
-		opt = DefaultOptions()
+	ax := &gs.get(d, []string{param}).axes[0]
+	shapes := gs.shapes
+	// Candidate column s is shape s of the parameter over every point.
+	s := newSearch(d.values(), len(shapes), opt.Selection)
+	for si := range shapes {
+		ax.column(s.cols[si], si, nil)
 	}
 
-	constModel, err := fitHypothesis(d, nil)
-	if err != nil {
-		return nil, fmt.Errorf("extrap: constant fit failed: %w", err)
+	best, ok := s.fit()
+	if !ok {
+		return nil, fmt.Errorf("extrap: constant fit failed: %w", errSingular)
 	}
-	constScore := opt.score(d, nil, constModel)
-	constModel.CV = crossValidate(d, nil)
 
-	best := scored{model: constModel, score: constScore}
-
-	var oneTerm []scored
-	for _, pl := range opt.Space.Shapes() {
-		shapes := []Term{{Factors: map[string]PowLog{param: pl}}}
-		m, err := fitHypothesis(d, shapes)
-		if err != nil {
-			continue
+	var oneTerm []fitted
+	for si := range shapes {
+		if f, ok := s.fit(si); ok {
+			oneTerm = append(oneTerm, f)
 		}
-		oneTerm = append(oneTerm, scored{model: m, shapes: shapes, score: opt.score(d, shapes, m)})
 	}
 	sort.Slice(oneTerm, func(i, j int) bool { return oneTerm[i].score < oneTerm[j].score })
 
@@ -100,32 +96,38 @@ func ModelSingle(d *Dataset, param string, opt Options) (*Model, error) {
 		if k > len(oneTerm) {
 			k = len(oneTerm)
 		}
-		var bestTwo scored
-		bestTwo.score = math.Inf(1)
+		bestTwo := fitted{score: math.Inf(1)}
 		for ci := 0; ci < k; ci++ {
-			first := oneTerm[ci].shapes[0]
-			for _, pl := range opt.Space.Shapes() {
-				if pl == first.Factors[param] {
+			first := oneTerm[ci].terms[0]
+			for si, pl := range shapes {
+				if pl == shapes[first] {
 					continue
 				}
-				shapes := []Term{first, {Factors: map[string]PowLog{param: pl}}}
-				m, err := fitHypothesis(d, shapes)
-				if err != nil {
-					continue
-				}
-				s := opt.score(d, shapes, m)
-				if s < bestTwo.score {
-					bestTwo = scored{model: m, shapes: shapes, score: s}
+				if f, ok := s.fit(first, si); ok && f.score < bestTwo.score {
+					bestTwo = f
 				}
 			}
 		}
-		if bestTwo.model != nil && improves(bestTwo.score, best.score, opt.MinImprovement) {
+		if bestTwo.k > 0 && improves(bestTwo.score, best.score, opt.MinImprovement) {
 			best = bestTwo
 		}
 	}
 
-	best.model.CV = crossValidate(d, best.shapes)
-	return best.model, nil
+	return s.model(best, func(col int) map[string]PowLog {
+		return map[string]PowLog{param: shapes[col]}
+	}), nil
+}
+
+// model materializes the winning hypothesis, with its leave-one-out
+// cross-validation, as the Model callers see; factors renders a candidate
+// column as PMNF factors.
+func (s *search) model(f fitted, factors func(col int) map[string]PowLog) *Model {
+	m := &Model{Constant: f.coef[0], RSS: f.rss, SMAPE: f.smape}
+	for t, col := range f.terms[:f.k] {
+		m.Terms = append(m.Terms, Term{Coeff: f.coef[t+1], Factors: factors(col)})
+	}
+	m.CV = s.crossValidate(f.terms[:f.k]...)
+	return m
 }
 
 // improves reports whether candidate beats incumbent by the relative margin.

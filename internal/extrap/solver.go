@@ -9,30 +9,45 @@ import (
 // the corresponding hypothesis is discarded.
 var errSingular = errors.New("extrap: singular normal equations")
 
-// lstsq solves min ||A c - y||^2 for c via the normal equations
-// (A^T A) c = A^T y with Gaussian elimination and partial pivoting.
-// A is row-major with rows = len(y), cols = k.
-func lstsq(a [][]float64, y []float64) ([]float64, error) {
-	rows := len(a)
-	if rows == 0 {
-		return nil, errSingular
+const (
+	// maxTerms is the most terms any search puts in one hypothesis.
+	maxTerms = 3
+	// maxCols is the widest design matrix: the constant plus maxTerms.
+	maxCols = maxTerms + 1
+)
+
+// lsq solves min ||A c - y||^2 for c via the normal equations
+// (A^T A) c = A^T y with Gaussian elimination and partial pivoting. Column
+// 0 of A is the constant 1 and column t+1 is cols[t]; the row skip (none
+// when negative) is left out, which is how a leave-one-out fold is fitted
+// without copying the data. Rows accumulate in dataset order: the sums are
+// floating-point, so the order is part of the result. ok is false for a
+// rank-deficient or underdetermined system.
+func lsq(cols [][]float64, y []float64, skip int) (c [maxCols]float64, ok bool) {
+	k := len(cols) + 1
+	rows := len(y)
+	if skip >= 0 {
+		rows--
 	}
-	k := len(a[0])
-	if rows < k {
-		return nil, errSingular
+	if rows <= 0 || rows < k {
+		return c, false
 	}
-	// Normal matrix N = A^T A (k x k), rhs = A^T y.
-	n := make([][]float64, k)
-	for i := range n {
-		n[i] = make([]float64, k+1)
-	}
-	for r := 0; r < rows; r++ {
-		row := a[r]
+	// Normal matrix N = A^T A (k x k), augmented with rhs = A^T y.
+	var n [maxCols][maxCols + 1]float64
+	var row [maxCols]float64
+	row[0] = 1
+	for r, yr := range y {
+		if r == skip {
+			continue
+		}
+		for t, col := range cols {
+			row[t+1] = col[r]
+		}
 		for i := 0; i < k; i++ {
 			for j := 0; j < k; j++ {
 				n[i][j] += row[i] * row[j]
 			}
-			n[i][k] += row[i] * y[r]
+			n[i][k] += row[i] * yr
 		}
 	}
 	// Gaussian elimination with partial pivoting on the augmented matrix.
@@ -44,7 +59,7 @@ func lstsq(a [][]float64, y []float64) ([]float64, error) {
 			}
 		}
 		if math.Abs(n[pivot][col]) < 1e-12 {
-			return nil, errSingular
+			return c, false
 		}
 		n[col], n[pivot] = n[pivot], n[col]
 		inv := 1 / n[col][col]
@@ -61,79 +76,115 @@ func lstsq(a [][]float64, y []float64) ([]float64, error) {
 			}
 		}
 	}
-	c := make([]float64, k)
-	for i := range c {
+	for i := 0; i < k; i++ {
 		c[i] = n[i][k]
 		if math.IsNaN(c[i]) || math.IsInf(c[i], 0) {
-			return nil, errSingular
+			return c, false
 		}
 	}
-	return c, nil
+	return c, true
 }
 
-// designMatrix builds the regression matrix for a hypothesis: column 0 is
-// the constant 1, column t+1 is the shape value of term t at each point.
-func designMatrix(d *Dataset, shapes []Term) [][]float64 {
-	a := make([][]float64, len(d.Points))
-	for r, p := range d.Points {
-		row := make([]float64, len(shapes)+1)
-		row[0] = 1
-		for t, term := range shapes {
-			row[t+1] = term.evalShape(p.Params)
-		}
-		a[r] = row
-	}
-	return a
+// search is one dataset laid out for hypothesis fitting: the per-point
+// mean measurements and a table of candidate basis columns over the same
+// rows. A hypothesis is a list of column indices.
+type search struct {
+	y    []float64
+	cols [][]float64
+	sel  Selection
 }
 
-// fitHypothesis fits constant + coefficients for the given term shapes and
-// returns the resulting model with training RSS/SMAPE filled in.
-func fitHypothesis(d *Dataset, shapes []Term) (*Model, error) {
-	y := d.values()
-	a := designMatrix(d, shapes)
-	c, err := lstsq(a, y)
-	if err != nil {
-		return nil, err
+// newSearch allocates a search over y with n candidate columns for the
+// caller to fill.
+func newSearch(y []float64, n int, sel Selection) *search {
+	flat := make([]float64, n*len(y))
+	s := &search{y: y, cols: make([][]float64, n), sel: sel}
+	for i := range s.cols {
+		s.cols[i] = flat[i*len(y) : (i+1)*len(y)]
 	}
-	m := &Model{Constant: c[0]}
-	for t, term := range shapes {
-		fitted := term
-		fitted.Coeff = c[t+1]
-		m.Terms = append(m.Terms, fitted)
+	return s
+}
+
+// fitted is one fitted hypothesis: constant + sum coef[t+1]*cols[terms[t]].
+type fitted struct {
+	terms [maxTerms]int
+	k     int
+	coef  [maxCols]float64
+	// rss and smape are the fit quality on the training data; score is
+	// what the selection policy ranks by.
+	rss, smape, score float64
+}
+
+func (s *search) columns(terms []int) (cs [maxTerms][]float64) {
+	for i, t := range terms {
+		cs[i] = s.cols[t]
 	}
-	pred := make([]float64, len(d.Points))
-	rss := 0.0
-	for i, p := range d.Points {
-		pred[i] = m.Eval(p.Params)
-		dlt := pred[i] - y[i]
-		rss += dlt * dlt
+	return cs
+}
+
+// predict evaluates a fitted hypothesis at row r the way Model.Eval does:
+// the constant, then += coefficient*shape in term order.
+func predict(c *[maxCols]float64, cs [][]float64, r int) float64 {
+	v := c[0]
+	for t, col := range cs {
+		v += c[t+1] * col[r]
 	}
-	m.RSS = rss
-	m.SMAPE = smape(pred, y)
-	return m, nil
+	return v
+}
+
+// smapeTerm is one point's contribution to the symmetric mean absolute
+// percentage error; a point predicted and measured as zero adds nothing.
+func smapeTerm(pred, actual float64) float64 {
+	den := math.Abs(pred) + math.Abs(actual)
+	if den == 0 {
+		return 0
+	}
+	return 2 * math.Abs(pred-actual) / den
+}
+
+// fit fits constant + coefficients for the hypothesis and scores it.
+func (s *search) fit(terms ...int) (fitted, bool) {
+	var f fitted
+	all := s.columns(terms)
+	cs := all[:len(terms)]
+	c, ok := lsq(cs, s.y, -1)
+	if !ok {
+		return f, false
+	}
+	f.k = copy(f.terms[:], terms)
+	f.coef = c
+	sum := 0.0
+	for r, y := range s.y {
+		pred := predict(&c, cs, r)
+		d := pred - y
+		f.rss += d * d
+		sum += smapeTerm(pred, y)
+	}
+	f.smape = sum / float64(len(s.y))
+	f.score = f.smape
+	if s.sel == SelectCV {
+		f.score = s.crossValidate(terms...)
+	}
+	return f, true
 }
 
 // crossValidate computes the leave-one-out SMAPE of a hypothesis: for each
 // point, refit on the remainder and predict the left-out value. Hypotheses
 // that become singular under any fold are penalized with +Inf.
-func crossValidate(d *Dataset, shapes []Term) float64 {
-	nPts := len(d.Points)
-	if nPts < len(shapes)+2 {
+func (s *search) crossValidate(terms ...int) float64 {
+	n := len(s.y)
+	if n < len(terms)+2 {
 		return math.Inf(1)
 	}
-	preds := make([]float64, 0, nPts)
-	actuals := make([]float64, 0, nPts)
-	for leave := 0; leave < nPts; leave++ {
-		sub := &Dataset{ParamNames: d.ParamNames}
-		sub.Points = make([]Point, 0, nPts-1)
-		sub.Points = append(sub.Points, d.Points[:leave]...)
-		sub.Points = append(sub.Points, d.Points[leave+1:]...)
-		m, err := fitHypothesis(sub, shapes)
-		if err != nil {
+	all := s.columns(terms)
+	cs := all[:len(terms)]
+	sum := 0.0
+	for leave := 0; leave < n; leave++ {
+		c, ok := lsq(cs, s.y, leave)
+		if !ok {
 			return math.Inf(1)
 		}
-		preds = append(preds, m.Eval(d.Points[leave].Params))
-		actuals = append(actuals, d.Points[leave].Mean())
+		sum += smapeTerm(predict(&c, cs, leave), s.y[leave])
 	}
-	return smape(preds, actuals)
+	return sum / float64(n)
 }

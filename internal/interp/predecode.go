@@ -164,6 +164,13 @@ type dfunc struct {
 // analysis — building CFGs, loop forests, and post-dominators exactly as the
 // reference interpreter does per call — performed once per module.
 func Predecode(mod *ir.Module) *Program {
+	return PredecodeForests(mod, cfg.ModuleForests(mod))
+}
+
+// PredecodeForests is Predecode over loop forests the caller already built
+// (cfg.ModuleForests, one per function in FuncList order); the forests are
+// only read.
+func PredecodeForests(mod *ir.Module, forests []*cfg.Forest) *Program {
 	p := &Program{
 		Mod:       mod,
 		byName:    make(map[string]int32, len(mod.FuncList)),
@@ -177,7 +184,7 @@ func Predecode(mod *ir.Module) *Program {
 		p.byName[fn.Name] = int32(i)
 	}
 	for i, fn := range mod.FuncList {
-		p.funcs = append(p.funcs, p.decodeFunc(fn, int32(i)))
+		p.funcs = append(p.funcs, p.decodeFunc(fn, int32(i), forests[i]))
 	}
 	return p
 }
@@ -192,10 +199,8 @@ func (p *Program) externSlot(sym string) int32 {
 	return o
 }
 
-func (p *Program) decodeFunc(fn *ir.Function, idx int32) *dfunc {
-	g := cfg.Build(fn)
-	loops := cfg.FindLoops(g)
-	ipdom := cfg.PostDominators(g)
+func (p *Program) decodeFunc(fn *ir.Function, idx int32, loops *cfg.Forest) *dfunc {
+	ipdom := cfg.PostDominators(loops.Graph)
 
 	df := &dfunc{
 		fn:        fn,

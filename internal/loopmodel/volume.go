@@ -1,8 +1,6 @@
 package loopmodel
 
 import (
-	"sort"
-
 	"repro/internal/cfg"
 	"repro/internal/ir"
 )
@@ -38,135 +36,17 @@ type Volumes struct {
 
 // Compute derives volumes for every function in m bottom-up over the call
 // graph. deps and trips may be nil (then every non-constant loop counts as
-// an unknown with no parameters); externVol may be nil.
+// an unknown with no parameters); externVol may be nil. It builds the
+// module's Plan and evaluates it once; callers with many runs of one module
+// keep the Plan instead.
 func Compute(m *ir.Module, deps LoopDeps, trips StaticTrip, externVol ExternVolume) *Volumes {
-	cg := cfg.BuildCallGraph(m)
-	rec := cg.FindRecursion()
-	recSet := make(map[string]bool, len(rec))
-	for _, r := range rec {
-		recSet[r] = true
+	pl := NewPlan(m, cfg.ModuleForests(m), trips, externVol)
+	if deps == nil {
+		return pl.Evaluate(nil)
 	}
-	sort.Strings(rec)
-
-	v := &Volumes{
-		ByFunc:            make(map[string]Expr, len(m.FuncList)),
-		LocalByFunc:       make(map[string]Expr, len(m.FuncList)),
-		StructByFunc:      make(map[string]Structure, len(m.FuncList)),
-		RecursionWarnings: rec,
-	}
-
-	order := cfg.TopoOrder(m, cg)
-	for _, fn := range order {
-		if recSet[fn.Name] {
-			// Over-approximate recursive functions: unknown over all params
-			// of their loops.
-			set := make(map[string]bool)
-			g := cfg.Build(fn)
-			forest := cfg.FindLoops(g)
-			for _, l := range forest.Loops {
-				if deps != nil {
-					for _, p := range deps(fn.Name, l.ID) {
-						set[p] = true
-					}
-				}
-			}
-			var ps []string
-			for p := range set {
-				ps = append(ps, p)
-			}
-			sort.Strings(ps)
-			e := Expr(Unknown{Params: ps})
-			v.ByFunc[fn.Name] = e
-			v.LocalByFunc[fn.Name] = e
-			v.StructByFunc[fn.Name] = StructureOf(e)
-			continue
-		}
-		incl, local := computeFunc(fn, v.ByFunc, deps, trips, externVol)
-		v.ByFunc[fn.Name] = incl
-		v.LocalByFunc[fn.Name] = local
-		v.StructByFunc[fn.Name] = StructureOf(incl)
-	}
-	return v
-}
-
-// computeFunc returns the inclusive and local volumes of fn given already
-// computed callee volumes.
-func computeFunc(fn *ir.Function, memo map[string]Expr, deps LoopDeps, trips StaticTrip, externVol ExternVolume) (incl, local Expr) {
-	g := cfg.Build(fn)
-	forest := cfg.FindLoops(g)
-
-	// Calls attributed to their innermost containing loop (nil = top level).
-	callsIn := make(map[*cfg.Loop][]Expr)
-	for bi, blk := range fn.Blocks {
-		if !g.Reachable(bi) {
-			continue
-		}
-		owner := forest.InnermostAt[bi]
-		for ii := range blk.Instrs {
-			in := &blk.Instrs[ii]
-			if in.Op != ir.OpCall {
-				continue
-			}
-			var ce Expr
-			if e, ok := memo[in.Sym]; ok {
-				ce = e
-			} else if externVol != nil {
-				ce = externVol(in.Sym)
-			}
-			if ce != nil {
-				callsIn[owner] = append(callsIn[owner], ce)
-			}
-		}
-	}
-
-	countOf := func(l *cfg.Loop) Expr {
-		if trips != nil {
-			if c, ok := trips(fn.Name, l.ID); ok {
-				if c < 0 {
-					c = 1
-				}
-				return Const{Value: float64(c)}
-			}
-		}
-		var ps []string
-		if deps != nil {
-			ps = deps(fn.Name, l.ID)
-		}
-		return Unknown{Params: append([]string(nil), ps...)}
-	}
-
-	// volWith aggregates a loop: count(L) * (1 + children + calls).
-	var volLoop func(l *cfg.Loop) Expr
-	volLoop = func(l *cfg.Loop) Expr {
-		body := []Expr{Const{Value: 1}}
-		for _, c := range l.Children {
-			body = append(body, volLoop(c))
-		}
-		body = append(body, callsIn[l]...)
-		return Mul(countOf(l), Add(body...))
-	}
-
-	// volWithCalls / volLocal differ only in whether callee volumes join in.
-	topTerms := []Expr{Const{Value: 1}}
-	localTerms := []Expr{Const{Value: 1}}
-	for _, r := range forest.Roots {
-		topTerms = append(topTerms, volLoop(r))
-	}
-	topTerms = append(topTerms, callsIn[nil]...)
-
-	var volLoopLocal func(l *cfg.Loop) Expr
-	volLoopLocal = func(l *cfg.Loop) Expr {
-		body := []Expr{Const{Value: 1}}
-		for _, c := range l.Children {
-			body = append(body, volLoopLocal(c))
-		}
-		return Mul(countOf(l), Add(body...))
-	}
-	for _, r := range forest.Roots {
-		localTerms = append(localTerms, volLoopLocal(r))
-	}
-
-	return Add(topTerms...), Add(localTerms...)
+	return pl.Evaluate(func(fn, loop int) []string {
+		return append([]string(nil), deps(pl.FuncName(fn), loop)...)
+	})
 }
 
 // RequiredExperiments computes the size of the experiment design for the

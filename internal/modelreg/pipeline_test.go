@@ -1,6 +1,7 @@
 package modelreg
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -157,6 +159,38 @@ func TestExtractDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatal("worker count changed the extracted model set")
+	}
+}
+
+// TestExtractBytesStableAcrossSchedules is the pipeline-wide determinism
+// property in miniature: the same LULESH extraction, three times in one
+// process (Go re-randomizes map iteration on every range) at GOMAXPROCS 1
+// and 2 with 1 and 2 workers, marshals to identical ModelSet bytes. One
+// Prepared serves all twelve runs, so reports that share its interned
+// aggregation results are covered too.
+func TestExtractBytesStableAcrossSchedules(t *testing.T) {
+	prep := prepareLULESH(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want []byte
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, workers := range []int{1, 2} {
+			for run := 0; run < 3; run++ {
+				set, err := Extract(context.Background(), &runner.Runner{Workers: workers}, prep, testConfig(), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := json.Marshal(set)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = got
+				} else if !bytes.Equal(got, want) {
+					t.Fatalf("GOMAXPROCS %d, %d workers, run %d: model set bytes differ from the first run", procs, workers, run)
+				}
+			}
+		}
 	}
 }
 

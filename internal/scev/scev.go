@@ -321,8 +321,11 @@ func findDef(f *ir.Function, block int, r ir.Reg) *ir.Instr {
 // AnalyzeFunc classifies all loops of f. relevantCall reports whether a
 // callee name belongs to the performance-relevant library set.
 func AnalyzeFunc(f *ir.Function, relevantCall func(string) bool) *FuncClass {
-	g := cfg.Build(f)
-	forest := cfg.FindLoops(g)
+	return analyzeForest(cfg.FindLoops(cfg.Build(f)), relevantCall)
+}
+
+func analyzeForest(forest *cfg.Forest, relevantCall func(string) bool) *FuncClass {
+	f := forest.Fn
 	rf := collectFacts(f)
 	fc := &FuncClass{
 		Name:     f.Name,
@@ -355,9 +358,15 @@ func AnalyzeFunc(f *ir.Function, relevantCall func(string) bool) *FuncClass {
 
 // AnalyzeModule classifies every function of m.
 func AnalyzeModule(m *ir.Module, relevantCall func(string) bool) map[string]*FuncClass {
-	out := make(map[string]*FuncClass, len(m.FuncList))
-	for _, f := range m.FuncList {
-		out[f.Name] = AnalyzeFunc(f, relevantCall)
+	return AnalyzeForests(cfg.ModuleForests(m), relevantCall)
+}
+
+// AnalyzeForests is AnalyzeModule over loop forests the caller already
+// built (cfg.ModuleForests); the forests are only read.
+func AnalyzeForests(forests []*cfg.Forest, relevantCall func(string) bool) map[string]*FuncClass {
+	out := make(map[string]*FuncClass, len(forests))
+	for _, forest := range forests {
+		out[forest.Fn.Name] = analyzeForest(forest, relevantCall)
 	}
 	return out
 }

@@ -99,6 +99,10 @@ func (t *Table) TryBase(name string) (Label, error) {
 	return t.Base(name), nil
 }
 
+// Names returns the registered parameter names in ordinal order: Names()[i]
+// is the parameter bit i denotes. The slice must not be modified.
+func (t *Table) Names() []string { return t.names }
+
 // NumBase returns the number of distinct base labels.
 func (t *Table) NumBase() int { return len(t.byName) }
 
