@@ -5,11 +5,11 @@
 // The analyze subcommand is the front door: without -addr it runs the
 // pipeline in-process, with -addr it submits to a daemon — same report
 // either way. Every subcommand that talks to a daemon takes the same
-// -addr flag and accepts a base URL or a bare host:port.
+// -addr flag and accepts a base URL or a bare host:port. perftaint is the
+// client and local-analysis CLI only; the daemon is cmd/perftaintd.
 //
 //	perftaint analyze -app lulesh                  # local analysis
 //	perftaint analyze -addr host:7070 -app lulesh -config p=16
-//	perftaint serve -addr :7070                    # run the daemon in-process
 //	perftaint submit -addr host:7070 -app lulesh -config p=16
 //	perftaint submit -addr ... -app lulesh -sweep 'p=2,4,8;size=4,5'
 //	perftaint submit -addr ... -app milc -async    # prints a queued job
@@ -43,18 +43,15 @@ import (
 	"io"
 	"log"
 	"os"
-	"os/signal"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/api"
 	"repro/internal/appgen"
 	"repro/internal/apps"
-	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/modelreg"
@@ -75,7 +72,6 @@ type jsonReport struct {
 const usage = `usage: perftaint <subcommand> [flags]
 
   analyze   run one analysis (in-process, or on a daemon with -addr)
-  serve     run the analysis daemon in-process
   submit    submit a configuration or a sweep to a daemon
   job       fetch (or wait for) a daemon job
   stats     print a daemon's counters
@@ -90,7 +86,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("perftaint: ")
 	subcommands := map[string]func([]string){
-		"analyze": runAnalyze, "serve": runServe, "submit": runSubmit, "stats": runStats,
+		"analyze": runAnalyze, "submit": runSubmit, "stats": runStats,
 		"job": runJob, "model": runModel, "report": runReport, "corpus": runCorpus,
 	}
 	if len(os.Args) > 1 {
@@ -225,53 +221,6 @@ func analyzeLocal(appName string, overrides apps.Config, cpuProfile, memProfile 
 	}
 
 	emitJSON(out)
-}
-
-// runServe hosts the analysis daemon in-process (same engine as
-// cmd/perftaintd, handy for one-binary deployments).
-func runServe(args []string) {
-	fs := flag.NewFlagSet("perftaint serve", flag.ExitOnError)
-	addr := fs.String("addr", ":7070", "listen address")
-	workers := fs.Int("workers", 0, "concurrent analysis jobs (0 = GOMAXPROCS)")
-	cacheEntries := fs.Int("cache-entries", 16, "PreparedCache capacity")
-	jobTimeout := fs.Duration("job-timeout", 60*time.Second, "default per-job deadline")
-	queueDepth := fs.Int("queue-depth", 1024, "maximum queued jobs")
-	modelEntries := fs.Int("model-entries", 16, "model registry capacity")
-	cacheDir := fs.String("cache-dir", "", "persistent cache root (empty = memory only)")
-	rate := fs.Float64("rate", 0, "per-client admission rate in tokens/second (0 = unlimited)")
-	burst := fs.Float64("burst", 0, "per-client token-bucket capacity (0 = max(1, 2*rate))")
-	maxBody := fs.Int64("max-body", 0, "maximum JSON request body in bytes (0 = 4 MiB)")
-	engine := fs.String("engine", "fast", "interpreter tier for analysis jobs: fast, reference, or compiled")
-	cluster := cliutil.RegisterClusterFlags(fs)
-	fs.Parse(args)
-
-	opts := service.Options{
-		Workers:      *workers,
-		CacheEntries: *cacheEntries,
-		JobTimeout:   *jobTimeout,
-		QueueDepth:   *queueDepth,
-		ModelEntries: *modelEntries,
-		CacheDir:     *cacheDir,
-		Rate:         *rate,
-		Burst:        *burst,
-		MaxBodyBytes: *maxBody,
-		Engine:       *engine,
-	}
-	if err := cluster.Apply(&opts); err != nil {
-		log.Fatal(err)
-	}
-	srv, err := service.NewServer(opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	ready := make(chan string, 1)
-	go func() { log.Printf("serving on %s", <-ready) }()
-	if err := srv.ListenAndServe(ctx, *addr, ready); err != nil {
-		log.Fatal(err)
-	}
-	log.Print("drained, bye")
 }
 
 // runSubmit sends one analysis or a sweep to a running daemon.

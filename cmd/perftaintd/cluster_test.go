@@ -1,4 +1,4 @@
-package cliutil
+package main
 
 import (
 	"flag"
@@ -10,17 +10,17 @@ import (
 	"repro/internal/service"
 )
 
-// parse runs the cluster flags over args and applies them to opts.
+// parse runs the cluster flags over args into fresh Options and
+// validates the combination.
 func parse(t *testing.T, args ...string) (service.Options, error) {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	c := RegisterClusterFlags(fs)
+	var opts service.Options
+	validate := registerClusterFlags(fs, &opts)
 	if err := fs.Parse(args); err != nil {
 		t.Fatalf("parse %v: %v", args, err)
 	}
-	var opts service.Options
-	err := c.Apply(&opts)
-	return opts, err
+	return opts, validate()
 }
 
 func TestClusterFlagsRoles(t *testing.T) {

@@ -17,9 +17,9 @@
 // POST /v1/models (sweep+fit with a content-addressed model registry),
 // GET /v1/models/{key}, GET /v1/jobs/{id}, GET /v1/stats, GET /healthz,
 // plus the cluster surface: POST /v1/shard (any daemon), and on
-// coordinators POST /v1/worker/register, POST /v1/worker/heartbeat,
-// GET /v1/prepared/{digest}. See internal/service for the wire schema
-// and `perftaint submit` / `perftaint model` for ready-made clients.
+// coordinators POST /v1/worker/register, POST /v1/worker/heartbeat.
+// See internal/service for the wire schema and `perftaint submit` /
+// `perftaint model` for ready-made clients.
 package main
 
 import (
@@ -33,7 +33,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/cliutil"
 	"repro/internal/faultinject"
 	"repro/internal/service"
 )
@@ -41,20 +40,21 @@ import (
 func main() {
 	log.SetFlags(log.LstdFlags)
 	log.SetPrefix("perftaintd: ")
+	var opts service.Options
 	addr := flag.String("addr", ":7070", "listen address")
-	workers := flag.Int("workers", 0, "concurrent analysis jobs (0 = GOMAXPROCS)")
-	cacheEntries := flag.Int("cache-entries", 16, "PreparedCache capacity (distinct spec contents)")
-	jobTimeout := flag.Duration("job-timeout", 60*time.Second, "default per-job deadline")
-	queueDepth := flag.Int("queue-depth", 1024, "maximum queued jobs")
-	modelEntries := flag.Int("model-entries", 16, "model registry capacity (distinct spec+design contents)")
-	cacheDir := flag.String("cache-dir", "", "persistent cache root for prepared specs and model sets; restarts start warm (empty = memory only)")
-	rate := flag.Float64("rate", 0, "per-client admission rate in tokens/second (1 analysis = 1 token, sweeps cost design size); 0 disables rate limiting")
-	burst := flag.Float64("burst", 0, "per-client token-bucket capacity (0 = max(1, 2*rate))")
-	maxBody := flag.Int64("max-body", 0, "maximum JSON request body in bytes (0 = 4 MiB)")
-	engine := flag.String("engine", "fast", "interpreter tier for analysis jobs: fast, reference, or compiled")
+	flag.IntVar(&opts.Workers, "workers", 0, "concurrent analysis jobs (0 = GOMAXPROCS)")
+	flag.IntVar(&opts.CacheEntries, "cache-entries", 16, "PreparedCache capacity (distinct spec contents)")
+	flag.DurationVar(&opts.JobTimeout, "job-timeout", 60*time.Second, "default per-job deadline")
+	flag.IntVar(&opts.QueueDepth, "queue-depth", 1024, "maximum queued jobs")
+	flag.IntVar(&opts.ModelEntries, "model-entries", 16, "model registry capacity (distinct spec+design contents)")
+	flag.StringVar(&opts.CacheDir, "cache-dir", "", "persistent root for finished model sets and the job journal; restarts serve stored sets warm (empty = memory only)")
+	flag.Float64Var(&opts.Rate, "rate", 0, "per-client admission rate in tokens/second (1 analysis = 1 token, sweeps cost design size); 0 disables rate limiting")
+	flag.Float64Var(&opts.Burst, "burst", 0, "per-client token-bucket capacity (0 = max(1, 2*rate))")
+	flag.Int64Var(&opts.MaxBodyBytes, "max-body", 0, "maximum JSON request body in bytes (0 = 4 MiB)")
+	flag.StringVar(&opts.Engine, "engine", "fast", "interpreter tier for analysis jobs: fast, reference, or compiled")
 	pprofAddr := flag.String("pprof", "", "optional debug listen address for net/http/pprof (e.g. 127.0.0.1:6060); disabled when empty")
 	journalOn := flag.Bool("journal", true, "journal sweep/model progress under <cache-dir>/journal so a restarted daemon resumes interrupted work; requires -cache-dir, ignored without it")
-	cluster := cliutil.RegisterClusterFlags(flag.CommandLine)
+	validateCluster := registerClusterFlags(flag.CommandLine, &opts)
 	flag.Parse()
 
 	// Deterministic fault injection for crash drills: PERFTAINT_FAULTS
@@ -76,22 +76,10 @@ func main() {
 		}()
 	}
 
-	opts := service.Options{
-		Workers:        *workers,
-		CacheEntries:   *cacheEntries,
-		QueueDepth:     *queueDepth,
-		JobTimeout:     *jobTimeout,
-		ModelEntries:   *modelEntries,
-		CacheDir:       *cacheDir,
-		Rate:           *rate,
-		Burst:          *burst,
-		MaxBodyBytes:   *maxBody,
-		Engine:         *engine,
-		DisableJournal: !*journalOn,
-	}
-	if err := cluster.Apply(&opts); err != nil {
+	if err := validateCluster(); err != nil {
 		log.Fatal(err)
 	}
+	opts.DisableJournal = !*journalOn
 	srv, err := service.NewServer(opts)
 	if err != nil {
 		log.Fatal(err)

@@ -124,7 +124,4 @@ type ClusterStats struct {
 	// HeartbeatMisses counts live→dead transitions caused by heartbeat
 	// timeouts.
 	HeartbeatMisses uint64 `json:"heartbeat_misses"`
-	// FederatedFetches counts prepared-spec receipts a worker fetched
-	// from its coordinator by digest before building locally.
-	FederatedFetches uint64 `json:"federated_fetches"`
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/diskcache"
 	"repro/internal/journal"
-	"repro/internal/modelreg"
 )
 
 // AnalyzeRequest is the body of POST /v1/analyze: one configuration of a
@@ -208,13 +207,11 @@ type StatsResponse struct {
 	// Cache snapshots the PreparedCache counters.
 	Cache CacheStats `json:"cache"`
 	// Models snapshots the model registry counters.
-	Models modelreg.RegistryStats `json:"models"`
+	Models CacheStats `json:"models"`
 	// Jobs snapshots the scheduler counters.
 	Jobs JobStats `json:"jobs"`
-	// CacheDisk and ModelsDisk report the persistent tiers' store
+	// ModelsDisk reports the model registry's persistent tier store
 	// counters; all-zero when the daemon runs without a cache dir.
-	CacheDisk diskcache.Stats `json:"cache_disk"`
-	// ModelsDisk reports the model registry's persistent tier counters.
 	ModelsDisk diskcache.Stats `json:"models_disk"`
 	// RateLimited counts requests rejected with 429 by admission control.
 	RateLimited uint64 `json:"rate_limited"`
@@ -226,24 +223,10 @@ type StatsResponse struct {
 	Journal *journal.Stats `json:"journal,omitempty"`
 }
 
-// CacheStats is a point-in-time snapshot of the PreparedCache counters.
-type CacheStats struct {
-	// Hits counts in-memory hits, including singleflight joins.
-	Hits uint64 `json:"hits"`
-	// Misses counts cold builds: neither memory nor disk had the entry.
-	Misses uint64 `json:"misses"`
-	// DiskHits counts builds that were warm on the persistent tier: the
-	// digest was prepared by an earlier process and only rebuilt (once,
-	// under the singleflight) because the artifact itself cannot be
-	// serialized. Disk hits are not counted as misses.
-	DiskHits uint64 `json:"disk_hits"`
-	// Evictions counts LRU evictions of completed entries.
-	Evictions uint64 `json:"evictions"`
-	// Entries and Capacity snapshot residency against the bound.
-	Entries int `json:"entries"`
-	// Capacity is the LRU bound (0 = unbounded).
-	Capacity int `json:"capacity"`
-}
+// CacheStats is a point-in-time snapshot of one content-addressed
+// cache's counters: the PreparedCache ("cache", memory-only, so
+// disk_hits reads 0) and the model registry ("models").
+type CacheStats = diskcache.CacheStats
 
 // DefaultCensusParams is the census column used when a request does not
 // name its model parameters: the paper's {p, size}.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -15,9 +14,7 @@ import (
 // DigestVersion salts every spec digest. Bump it whenever the pipeline's
 // semantics change in a way that invalidates cached Prepared artifacts
 // (new static pass, different predecoding, ...): old and new processes
-// then address disjoint cache entries instead of sharing stale ones. The
-// disk-backed cache tier also uses it as the version stamp of its on-disk
-// root, so a bump orphans (rather than reinterprets) persisted entries.
+// then address disjoint cache entries instead of sharing stale ones.
 const DigestVersion = "perftaint-prepared-v2"
 
 // SpecDigest returns the content address of a spec: a hex SHA-256 over a
@@ -36,25 +33,7 @@ const DigestVersion = "perftaint-prepared-v2"
 // digests imply interchangeable Prepared values.
 func SpecDigest(spec *apps.Spec) string {
 	h := sha256.New()
-	writeCanonicalSpec(specWriter{h: h}, spec)
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// CanonicalSpecBytes returns the exact byte stream SpecDigest hashes:
-// the canonical, self-delimiting encoding of everything the pipeline can
-// observe about a spec. The disk cache tier persists these bytes as the
-// Prepared entry's payload — sha256(CanonicalSpecBytes(spec)) is
-// SpecDigest(spec) by construction, so a persisted entry verifies
-// against its own file name with no second bookkeeping channel.
-func CanonicalSpecBytes(spec *apps.Spec) []byte {
-	var buf bytes.Buffer
-	writeCanonicalSpec(specWriter{h: &buf}, spec)
-	return buf.Bytes()
-}
-
-// writeCanonicalSpec streams the one canonical encoding both SpecDigest
-// and CanonicalSpecBytes are defined over.
-func writeCanonicalSpec(w specWriter, spec *apps.Spec) {
+	w := specWriter{h: h}
 	w.str(DigestVersion)
 	w.str(spec.Name)
 	w.strs("params", spec.Params)
@@ -70,6 +49,7 @@ func writeCanonicalSpec(w specWriter, spec *apps.Spec) {
 		w.bool(f.InlineEstimate)
 		w.body(f.Body)
 	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // specWriter streams a canonical, self-delimiting encoding of a spec into

@@ -1,5 +1,6 @@
-// Package diskcache is the content-addressed on-disk layer beneath the
-// daemon's in-memory caches: one file per digest under a versioned root,
+// Package diskcache holds the daemon's one content-addressed cache
+// (Cache: an in-memory LRU with singleflight builds, cache.go) and the
+// on-disk layer beneath it: one file per key under a versioned root,
 // written via temp-file + atomic rename so a reader never observes a
 // partial entry and a crash never leaves a half-written file under a
 // live name.
@@ -16,9 +17,8 @@
 //
 // The wazero compiled-module file cache is the pattern (digest-named
 // files, atomic rename, version-stamped invalidation); this package
-// generalizes it behind a byte-level Store plus a small Codec layer the
-// service PreparedCache and the modelreg Registry plug their wire forms
-// into.
+// generalizes it behind a byte-level Store plus a typed Layer that the
+// modelreg Registry plugs its wire form into.
 package diskcache
 
 import (
@@ -273,7 +273,7 @@ func cutLine(raw []byte, want string) ([]byte, bool) {
 	return bytes.CutPrefix(rest, []byte{'\n'})
 }
 
-// validDigest accepts the hex content addresses both caches use as file
+// validDigest accepts the hex content addresses the caches use as file
 // names — and nothing that could escape the root or collide with temp
 // files.
 func validDigest(d string) bool {

@@ -175,17 +175,17 @@ func TestStoreConcurrentPutGet(t *testing.T) {
 	wg.Wait()
 }
 
-// stringCodec round-trips strings and rejects payloads that do not match
-// their digest, mimicking the real codecs' digest-agreement check.
-type stringCodec struct{}
-
-func (stringCodec) Encode(v any) ([]byte, error) { return []byte(v.(string)), nil }
-
-func (stringCodec) Decode(digest string, data []byte) (any, error) {
-	if digestOf(string(data)) != digest {
-		return nil, fmt.Errorf("payload does not denote %s", digest)
-	}
-	return string(data), nil
+// stringLayer round-trips strings and rejects payloads that do not match
+// their digest, mimicking the model-set layer's key-agreement check.
+func stringLayer(st *Store) *Layer[string] {
+	return NewLayer(st,
+		func(v string) ([]byte, error) { return []byte(v), nil },
+		func(digest string, data []byte) (string, error) {
+			if digestOf(string(data)) != digest {
+				return "", fmt.Errorf("payload does not denote %s", digest)
+			}
+			return string(data), nil
+		})
 }
 
 func TestLayerDeletesEntriesThatFailDecode(t *testing.T) {
@@ -193,9 +193,9 @@ func TestLayerDeletesEntriesThatFailDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := NewLayer(st, stringCodec{})
+	l := stringLayer(st)
 	l.Put(digestOf("hello"), "hello")
-	if v, ok := l.Get(digestOf("hello")); !ok || v.(string) != "hello" {
+	if v, ok := l.Get(digestOf("hello")); !ok || v != "hello" {
 		t.Fatalf("Get = %v, %v; want hello", v, ok)
 	}
 
@@ -223,7 +223,7 @@ func TestLayerDeletesEntriesThatFailDecode(t *testing.T) {
 }
 
 func TestNilLayerAndStoreAreInert(t *testing.T) {
-	var l *Layer
+	var l *Layer[string]
 	if _, ok := l.Get(digestOf("x")); ok {
 		t.Fatal("nil layer hit")
 	}

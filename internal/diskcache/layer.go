@@ -1,84 +1,65 @@
 package diskcache
 
-// Codec translates one cache's values to and from durable bytes. Encode
-// produces the payload persisted for a value; Decode reverses it, and —
-// because the payload's integrity checksum cannot prove the payload
-// belongs to the *name* it was read under — receives the digest the
-// caller asked for so it can verify content-address agreement (a file
-// renamed onto the wrong digest must decode to an error, never to a
-// wrong answer served under the right key).
-type Codec interface {
-	// Encode serializes a cache value into its durable payload.
-	Encode(v any) ([]byte, error)
-	// Decode reconstructs a value from the payload stored under digest,
-	// failing if the payload does not actually denote digest.
-	Decode(digest string, data []byte) (any, error)
-}
-
-// Layer couples a Store with a Codec into the typed disk tier an
-// in-memory cache layers itself over. A nil *Layer is a valid,
-// always-missing tier, so caches need no "is persistence on?" branches.
-type Layer struct {
+// Layer couples a Store with one value type's wire form into the typed
+// disk tier a Cache layers itself over. A nil *Layer is a valid,
+// always-missing tier, so the cache needs no "is persistence on?"
+// branches.
+type Layer[V any] struct {
 	store *Store
-	codec Codec
+	// encode serializes a value into its durable payload.
+	encode func(V) ([]byte, error)
+	// decode reconstructs a value from the payload stored under key.
+	// Because the payload's integrity checksum cannot prove the payload
+	// belongs to the *name* it was read under, decode receives the key
+	// the caller asked for and must fail unless the payload denotes it (a
+	// file renamed onto the wrong key must decode to an error, never to a
+	// wrong answer served under the right key).
+	decode func(key string, data []byte) (V, error)
 }
 
-// NewLayer wraps store with codec.
-func NewLayer(store *Store, codec Codec) *Layer {
-	return &Layer{store: store, codec: codec}
+// NewLayer wraps store with a value type's encode/decode pair.
+func NewLayer[V any](store *Store, encode func(V) ([]byte, error), decode func(key string, data []byte) (V, error)) *Layer[V] {
+	return &Layer[V]{store: store, encode: encode, decode: decode}
 }
 
-// Get loads and decodes the value stored under digest. A payload that
+// Get loads and decodes the value stored under key. A payload that
 // reads back but fails to decode (schema drift the version stamp missed,
-// digest disagreement) is deleted like any other corrupt entry.
-func (l *Layer) Get(digest string) (any, bool) {
+// key disagreement) is deleted like any other corrupt entry.
+func (l *Layer[V]) Get(key string) (V, bool) {
+	var zero V
 	if l == nil {
-		return nil, false
+		return zero, false
 	}
-	data, ok := l.store.Get(digest)
+	data, ok := l.store.Get(key)
 	if !ok {
-		return nil, false
+		return zero, false
 	}
-	v, err := l.codec.Decode(digest, data)
+	v, err := l.decode(key, data)
 	if err != nil {
-		l.store.Delete(digest)
+		l.store.Delete(key)
 		l.store.count(func() { l.store.dropped++; l.store.hits--; l.store.misses++ })
-		return nil, false
+		return zero, false
 	}
 	return v, true
 }
 
-// Put encodes and persists v under digest; failures are deliberately
+// Put encodes and persists v under key; failures are deliberately
 // swallowed after accounting — persistence is an accelerator, never a
 // correctness dependency, and a full or read-only disk must not fail
 // the request that tried to warm it.
-func (l *Layer) Put(digest string, v any) {
+func (l *Layer[V]) Put(key string, v V) {
 	if l == nil {
 		return
 	}
-	data, err := l.codec.Encode(v)
+	data, err := l.encode(v)
 	if err != nil {
 		return
 	}
-	_ = l.store.Put(digest, data)
-}
-
-// PutRaw persists an already-encoded payload under digest, bypassing the
-// codec. Callers that receive canonical payload bytes from elsewhere
-// (e.g. a worker adopting a spec receipt federated from its coordinator)
-// use it to seed the tier without a value round-trip; the payload is
-// verified like any other entry the next time Get decodes it. Returns
-// the store error for callers that want to know seeding failed; a nil
-// layer reports success, matching Put's nil-safety.
-func (l *Layer) PutRaw(digest string, payload []byte) error {
-	if l == nil {
-		return nil
-	}
-	return l.store.Put(digest, payload)
+	_ = l.store.Put(key, data)
 }
 
 // Stats exposes the underlying store counters.
-func (l *Layer) Stats() Stats {
+func (l *Layer[V]) Stats() Stats {
 	if l == nil {
 		return Stats{}
 	}

@@ -14,8 +14,8 @@ import (
 //
 // Three ideas carry the speedup:
 //
-//   - Superinstructions: common 2-3 instruction sequences (const+work,
-//     add+mov loop latches, load+op, op+store, and the cmp+br loop header)
+//   - Superinstructions: common 2-3 instruction sequences (add+mov
+//     loop latches, load+op, op+store, and the cmp+br loop header)
 //     fuse into one closure, and unconditional-jump chains flatten into
 //     superblocks, so a canonical counted-loop iteration costs ~4 indirect
 //     calls instead of ~8 dispatched instructions.
@@ -397,9 +397,6 @@ func (c *compiler) emitRange(start, end int32) {
 			nx = &code[pc+1]
 		}
 		switch {
-		case in.op == ir.OpConst && nx != nil && nx.op == ir.OpWork && nx.a == in.dst:
-			c.emitConstWork(in)
-			pc += 2
 		case in.op == ir.OpAdd && nx != nil && nx.op == ir.OpMov && nx.a == in.dst:
 			c.emitAddMov(in, nx)
 			pc += 2
@@ -521,12 +518,8 @@ func (c *compiler) emitOne(in *dinstr, pc int32) {
 	case ir.OpGlobal:
 		c.emitGlobal(in, pc)
 	case ir.OpWork:
-		c.put(func(k *kctx) bool {
-			if tr := k.m.Tracer; tr != nil {
-				tr.Work(k.df.name, k.regs[a])
-			}
-			return true
-		}, 1)
+		// Abstract work has no analysis effect: it costs fuel, not a step.
+		c.put(nil, 1)
 	default:
 		// Remaining two-operand ops (div/mod/bitwise/shifts/min/max and the
 		// non-specialized comparisons) share the generic arithmetic step.
@@ -679,30 +672,6 @@ func (c *compiler) emitGlobal(in *dinstr, pc int32) {
 	} else {
 		c.put(func(k *kctx) bool { k.regs[dst] = k.m.globalBase[ord]; return true }, 1)
 	}
-}
-
-// emitConstWork fuses Const dst, imm; Work dst — the canonical loop body
-// produced by the IR builder's Work lowering.
-func (c *compiler) emitConstWork(in *dinstr) {
-	dst, imm := in.dst, in.imm
-	if c.vk == vkTaint {
-		c.put(func(k *kctx) bool {
-			k.regs[dst] = imm
-			k.wr(dst, taint.None)
-			if tr := k.m.Tracer; tr != nil {
-				tr.Work(k.df.name, imm)
-			}
-			return true
-		}, 2)
-		return
-	}
-	c.put(func(k *kctx) bool {
-		k.regs[dst] = imm
-		if tr := k.m.Tracer; tr != nil {
-			tr.Work(k.df.name, imm)
-		}
-		return true
-	}, 2)
 }
 
 // emitAddMov fuses Add t, a, b; Mov d, t — the canonical loop-latch
@@ -1283,9 +1252,6 @@ func externCallStep(site *dcall, dst int32, sc *int64, thr int64, labeling bool)
 			}
 		}
 		child := m.paths[childIdx]
-		if m.Tracer != nil {
-			m.Tracer.Enter(site.sym, child.str)
-		}
 		cc := &fr.ext
 		cc.M = m
 		cc.Name = site.sym
@@ -1295,9 +1261,6 @@ func externCallStep(site *dcall, dst int32, sc *int64, thr int64, labeling bool)
 		cc.RetLabel = taint.None
 		cc.recCache = &child.libRec
 		v, err := ext(cc)
-		if m.Tracer != nil {
-			m.Tracer.Exit(site.sym, child.str)
-		}
 		if err != nil {
 			return k.fail(sc, thr, fmt.Errorf("extern %s: %w", site.sym, err))
 		}

@@ -106,7 +106,7 @@ func diffEngines(t *testing.T, mod *ir.Module, args []Value) {
 }
 
 // TestCompiledGlobalsAndWork exercises the compiled lowerings the golden
-// corpus misses: globals (emitGlobal), the Const+Work fusion, While loops
+// corpus misses: globals (emitGlobal), step-free Work instructions, While loops
 // (plain unconditional-jump terminators), and the full binary-op table
 // through fused load/op/store sequences.
 func TestCompiledGlobalsAndWork(t *testing.T) {

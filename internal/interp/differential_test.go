@@ -14,10 +14,10 @@ import (
 )
 
 // This file is the differential harness of the fast engine: seeded random
-// modules (plus truncated-fuel and tracer variants) are executed under both
+// modules (plus truncated-fuel variants) are executed under both
 // interpreter modes and every observable — result value, label parameter
-// sets, instruction counts, loop/branch/libcall records, recursion
-// warnings, and tracer event streams — must match exactly.
+// sets, instruction counts, loop/branch/libcall records (call-path strings
+// included), and recursion warnings — must match exactly.
 
 // ---- random module generator (seeded, table-driven) ----
 
@@ -292,29 +292,15 @@ func fingerprint(res *interp.Result, err error, eng *taint.Engine) string {
 	return sb.String()
 }
 
-// eventTracer records the full tracer event stream.
-type eventTracer struct{ events []string }
-
-func (t *eventTracer) Enter(fn, path string) {
-	t.events = append(t.events, "enter "+fn+" "+path)
-}
-func (t *eventTracer) Exit(fn, path string) {
-	t.events = append(t.events, "exit "+fn+" "+path)
-}
-func (t *eventTracer) Work(fn string, u int64) {
-	t.events = append(t.events, fmt.Sprintf("work %s %d", fn, u))
-}
-
 type runOpts struct {
 	mode    interp.Mode
 	fuel    int64
 	tainted bool
-	trace   bool
 	// params overrides the tainted parameter names (default x, y, z).
 	params []string
 }
 
-func runOne(t *testing.T, mod *ir.Module, args []int64, o runOpts) (string, []string) {
+func runOne(t *testing.T, mod *ir.Module, args []int64, o runOpts) string {
 	t.Helper()
 	var eng *taint.Engine
 	mach := interp.NewMachine(mod)
@@ -323,11 +309,6 @@ func runOne(t *testing.T, mod *ir.Module, args []int64, o runOpts) (string, []st
 	if o.tainted {
 		eng = taint.NewEngine()
 		mach.Taint = eng
-	}
-	var tr *eventTracer
-	if o.trace {
-		tr = &eventTracer{}
-		mach.Tracer = tr
 	}
 	db := libdb.DefaultMPI()
 	db.Bind(mach, eng, libdb.RunConfig{CommSize: 8, Rank: 0})
@@ -342,31 +323,19 @@ func runOne(t *testing.T, mod *ir.Module, args []int64, o runOpts) (string, []st
 		}
 	}
 	res, err := mach.Run("main", args, labels)
-	var events []string
-	if tr != nil {
-		events = tr.events
-	}
-	return fingerprint(res, err, eng), events
+	return fingerprint(res, err, eng)
 }
 
 func diffModes(t *testing.T, mod *ir.Module, args []int64, fuel int64, tainted bool, params ...string) {
 	t.Helper()
-	ref, refEv := runOne(t, mod, args, runOpts{mode: interp.ModeReference, fuel: fuel, tainted: tainted, trace: true, params: params})
+	ref := runOne(t, mod, args, runOpts{mode: interp.ModeReference, fuel: fuel, tainted: tainted, params: params})
 	for _, m := range []struct {
 		name string
 		mode interp.Mode
 	}{{"fast", interp.ModeFast}, {"compiled", interp.ModeCompiled}} {
-		got, gotEv := runOne(t, mod, args, runOpts{mode: m.mode, fuel: fuel, tainted: tainted, trace: true, params: params})
+		got := runOne(t, mod, args, runOpts{mode: m.mode, fuel: fuel, tainted: tainted, params: params})
 		if ref != got {
 			t.Fatalf("%s engine diverged (tainted=%v fuel=%d):\n--- reference ---\n%s\n--- %s ---\n%s", m.name, tainted, fuel, ref, m.name, got)
-		}
-		if len(refEv) != len(gotEv) {
-			t.Fatalf("tracer event count diverged: reference %d, %s %d", len(refEv), m.name, len(gotEv))
-		}
-		for i := range refEv {
-			if refEv[i] != gotEv[i] {
-				t.Fatalf("tracer event %d diverged: reference %q, %s %q", i, refEv[i], m.name, gotEv[i])
-			}
 		}
 	}
 }

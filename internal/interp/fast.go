@@ -367,22 +367,15 @@ func (m *Machine) runFast(entry string, args []Value, argLabels []taint.Label) (
 	return &Result{Value: v, Label: l, Instructions: startFuel - m.fuel}, nil
 }
 
-// execFast wraps execLoop with the recursion accounting and tracer events
-// of one activation, mirroring the reference interpreter's call prologue.
+// execFast wraps execLoop with the recursion accounting of one
+// activation, mirroring the reference interpreter's call prologue.
 func (m *Machine) execFast(prog *Program, df *dfunc, fr *fastFrame, pathIdx int32, ctlBase taint.Label, depth int) (Value, taint.Label, error) {
 	eng := m.Taint
 	if m.activeN[df.idx] > 0 && eng != nil {
 		eng.WarnRecursion(df.name)
 	}
 	m.activeN[df.idx]++
-	tr := m.Tracer
-	if tr != nil {
-		tr.Enter(df.name, m.paths[pathIdx].str)
-	}
 	v, l, err := m.execLoop(prog, df, fr, pathIdx, ctlBase, depth, eng)
-	if tr != nil {
-		tr.Exit(df.name, m.paths[pathIdx].str)
-	}
 	m.activeN[df.idx]--
 	return v, l, err
 }
@@ -390,7 +383,7 @@ func (m *Machine) execFast(prog *Program, df *dfunc, fr *fastFrame, pathIdx int3
 // execLoop is the fast engine's dispatch loop: a single dense instruction
 // array, pc-threaded control flow, precomputed loop effects per edge, and
 // label bookkeeping inlined from the reference semantics. Every observable
-// action (taint unions, record updates, tracer events, instruction fuel)
+// action (taint unions, record updates, instruction fuel)
 // happens in exactly the order the reference interpreter produces, which
 // the differential harness asserts.
 func (m *Machine) execLoop(prog *Program, df *dfunc, fr *fastFrame, pathIdx int32, ctlBase taint.Label, depth int, eng *taint.Engine) (Value, taint.Label, error) {
@@ -812,9 +805,6 @@ func (m *Machine) execLoopFrom(prog *Program, df *dfunc, fr *fastFrame, pathIdx 
 					}
 				}
 				child := m.paths[childIdx]
-				if m.Tracer != nil {
-					m.Tracer.Enter(site.sym, child.str)
-				}
 				c := &fr.ext
 				c.M = m
 				c.Name = site.sym
@@ -824,9 +814,6 @@ func (m *Machine) execLoopFrom(prog *Program, df *dfunc, fr *fastFrame, pathIdx 
 				c.RetLabel = taint.None
 				c.recCache = &child.libRec
 				v, err := ext(c)
-				if m.Tracer != nil {
-					m.Tracer.Exit(site.sym, child.str)
-				}
 				if err != nil {
 					m.fuel = fuel
 					fr.ctl = cs.ctl[:0]
@@ -849,9 +836,6 @@ func (m *Machine) execLoopFrom(prog *Program, df *dfunc, fr *fastFrame, pathIdx 
 			}
 			pc++
 		case ir.OpWork:
-			if m.Tracer != nil {
-				m.Tracer.Work(df.name, regs[in.a])
-			}
 			pc++
 		case ir.OpRet:
 			m.fuel = fuel

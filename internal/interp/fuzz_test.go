@@ -14,10 +14,9 @@ import (
 // tests) and executes it under the reference, fast, and compiled engines.
 // All observables must match bit-for-bit — result value and label mask,
 // instruction counts, loop records (iterations, entries, label masks),
-// branch records, library-call records, recursion warnings, and the full
-// tracer event stream; those are exactly the inputs the census and
-// FuncDeps aggregations consume, so agreement here pins the whole
-// pipeline. Each input also reruns with a truncated fuel budget derived
+// branch records, library-call records, and recursion warnings; those
+// are exactly the inputs the census and FuncDeps aggregations consume,
+// so agreement here pins the whole pipeline. Each input also reruns with a truncated fuel budget derived
 // from the fuzzed selector, sweeping abort points across superinstruction
 // boundaries: the compiled engine must de-optimize to the oracle's exact
 // partial instruction count.

@@ -3,9 +3,7 @@
 // shadow labels from operands to results (data flow), conditional branches
 // with tainted conditions open control-flow taint scopes bounded by the
 // branch's immediate post-dominator, loop exit branches act as taint sinks,
-// and loop back edges are counted. A tracer hook observes function enter and
-// exit events and abstract work, which the measurement substrate uses to
-// model instrumentation intrusion.
+// and loop back edges are counted.
 //
 // Three engines implement these semantics. The default fast engine executes
 // a predecoded Program: dense per-function instruction arrays with resolved
@@ -36,14 +34,6 @@ type Value = int64
 
 // ErrFuel is returned when execution exceeds the instruction budget.
 var ErrFuel = errors.New("interp: fuel exhausted")
-
-// Tracer observes execution events. Implementations must be cheap; the
-// measurement substrate uses them to derive call counts and work volumes.
-type Tracer interface {
-	Enter(fn, callPath string)
-	Exit(fn, callPath string)
-	Work(fn string, units int64)
-}
 
 // ExternCall carries the state visible to an extern (library) function.
 type ExternCall struct {
@@ -152,7 +142,6 @@ type Machine struct {
 	Mod     *ir.Module
 	Externs map[string]Extern
 	Taint   *taint.Engine
-	Tracer  Tracer
 	// Fuel bounds the number of executed instructions (0 = default 500M).
 	Fuel int64
 	// Mode selects the fast engine (default) or the reference interpreter.
@@ -466,11 +455,6 @@ func (m *Machine) call(fn *ir.Function, args []Value, argLabels []taint.Label, c
 	m.active[fn.Name]++
 	defer func() { m.active[fn.Name]-- }()
 
-	if m.Tracer != nil {
-		m.Tracer.Enter(fn.Name, path)
-		defer m.Tracer.Exit(fn.Name, path)
-	}
-
 	fi := m.info(fn)
 	regs := make([]Value, fn.NumRegs)
 	labels := make([]taint.Label, fn.NumRegs)
@@ -629,9 +613,8 @@ func (m *Machine) call(fn *ir.Function, args []Value, argLabels []taint.Label, c
 				regs[in.Dst] = v
 				writeLabel(in.Dst, l)
 			case ir.OpWork:
-				if m.Tracer != nil {
-					m.Tracer.Work(fn.Name, regs[in.A])
-				}
+				// Abstract work is a no-op for the analysis; it only counts
+				// toward fuel.
 			case ir.OpRet:
 				if in.A == ir.NoReg {
 					return 0, taint.None, nil
@@ -733,10 +716,6 @@ func (m *Machine) dispatch(in *ir.Instr, regs []Value, labels []taint.Label, ctl
 	ext, ok := m.Externs[in.Sym]
 	if !ok {
 		return 0, taint.None, fmt.Errorf("interp: unresolved call target %q", in.Sym)
-	}
-	if m.Tracer != nil {
-		m.Tracer.Enter(in.Sym, childPath)
-		defer m.Tracer.Exit(in.Sym, childPath)
 	}
 	c := &ExternCall{M: m, Name: in.Sym, Args: args, ArgLabels: argLabels, CallPath: childPath}
 	v, err := ext(c)

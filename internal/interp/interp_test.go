@@ -472,44 +472,6 @@ func TestTaintedSelectionBranchCoverage(t *testing.T) {
 	}
 }
 
-type countTracer struct {
-	enters map[string]int
-	work   map[string]int64
-}
-
-func (c *countTracer) Enter(fn, _ string) { c.enters[fn]++ }
-func (c *countTracer) Exit(fn, _ string)  {}
-func (c *countTracer) Work(fn string, u int64) {
-	c.work[fn] += u
-}
-
-func TestTracerSeesCallsAndWork(t *testing.T) {
-	m := ir.NewModule("t")
-	leaf := ir.NewFunc(m, "leaf", 0)
-	leaf.Work(leaf.Const(3))
-	leaf.RetVoid()
-	leaf.Finish()
-	b := ir.NewFunc(m, "main", 1)
-	b.For(b.Const(0), b.Param(0), b.Const(1), func(i ir.Reg) {
-		b.Call("leaf")
-	})
-	b.RetVoid()
-	b.Finish()
-
-	tr := &countTracer{enters: map[string]int{}, work: map[string]int64{}}
-	mach := NewMachine(m)
-	mach.Tracer = tr
-	if _, err := mach.Run("main", []Value{5}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if tr.enters["leaf"] != 5 {
-		t.Fatalf("leaf calls = %d, want 5", tr.enters["leaf"])
-	}
-	if tr.work["leaf"] != 15 {
-		t.Fatalf("leaf work = %d, want 15", tr.work["leaf"])
-	}
-}
-
 func TestSwitchDispatch(t *testing.T) {
 	m := ir.NewModule("t")
 	b := ir.NewFunc(m, "sw", 1)

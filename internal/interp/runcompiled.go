@@ -122,10 +122,6 @@ func (m *Machine) execCompiled(cp *Compiled, ccf *cfunc, blocks []cblock, fr *fa
 		}
 		m.activeN[df.idx]++
 	}
-	tr := m.Tracer
-	if tr != nil {
-		tr.Enter(df.name, m.paths[pathIdx].str)
-	}
 
 	k := &fr.k
 	if k.gen != m.kGen {
@@ -207,9 +203,6 @@ loop:
 		}
 	}
 
-	if tr != nil {
-		tr.Exit(df.name, m.paths[pathIdx].str)
-	}
 	if tainting {
 		m.activeN[df.idx]--
 	}

@@ -174,7 +174,7 @@ func (b *Builder) Call(callee string, args ...Reg) Reg {
 }
 
 // Work emits a simulated computation of units abstract work items. The
-// interpreter charges the amount to the profiling tracer; taint ignores it.
+// interpreter charges it one instruction of fuel; taint ignores it.
 func (b *Builder) Work(units Reg) {
 	b.emit(Instr{Op: OpWork, Dst: NoReg, A: units, B: NoReg})
 }

@@ -7,30 +7,20 @@ import (
 	"repro/internal/diskcache"
 )
 
-// setCodec is the registry's disk wire form: the ModelSet's JSON
-// document, which already is the artifact clients receive. Decode
-// re-checks that the set's embedded Key matches the digest the entry was
-// read under, so a file renamed onto another key can never serve the
-// wrong models.
-type setCodec struct{}
+// encodeSet is the registry's disk wire form: the ModelSet's JSON
+// document, which already is the artifact clients receive.
+func encodeSet(ms *ModelSet) ([]byte, error) { return json.Marshal(ms) }
 
-// Encode marshals the finished model set.
-func (setCodec) Encode(v any) ([]byte, error) {
-	ms, ok := v.(*ModelSet)
-	if !ok {
-		return nil, fmt.Errorf("modelreg: disk codec got %T", v)
-	}
-	return json.Marshal(ms)
-}
-
-// Decode unmarshals a persisted model set and verifies its address.
-func (setCodec) Decode(digest string, data []byte) (any, error) {
+// decodeSet unmarshals a persisted model set and re-checks that its
+// embedded Key matches the key the entry was read under, so a file
+// renamed onto another key can never serve the wrong models.
+func decodeSet(key string, data []byte) (*ModelSet, error) {
 	var ms ModelSet
 	if err := json.Unmarshal(data, &ms); err != nil {
 		return nil, fmt.Errorf("modelreg: decode persisted model set: %w", err)
 	}
-	if ms.Key != digest {
-		return nil, fmt.Errorf("modelreg: persisted model set carries key %s, stored under %s", ms.Key, digest)
+	if ms.Key != key {
+		return nil, fmt.Errorf("modelreg: persisted model set carries key %s, stored under %s", ms.Key, key)
 	}
 	if len(ms.Functions) == 0 {
 		return nil, fmt.Errorf("modelreg: persisted model set is empty")
@@ -42,10 +32,10 @@ func (setCodec) Decode(digest string, data []byte) (any, error) {
 // version-stamped with the design digest version: bumping the fitting
 // semantics orphans every previously persisted set instead of serving
 // stale models under fresh keys.
-func OpenDiskLayer(dir string) (*diskcache.Layer, error) {
+func OpenDiskLayer(dir string) (*diskcache.Layer[*ModelSet], error) {
 	st, err := diskcache.Open(dir, designDigestVersion)
 	if err != nil {
 		return nil, err
 	}
-	return diskcache.NewLayer(st, setCodec{}), nil
+	return diskcache.NewLayer(st, encodeSet, decodeSet), nil
 }

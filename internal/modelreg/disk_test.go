@@ -189,14 +189,14 @@ func TestSetCodecRejectsEmptySets(t *testing.T) {
 	key := regKey("empty")
 	ms := fakeSet(key)
 	ms.Functions = nil
-	raw, err := setCodec{}.Encode(ms)
+	raw, err := encodeSet(ms)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (setCodec{}).Decode(key, raw); err == nil {
+	if _, err := decodeSet(key, raw); err == nil {
 		t.Fatal("empty set decoded without error")
 	}
-	if _, err := (setCodec{}).Decode(key, []byte("{garbage")); err == nil {
+	if _, err := decodeSet(key, []byte("{garbage")); err == nil {
 		t.Fatal("garbage decoded without error")
 	}
 }

@@ -295,91 +295,6 @@ func TestDigestStability(t *testing.T) {
 	}
 }
 
-func TestRegistry(t *testing.T) {
-	reg := NewRegistry(2)
-	builds := 0
-	build := func(key string) func() (*ModelSet, error) {
-		return func() (*ModelSet, error) {
-			builds++
-			return &ModelSet{Key: key}, nil
-		}
-	}
-	ms1, cached, err := reg.Get("k1", build("k1"))
-	if err != nil || cached || ms1.Key != "k1" {
-		t.Fatalf("first get: ms=%+v cached=%v err=%v", ms1, cached, err)
-	}
-	ms2, cached, err := reg.Get("k1", build("k1"))
-	if err != nil || !cached || ms2 != ms1 {
-		t.Fatalf("second get not a cache hit: cached=%v same=%v err=%v", cached, ms2 == ms1, err)
-	}
-	if builds != 1 {
-		t.Fatalf("built %d times, want 1", builds)
-	}
-
-	// Errors are not cached.
-	if _, _, err := reg.Get("bad", func() (*ModelSet, error) { return nil, errors.New("boom") }); err == nil {
-		t.Fatal("error swallowed")
-	}
-	if _, ok := reg.Lookup("bad"); ok {
-		t.Fatal("failed build cached")
-	}
-
-	// LRU eviction: k1 is most recent after the hit; filling two more
-	// keys evicts the older ones.
-	reg.Get("k2", build("k2"))
-	reg.Get("k3", build("k3"))
-	if _, ok := reg.Lookup("k1"); ok {
-		t.Fatal("k1 survived past capacity")
-	}
-	if _, ok := reg.Lookup("k3"); !ok {
-		t.Fatal("k3 missing")
-	}
-	// Misses count attempted builds, including the failed one.
-	st := reg.Stats()
-	if st.Misses != 4 || st.Hits != 1 || st.Evictions < 1 || st.Entries != 2 {
-		t.Fatalf("stats %+v", st)
-	}
-}
-
-// TestRegistrySingleflight pins the dedup: concurrent gets of one key
-// share a single build.
-func TestRegistrySingleflight(t *testing.T) {
-	reg := NewRegistry(4)
-	var mu sync.Mutex
-	builds := 0
-	gate := make(chan struct{})
-	const n = 16
-	var wg sync.WaitGroup
-	results := make([]*ModelSet, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ms, _, err := reg.Get("shared", func() (*ModelSet, error) {
-				mu.Lock()
-				builds++
-				mu.Unlock()
-				<-gate
-				return &ModelSet{Key: "shared"}, nil
-			})
-			if err != nil {
-				t.Error(err)
-			}
-			results[i] = ms
-		}(i)
-	}
-	close(gate)
-	wg.Wait()
-	if builds != 1 {
-		t.Fatalf("%d builds, want 1", builds)
-	}
-	for i := 1; i < n; i++ {
-		if results[i] != results[0] {
-			t.Fatal("joiners got distinct model sets")
-		}
-	}
-}
-
 // TestGoldenReport pins the rendered Markdown report for the
 // examples/modeling design. Re-bless with
 // `go test ./internal/modelreg -run Golden -update` after an

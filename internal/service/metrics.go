@@ -192,48 +192,28 @@ func (s *Server) writeMetrics(w io.Writer) {
 	p.sample("perftaintd_jobs_total", `outcome="failed"`, float64(jobs.Failed))
 	p.sample("perftaintd_jobs_total", `outcome="canceled"`, float64(jobs.Canceled))
 
-	type cacheRow struct {
-		name                              string
-		hits, misses, diskHits, evictions uint64
-		entries, capacity                 int
-		diskPuts, diskDropped, diskMisses uint64
+	pc, mc := s.cache.Stats(), s.models.Stats()
+	perCache := func(family, help, kind string, prepared, models float64) {
+		p.family(family, help, kind)
+		p.sample(family, `cache="prepared"`, prepared)
+		p.sample(family, `cache="models"`, models)
 	}
-	pc := s.cache.Stats()
-	pd := s.cache.DiskStats()
-	mc := s.models.Stats()
+	perCache("perftaintd_cache_hits_total", "In-memory cache hits (including singleflight joins).", "counter",
+		float64(pc.Hits), float64(mc.Hits))
+	perCache("perftaintd_cache_misses_total", "Cold builds: neither memory nor disk had the entry.", "counter",
+		float64(pc.Misses), float64(mc.Misses))
+	perCache("perftaintd_cache_disk_hits_total", "Entries served from the persistent tier with no build.", "counter",
+		float64(pc.DiskHits), float64(mc.DiskHits))
+	perCache("perftaintd_cache_evictions_total", "LRU evictions of completed entries.", "counter",
+		float64(pc.Evictions), float64(mc.Evictions))
+	perCache("perftaintd_cache_entries", "Resident completed entries.", "gauge",
+		float64(pc.Entries), float64(mc.Entries))
+	// Only the model registry has a persistent tier.
 	md := s.models.DiskStats()
-	rows := []cacheRow{
-		{"prepared", pc.Hits, pc.Misses, pc.DiskHits, pc.Evictions, pc.Entries, pc.Capacity, pd.Puts, pd.Dropped, pd.Misses},
-		{"models", mc.Hits, mc.Misses, mc.DiskHits, mc.Evictions, mc.Entries, mc.Capacity, md.Puts, md.Dropped, md.Misses},
-	}
-	p.family("perftaintd_cache_hits_total", "In-memory cache hits (including singleflight joins).", "counter")
-	for _, r := range rows {
-		p.sample("perftaintd_cache_hits_total", `cache="`+r.name+`"`, float64(r.hits))
-	}
-	p.family("perftaintd_cache_misses_total", "Cold builds: neither memory nor disk had the entry.", "counter")
-	for _, r := range rows {
-		p.sample("perftaintd_cache_misses_total", `cache="`+r.name+`"`, float64(r.misses))
-	}
-	p.family("perftaintd_cache_disk_hits_total", "Entries warm on the persistent tier after a restart.", "counter")
-	for _, r := range rows {
-		p.sample("perftaintd_cache_disk_hits_total", `cache="`+r.name+`"`, float64(r.diskHits))
-	}
-	p.family("perftaintd_cache_evictions_total", "LRU evictions of completed entries.", "counter")
-	for _, r := range rows {
-		p.sample("perftaintd_cache_evictions_total", `cache="`+r.name+`"`, float64(r.evictions))
-	}
-	p.family("perftaintd_cache_entries", "Resident completed entries.", "gauge")
-	for _, r := range rows {
-		p.sample("perftaintd_cache_entries", `cache="`+r.name+`"`, float64(r.entries))
-	}
 	p.family("perftaintd_cache_disk_puts_total", "Entries persisted to the disk tier.", "counter")
-	for _, r := range rows {
-		p.sample("perftaintd_cache_disk_puts_total", `cache="`+r.name+`"`, float64(r.diskPuts))
-	}
+	p.sample("perftaintd_cache_disk_puts_total", `cache="models"`, float64(md.Puts))
 	p.family("perftaintd_cache_disk_dropped_total", "Corrupt/short/wrong-version disk entries deleted on read.", "counter")
-	for _, r := range rows {
-		p.sample("perftaintd_cache_disk_dropped_total", `cache="`+r.name+`"`, float64(r.diskDropped))
-	}
+	p.sample("perftaintd_cache_disk_dropped_total", `cache="models"`, float64(md.Dropped))
 
 	p.family("perftaintd_ratelimit_rejected_total", "Requests rejected with 429 by per-client admission control.", "counter")
 	p.sample("perftaintd_ratelimit_rejected_total", "", float64(s.metrics.RateLimited()))
@@ -273,14 +253,8 @@ func (s *Server) writeMetrics(w io.Writer) {
 		p.sample("perftaintd_cluster_shard_retries_total", "", float64(cs.ShardRetries))
 		p.family("perftaintd_cluster_heartbeat_misses_total", "Live-to-dead worker transitions from heartbeat timeouts.", "counter")
 		p.sample("perftaintd_cluster_heartbeat_misses_total", "", float64(cs.HeartbeatMisses))
-		p.family("perftaintd_cluster_prepared_served_total", "Canonical spec payloads served to workers by digest.", "counter")
-		p.sample("perftaintd_cluster_prepared_served_total", "", float64(cs.FederatedFetches))
 		p.family("perftaintd_cluster_shard_duration_seconds", "Round-trip latency of successful remote shard dispatches.", "histogram")
 		p.histogram("perftaintd_cluster_shard_duration_seconds", "", s.coord.shardHist.Snapshot())
-	} else if wl := s.workerLinkRef(); wl != nil {
-		ws := wl.stats()
-		p.family("perftaintd_cluster_federated_fetches_total", "Prepared-spec payloads fetched from the coordinator by digest.", "counter")
-		p.sample("perftaintd_cluster_federated_fetches_total", "", float64(ws.FederatedFetches))
 	}
 
 	p.family("perftaintd_stage_duration_seconds",

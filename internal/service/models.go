@@ -160,7 +160,8 @@ func (c *Client) Models(ctx context.Context, req api.ModelRequest) (*api.ModelRe
 	return &out, nil
 }
 
-// ModelByKey fetches a resident model set by its registry key.
+// ModelByKey fetches a stored model set (memory or disk tier) by its
+// registry key.
 func (c *Client) ModelByKey(ctx context.Context, key string) (*api.ModelResponse, error) {
 	var out api.ModelResponse
 	if err := c.do(ctx, http.MethodGet, "/v1/models/"+key, nil, &out); err != nil {

@@ -16,7 +16,6 @@
 //	GET  /healthz               liveness
 //	POST /v1/worker/register    cluster: worker joins a coordinator
 //	POST /v1/worker/heartbeat   cluster: worker liveness
-//	GET  /v1/prepared/{digest}  cluster: canonical spec bytes by digest
 //	POST /v1/shard              cluster: execute one design shard (NDJSON)
 //
 // All wire types live in the versioned internal/api package; handlers
@@ -85,10 +84,10 @@ type Options struct {
 	// ModelEntries bounds the content-addressed model registry behind
 	// POST /v1/models; <= 0 means 16.
 	ModelEntries int
-	// CacheDir, when non-empty, roots the persistent cache tiers
-	// (prepared specs and finished model sets) so a restarted daemon
-	// starts warm instead of re-paying every Prepare and every
-	// sweep-and-fit. Empty keeps both caches memory-only.
+	// CacheDir, when non-empty, roots the model registry's persistent
+	// tier (a restarted daemon serves finished model sets without
+	// re-paying the sweep-and-fit) and the job journal. Empty keeps the
+	// daemon memory-only.
 	CacheDir string
 	// MaxBodyBytes caps every JSON request body; oversized bodies are
 	// rejected with 413. <= 0 means 4 MiB.
@@ -215,22 +214,22 @@ func NewServer(opts Options) (*Server, error) {
 	for name, app := range opts.Apps {
 		reg[name] = app
 	}
+	metrics := newMetrics()
 	s := &Server{
 		opts:    opts,
-		cache:   NewPreparedCache(opts.CacheEntries),
+		cache:   NewPreparedCache(opts.CacheEntries, metrics.Stage(StagePrepare)),
 		models:  modelreg.NewRegistry(opts.ModelEntries),
-		metrics: newMetrics(),
+		metrics: metrics,
 		limiter: newRateLimiter(opts.Rate, opts.Burst),
 		apps:    reg,
 		mux:     http.NewServeMux(),
 		start:   time.Now(),
 	}
 	if opts.CacheDir != "" {
-		prepared, models, err := openDiskTiers(opts.CacheDir)
+		models, err := modelreg.OpenDiskLayer(filepath.Join(opts.CacheDir, "models"))
 		if err != nil {
 			return nil, fmt.Errorf("service: open cache dir: %w", err)
 		}
-		s.cache.SetDisk(prepared)
 		s.models.SetDisk(models)
 		if !opts.DisableJournal {
 			// Opening the store is also recovery: torn journal tails are
@@ -253,8 +252,7 @@ func NewServer(opts Options) (*Server, error) {
 	s.engine = mode
 	if mode != interp.ModeFast {
 		// The engine is pinned before an entry is published, so every job
-		// served from one cached Prepared runs on the same tier — including
-		// entries lazily rebuilt from the disk tier's canonical bytes.
+		// served from one cached Prepared runs on the same tier.
 		s.cache.prepare = func(spec *apps.Spec) (*core.Prepared, error) {
 			p, err := core.Prepare(spec)
 			if err != nil {
@@ -264,7 +262,6 @@ func NewServer(opts Options) (*Server, error) {
 			return p, nil
 		}
 	}
-	s.cache.onBuild = func(d time.Duration) { s.metrics.Stage(StagePrepare).Observe(d.Seconds()) }
 	s.sched = newScheduler(opts.Workers, opts.QueueDepth, s.metrics.Stage(StageRun))
 	s.baseCtx, s.stop = context.WithCancel(context.Background())
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
@@ -280,7 +277,6 @@ func NewServer(opts Options) (*Server, error) {
 		s.coord = newCoordinator(s)
 		s.mux.HandleFunc("POST /v1/worker/register", s.coord.handleRegister)
 		s.mux.HandleFunc("POST /v1/worker/heartbeat", s.coord.handleHeartbeat)
-		s.mux.HandleFunc("GET /v1/prepared/{digest}", s.coord.handlePreparedServe)
 		go s.coord.reap(s.baseCtx)
 	}
 	return s, nil
@@ -395,14 +391,13 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Cache:       s.cache.Stats(),
 		Models:      s.models.Stats(),
 		Jobs:        s.sched.jobStats(),
-		CacheDisk:   s.cache.DiskStats(),
 		ModelsDisk:  s.models.DiskStats(),
 		RateLimited: s.metrics.RateLimited(),
 	}
 	if s.coord != nil {
 		resp.Cluster = s.coord.stats()
-	} else if wl := s.workerLinkRef(); wl != nil {
-		resp.Cluster = wl.stats()
+	} else if s.workerLinkRef() != nil {
+		resp.Cluster = &api.ClusterStats{Role: "worker"}
 	}
 	if s.journal != nil {
 		jst := s.journal.Stats()

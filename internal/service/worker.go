@@ -2,12 +2,9 @@ package service
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -18,17 +15,15 @@ import (
 )
 
 // workerLink is a daemon's membership in a cluster: the registration and
-// heartbeat loop against its coordinator, plus the digest-federation
-// fetch path that seeds the local prepared cache from the coordinator's.
+// heartbeat loop against its coordinator.
 type workerLink struct {
 	s         *Server
 	coordURL  string
 	advertise string
 	client    *http.Client
 
-	mu         sync.Mutex
-	workerID   string
-	fedFetches uint64
+	mu       sync.Mutex
+	workerID string
 }
 
 // StartWorkerLoop joins this daemon to the coordinator at coordURL,
@@ -118,56 +113,6 @@ func (wl *workerLink) post(ctx context.Context, path string, body, out any) erro
 	return c.do(ctx, http.MethodPost, path, body, out)
 }
 
-// ensurePrepared makes the worker's cache aware of digest before a shard
-// builds it: if neither the memory tier nor the disk tier knows the
-// digest, the canonical spec bytes are fetched from the coordinator,
-// verified (sha256 of the payload must BE the digest), and seeded onto
-// the disk tier — so the subsequent build classifies as a federated
-// disk hit, and a digest the coordinator never served fails the shard
-// loudly instead of silently building from a different program. Best
-// effort: federation is an accelerator, and a fetch failure falls
-// through to the ordinary local build.
-func (wl *workerLink) ensurePrepared(ctx context.Context, digest string) {
-	if _, ok := wl.s.cache.CanonicalBytes(digest); ok {
-		return
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, wl.coordURL+"/v1/prepared/"+digest, nil)
-	if err != nil {
-		return
-	}
-	resp, err := wl.client.Do(req)
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return
-	}
-	sum := sha256.Sum256(data)
-	if hex.EncodeToString(sum[:]) != digest {
-		return
-	}
-	if wl.s.cache.SeedDisk(digest, data) == nil {
-		wl.mu.Lock()
-		wl.fedFetches++
-		wl.mu.Unlock()
-	}
-}
-
-// stats snapshots the worker-role cluster state for /v1/stats.
-func (wl *workerLink) stats() *api.ClusterStats {
-	wl.mu.Lock()
-	defer wl.mu.Unlock()
-	return &api.ClusterStats{
-		Role:             "worker",
-		FederatedFetches: wl.fedFetches,
-	}
-}
-
 // handleShard executes one contiguous design shard and streams its
 // results as NDJSON ShardLines in design order. Any daemon serves it —
 // shard execution needs nothing coordinator-specific — but in practice
@@ -187,9 +132,6 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	if len(req.Configs) == 0 {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("shard has no configs"))
 		return
-	}
-	if wl := s.workerLinkRef(); wl != nil {
-		wl.ensurePrepared(r.Context(), req.SpecDigest)
 	}
 	_, _, prepared, digest, err := s.resolve(req.App)
 	if err != nil {
