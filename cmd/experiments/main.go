@@ -29,7 +29,7 @@ func main() {
 	var sb strings.Builder
 	sb.WriteString("# EXPERIMENTS — paper vs measured\n\n")
 	sb.WriteString("Regenerated by `go run ./cmd/experiments`. Absolute numbers come from\n")
-	sb.WriteString("the simulated substrate (see DESIGN.md); the comparisons target the\n")
+	sb.WriteString("the simulated substrate (see ARCHITECTURE.md); the comparisons target the\n")
 	sb.WriteString("paper's qualitative shapes: who wins, by what factor, where behaviour\n")
 	sb.WriteString("changes.\n\n")
 

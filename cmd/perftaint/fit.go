@@ -1,15 +1,3 @@
-// Command extrap fits PMNF performance models to a JSON measurement file.
-//
-// Input format:
-//
-//	{
-//	  "params": ["p", "size"],
-//	  "points": [
-//	    {"params": {"p": 4, "size": 32}, "values": [1.02, 0.98, 1.01]},
-//	    ...
-//	  ],
-//	  "allowed": ["size"]          // optional white-box prior
-//	}
 package main
 
 import (
@@ -23,7 +11,8 @@ import (
 	"repro/internal/extrap"
 )
 
-type inputFile struct {
+// fitInput is the measurement file `perftaint fit` reads.
+type fitInput struct {
 	Params []string `json:"params"`
 	Points []struct {
 		Params map[string]float64 `json:"params"`
@@ -33,27 +22,27 @@ type inputFile struct {
 	ForceConstant bool     `json:"force_constant"`
 }
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("extrap: ")
-	path := flag.String("in", "", "JSON measurement file (default stdin)")
-	flag.Parse()
-
-	var raw []byte
-	var err error
-	if *path == "" {
-		raw, err = io.ReadAll(os.Stdin)
-	} else {
-		raw, err = os.ReadFile(*path)
-	}
+// runFit fits one PMNF model to a JSON measurement file (-in, default
+// stdin) and prints it with its error measures.
+func runFit(args []string) {
+	fs := flag.NewFlagSet("perftaint fit", flag.ExitOnError)
+	path := fs.String("in", "", "JSON measurement file (default stdin)")
+	fs.Parse(args)
+	raw, err := readInput(*path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var in inputFile
-	if err := json.Unmarshal(raw, &in); err != nil {
+	if err := fit(os.Stdout, raw); err != nil {
 		log.Fatal(err)
 	}
+}
 
+// fit models the measurements in raw and writes the report lines to w.
+func fit(w io.Writer, raw []byte) error {
+	var in fitInput
+	if err := json.Unmarshal(raw, &in); err != nil {
+		return err
+	}
 	d := extrap.NewDataset(in.Params...)
 	for _, pt := range in.Points {
 		d.Add(pt.Params, pt.Values...)
@@ -71,14 +60,15 @@ func main() {
 
 	m, err := extrap.ModelMulti(d, extrap.DefaultOptions(), prior)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("model:  %s\n", m)
-	fmt.Printf("smape:  %.4f\n", m.SMAPE)
-	fmt.Printf("cv:     %.4f\n", m.CV)
-	fmt.Printf("params: %v\n", m.Params())
+	fmt.Fprintf(w, "model:  %s\n", m)
+	fmt.Fprintf(w, "smape:  %.4f\n", m.SMAPE)
+	fmt.Fprintf(w, "cv:     %.4f\n", m.CV)
+	fmt.Fprintf(w, "params: %v\n", m.Params())
 	if !d.Reliable() {
-		fmt.Printf("warning: max CoV %.3f exceeds the %.1f noise cutoff\n",
+		fmt.Fprintf(w, "warning: max CoV %.3f exceeds the %.1f noise cutoff\n",
 			d.MaxCoV(), extrap.NoiseCutoff)
 	}
+	return nil
 }

@@ -32,6 +32,19 @@
 //	perftaint corpus                                   # check, exit 1 on violation
 //	perftaint corpus -report corpus_report.json        # also dump the scored corpus
 //	perftaint corpus -update                           # re-bless the manifest
+//
+// The fit subcommand is the fitter on its own: it reads a JSON measurement
+// file (-in, default stdin) and prints the selected PMNF model with its
+// SMAPE and cross-validation error:
+//
+//	{
+//	  "params": ["p", "size"],
+//	  "points": [
+//	    {"params": {"p": 4, "size": 32}, "values": [1.02, 0.98, 1.01]},
+//	    ...
+//	  ],
+//	  "allowed": ["size"]          // optional white-box prior
+//	}
 package main
 
 import (
@@ -53,7 +66,6 @@ import (
 	"repro/internal/appgen"
 	"repro/internal/apps"
 	"repro/internal/core"
-	"repro/internal/interp"
 	"repro/internal/modelreg"
 	"repro/internal/runner"
 	"repro/internal/service"
@@ -78,6 +90,7 @@ const usage = `usage: perftaint <subcommand> [flags]
   model     extract performance models (in-process, or on a daemon with -addr)
   report    render a model set as Markdown and/or HTML
   corpus    score the generated validation corpus against its manifest
+  fit       fit a PMNF model to a JSON measurement file
 
 Run 'perftaint <subcommand> -h' for a subcommand's flags.
 `
@@ -88,6 +101,7 @@ func main() {
 	subcommands := map[string]func([]string){
 		"analyze": runAnalyze, "submit": runSubmit, "stats": runStats,
 		"job": runJob, "model": runModel, "report": runReport, "corpus": runCorpus,
+		"fit": runFit,
 	}
 	if len(os.Args) > 1 {
 		if run, ok := subcommands[os.Args[1]]; ok {
@@ -115,7 +129,6 @@ func runAnalyze(args []string) {
 	timeout := fs.Duration("timeout", 60*time.Second, "per-job deadline sent to the daemon (remote only)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the analysis to this file (local only)")
 	memProfile := fs.String("memprofile", "", "write an allocation profile (after the analysis) to this file (local only)")
-	engine := fs.String("engine", "fast", "interpreter tier for the local analysis: fast, reference, or compiled (local only; a daemon picks its own via perftaintd -engine)")
 	retries := retriesFlag(fs)
 	fs.Parse(args)
 
@@ -123,16 +136,9 @@ func runAnalyze(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	mode, err := interp.ParseMode(*engine)
-	if err != nil {
-		log.Fatal(err)
-	}
 	if *addr != "" {
 		if *cpuProfile != "" || *memProfile != "" {
 			log.Fatal("-cpuprofile/-memprofile profile the in-process analysis; they cannot profile a remote daemon (use its -pprof listener)")
-		}
-		if mode != interp.ModeFast {
-			log.Fatal("-engine selects the in-process interpreter; a daemon's tier is fixed by its own -engine flag")
 		}
 		job, err := newClient(*addr, *retries).Analyze(context.Background(), api.AnalyzeRequest{
 			App:       *app,
@@ -148,12 +154,12 @@ func runAnalyze(args []string) {
 		}
 		return
 	}
-	analyzeLocal(*app, overrides, *cpuProfile, *memProfile, mode)
+	analyzeLocal(*app, overrides, *cpuProfile, *memProfile)
 }
 
 // analyzeLocal is the in-process pipeline behind `perftaint analyze`
 // without -addr.
-func analyzeLocal(appName string, overrides apps.Config, cpuProfile, memProfile string, mode interp.Mode) {
+func analyzeLocal(appName string, overrides apps.Config, cpuProfile, memProfile string) {
 	app, ok := service.BundledApps()[appName]
 	if !ok {
 		log.Fatalf("unknown app %q (want lulesh or milc)", appName)
@@ -188,7 +194,6 @@ func analyzeLocal(appName string, overrides apps.Config, cpuProfile, memProfile 
 		pprof.StopCPUProfile()
 		log.Fatal(err)
 	}
-	prep.Mode = mode
 	rep, err := prep.Analyze(cfg)
 	if err != nil {
 		// log.Fatal skips defers; flush the CPU profile first so a failing
@@ -369,11 +374,10 @@ func runModel(args []string) {
 	}
 
 	if *addr != "" {
-		req, err := modelRequest(cfg)
-		if err != nil {
-			log.Fatal(err)
+		if cfg.App == "" {
+			log.Fatalf("%s requires \"app\" when submitting to a daemon", *cfgPath)
 		}
-		resp, err := newClient(*addr, *retries).ModelsStream(context.Background(), req, progress)
+		resp, err := newClient(*addr, *retries).ModelsStream(context.Background(), api.NewModelRequest(cfg), progress)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -402,27 +406,6 @@ func runModel(args []string) {
 	emitJSON(ms)
 }
 
-// modelRequest converts a local modeling config into the wire request.
-func modelRequest(cfg modelreg.Config) (api.ModelRequest, error) {
-	req := api.ModelRequest{
-		App:      cfg.App,
-		Params:   cfg.Params,
-		Defaults: cfg.Defaults,
-		Reps:     cfg.Reps,
-		Seed:     cfg.Seed,
-		RelNoise: cfg.RelNoise,
-		Batch:    cfg.Batch,
-		Metrics:  cfg.Metrics,
-	}
-	if req.App == "" {
-		return req, fmt.Errorf("modeling config requires \"app\" when submitting to a daemon")
-	}
-	for _, ax := range cfg.Axes {
-		req.Axes = append(req.Axes, api.SweepAxis{Param: ax.Param, Values: ax.Values})
-	}
-	return req, nil
-}
-
 // runReport renders a model-set JSON document (stdin or -in) as
 // Markdown on stdout and, optionally, as a self-contained HTML file.
 func runReport(args []string) {
@@ -430,13 +413,7 @@ func runReport(args []string) {
 	in := fs.String("in", "", "model-set JSON file (default: stdin)")
 	htmlOut := fs.String("html", "", "also write a self-contained HTML report to this file")
 	fs.Parse(args)
-	var raw []byte
-	var err error
-	if *in != "" {
-		raw, err = os.ReadFile(*in)
-	} else {
-		raw, err = io.ReadAll(os.Stdin)
-	}
+	raw, err := readInput(*in)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -586,6 +563,14 @@ func parseAxes(s string) ([]api.SweepAxis, error) {
 		return nil, fmt.Errorf("empty sweep specification")
 	}
 	return out, nil
+}
+
+// readInput reads the file an -in flag names, or stdin when it is empty.
+func readInput(path string) ([]byte, error) {
+	if path == "" {
+		return io.ReadAll(os.Stdin)
+	}
+	return os.ReadFile(path)
 }
 
 func emitJSON(v any) {

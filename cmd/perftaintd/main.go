@@ -51,7 +51,6 @@ func main() {
 	flag.Float64Var(&opts.Rate, "rate", 0, "per-client admission rate in tokens/second (1 analysis = 1 token, sweeps cost design size); 0 disables rate limiting")
 	flag.Float64Var(&opts.Burst, "burst", 0, "per-client token-bucket capacity (0 = max(1, 2*rate))")
 	flag.Int64Var(&opts.MaxBodyBytes, "max-body", 0, "maximum JSON request body in bytes (0 = 4 MiB)")
-	flag.StringVar(&opts.Engine, "engine", "fast", "interpreter tier for analysis jobs: fast, reference, or compiled")
 	pprofAddr := flag.String("pprof", "", "optional debug listen address for net/http/pprof (e.g. 127.0.0.1:6060); disabled when empty")
 	journalOn := flag.Bool("journal", true, "journal sweep/model progress under <cache-dir>/journal so a restarted daemon resumes interrupted work; requires -cache-dir, ignored without it")
 	validateCluster := registerClusterFlags(flag.CommandLine, &opts)

@@ -24,9 +24,11 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	// A persistent cache root: everything the daemon prepares or extracts
-	// is written through here, so a restarted daemon starts warm. In
-	// production this is `perftaintd -cache-dir /var/cache/perftaintd`.
+	// A persistent cache root: every model set the daemon extracts is
+	// written through here (and sweep progress journaled), so a restarted
+	// daemon serves finished sets without re-running them; prepared specs
+	// are memory-only and rebuilt once each. In production this is
+	// `perftaintd -cache-dir /var/cache/perftaintd`.
 	cacheDir, err := os.MkdirTemp("", "perftaintd-cache-*")
 	if err != nil {
 		log.Fatal(err)

@@ -36,6 +36,27 @@ type ModelRequest struct {
 	Stream bool `json:"stream,omitempty"`
 }
 
+// NewModelRequest is the wire form of a local modeling config — what
+// `perftaint model -addr` and the smoke scenarios submit — so a design
+// extracted locally and through a daemon is the same design. The
+// daemon's service.modelConfig is its inverse.
+func NewModelRequest(cfg modelreg.Config) ModelRequest {
+	req := ModelRequest{
+		App:      cfg.App,
+		Params:   cfg.Params,
+		Defaults: cfg.Defaults,
+		Reps:     cfg.Reps,
+		Seed:     cfg.Seed,
+		RelNoise: cfg.RelNoise,
+		Batch:    cfg.Batch,
+		Metrics:  cfg.Metrics,
+	}
+	for _, ax := range cfg.Axes {
+		req.Axes = append(req.Axes, SweepAxis{Param: ax.Param, Values: ax.Values})
+	}
+	return req
+}
+
 // ModelResponse is the body of a finished model extraction (and of
 // GET /v1/models/{key}).
 type ModelResponse struct {

@@ -199,9 +199,6 @@ type StatsResponse struct {
 	UptimeMS int64 `json:"uptime_ms"`
 	// Workers is the size of the local analysis worker pool.
 	Workers int `json:"workers"`
-	// Engine names the interpreter tier analysis jobs run on: "fast"
-	// (default), "reference" (oracle), or "compiled" (closure chains).
-	Engine string `json:"engine"`
 	// Apps lists the registered application names.
 	Apps []string `json:"apps"`
 	// Cache snapshots the PreparedCache counters.

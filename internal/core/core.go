@@ -55,12 +55,9 @@ type Prepared struct {
 	Mode interp.Mode
 
 	// compiled is the closure-chain artifact of the compiled engine tier,
-	// built at most once per Prepared value. Because the service layer
-	// interns Prepared by SpecDigest (PreparedCache: singleflight + LRU),
-	// hanging the artifact here gives digest-keyed compiled-artifact
-	// caching for free. Go closures cannot be serialized, so unlike the
-	// canonical spec bytes the artifact never reaches the disk tier: a
-	// restarted daemon re-lowers on first compiled-mode use of a digest.
+	// built at most once per Prepared value, on the first compiled-mode
+	// Analyze. Like the rest of a Prepared it is memory-only: Go closures
+	// cannot be serialized.
 	compiledOnce sync.Once
 	compiled     *interp.Compiled
 

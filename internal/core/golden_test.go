@@ -107,7 +107,7 @@ func checkGolden(t *testing.T, name string, rep *Report) {
 // failure: golden drift should end in one command, not archaeology.
 const updateHint = `If this change is intentional, re-bless the snapshots and commit them:
     go test ./internal/core -run Golden -update
-The smoke test (cmd/servicesmoke) and CI gate on these files, so never
+The smoke test (cmd/smoke service) and CI gate on these files, so never
 hand-edit them.`
 
 func equalStrings(a, b []string) bool {

@@ -234,8 +234,8 @@ func Parse(spec string) (*Schedule, error) {
 
 // String renders the schedule back into the Parse format, so a
 // generated schedule can cross a process boundary through the
-// environment (cmd/chaossmoke hands Random schedules to real daemons
-// this way).
+// environment (cmd/smoke's chaos scenario hands Random schedules to real
+// daemons this way).
 func (s *Schedule) String() string {
 	if s == nil {
 		return ""

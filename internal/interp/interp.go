@@ -109,7 +109,7 @@ const (
 	ModeCompiled
 )
 
-// String names the engine the way flags, logs, and /v1/stats spell it.
+// String names the engine the way test and benchmark rows spell it.
 func (m Mode) String() string {
 	switch m {
 	case ModeFast:
@@ -121,20 +121,6 @@ func (m Mode) String() string {
 	default:
 		return fmt.Sprintf("mode(%d)", uint8(m))
 	}
-}
-
-// ParseMode resolves an engine name — a -engine flag value — to a Mode.
-// The empty string selects the default fast engine.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "", "fast":
-		return ModeFast, nil
-	case "reference":
-		return ModeReference, nil
-	case "compiled":
-		return ModeCompiled, nil
-	}
-	return ModeFast, fmt.Errorf("interp: unknown engine %q (want fast, reference, or compiled)", s)
 }
 
 // Machine executes functions of one module with optional taint and tracing.

@@ -62,7 +62,7 @@ func Check(t testing.TB) {
 
 // Settle waits up to timeout for all interesting goroutines to exit and
 // returns an error naming the survivors if any remain — the non-testing
-// entry point used by smoke binaries after tearing down their servers.
+// entry point cmd/smoke uses after tearing down a scenario's daemons.
 func Settle(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	var leaked []string

@@ -1,286 +1,15 @@
-// Package mpisim is a functional message-passing substrate: a communicator
-// of R simulated ranks running as goroutines with typed channels, providing
-// the point-to-point and collective operations the library database
-// describes, plus the analytical cost models (LogP/Thakur-style) that the
-// measurement substrate uses to synthesize communication times.
+// Package mpisim holds the analytical communication cost models
+// (alpha-beta point-to-point, Thakur-style collectives) the ground-truth
+// evaluator uses to synthesize the time of the MPI routines the library
+// database describes.
 //
 // The taint analysis itself runs single-process (labels are not exchanged
-// across ranks; see Section 5.3), so this package serves two purposes:
-// exercising the MPI semantics in tests and examples, and providing the
-// cost-model side of the evaluation's communication routines.
+// across ranks; see Section 5.3), so no message is ever passed: a routine
+// contributes its modeled cost, as a function of communicator size and
+// message size, and nothing else.
 package mpisim
 
-import (
-	"errors"
-	"fmt"
-	"math"
-	"sync"
-)
-
-// Message is one point-to-point payload with a tag.
-type Message struct {
-	Source int
-	Tag    int
-	Data   []int64
-}
-
-// World is a simulated communicator of Size ranks.
-type World struct {
-	Size int
-	// mail[dst] receives messages for rank dst.
-	mail []chan Message
-
-	barrier   *barrierState
-	mu        sync.Mutex
-	collected map[int][][]int64 // generation -> per-rank contributions
-}
-
-type barrierState struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	count int
-	gen   int
-	size  int
-}
-
-func newBarrier(size int) *barrierState {
-	b := &barrierState{size: size}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *barrierState) wait() {
-	b.mu.Lock()
-	gen := b.gen
-	b.count++
-	if b.count == b.size {
-		b.count = 0
-		b.gen++
-		b.cond.Broadcast()
-	} else {
-		for gen == b.gen {
-			b.cond.Wait()
-		}
-	}
-	b.mu.Unlock()
-}
-
-// NewWorld creates a communicator with size ranks. Channel capacity is
-// generous so that eager sends do not deadlock simple exchange patterns.
-func NewWorld(size int) (*World, error) {
-	if size <= 0 {
-		return nil, fmt.Errorf("mpisim: invalid world size %d", size)
-	}
-	w := &World{
-		Size:      size,
-		mail:      make([]chan Message, size),
-		barrier:   newBarrier(size),
-		collected: make(map[int][][]int64),
-	}
-	for i := range w.mail {
-		w.mail[i] = make(chan Message, 1024)
-	}
-	return w, nil
-}
-
-// Rank is the per-process handle used inside a rank's goroutine.
-type Rank struct {
-	W  *World
-	ID int
-}
-
-// Rank returns the handle for rank id.
-func (w *World) Rank(id int) (*Rank, error) {
-	if id < 0 || id >= w.Size {
-		return nil, fmt.Errorf("mpisim: rank %d out of range [0,%d)", id, w.Size)
-	}
-	return &Rank{W: w, ID: id}, nil
-}
-
-// Run spawns one goroutine per rank executing body and waits for all of
-// them; the first error is returned.
-func (w *World) Run(body func(r *Rank) error) error {
-	errs := make([]error, w.Size)
-	var wg sync.WaitGroup
-	for i := 0; i < w.Size; i++ {
-		r, err := w.Rank(i)
-		if err != nil {
-			return err
-		}
-		wg.Add(1)
-		go func(r *Rank) {
-			defer wg.Done()
-			errs[r.ID] = body(r)
-		}(r)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
-// Send delivers data to rank dst with tag (eager, buffered).
-func (r *Rank) Send(dst, tag int, data []int64) error {
-	if dst < 0 || dst >= r.W.Size {
-		return fmt.Errorf("mpisim: send to invalid rank %d", dst)
-	}
-	cp := append([]int64(nil), data...)
-	r.W.mail[dst] <- Message{Source: r.ID, Tag: tag, Data: cp}
-	return nil
-}
-
-// Recv blocks until a message with the given tag arrives from src
-// (src == -1 accepts any source). Mismatched messages are requeued.
-func (r *Rank) Recv(src, tag int) (Message, error) {
-	var stash []Message
-	defer func() {
-		for _, m := range stash {
-			r.W.mail[r.ID] <- m
-		}
-	}()
-	for i := 0; i < 1<<20; i++ {
-		m := <-r.W.mail[r.ID]
-		if (src == -1 || m.Source == src) && m.Tag == tag {
-			return m, nil
-		}
-		stash = append(stash, m)
-	}
-	return Message{}, fmt.Errorf("mpisim: rank %d starved waiting for src=%d tag=%d", r.ID, src, tag)
-}
-
-// Barrier synchronizes all ranks.
-func (r *Rank) Barrier() { r.W.barrier.wait() }
-
-// Bcast distributes root's data to every rank; all ranks receive a copy.
-func (r *Rank) Bcast(root int, data []int64) ([]int64, error) {
-	if r.ID == root {
-		for dst := 0; dst < r.W.Size; dst++ {
-			if dst == root {
-				continue
-			}
-			if err := r.Send(dst, tagBcast, data); err != nil {
-				return nil, err
-			}
-		}
-		return append([]int64(nil), data...), nil
-	}
-	m, err := r.Recv(root, tagBcast)
-	if err != nil {
-		return nil, err
-	}
-	return m.Data, nil
-}
-
-// Allreduce sums element-wise contributions across all ranks and returns
-// the reduced vector on every rank.
-func (r *Rank) Allreduce(data []int64) ([]int64, error) {
-	// Gather to rank 0, reduce, broadcast back: semantically equivalent to
-	// the tree algorithms whose cost the analytic model captures.
-	const root = 0
-	if r.ID != root {
-		if err := r.Send(root, tagReduce, data); err != nil {
-			return nil, err
-		}
-		m, err := r.Recv(root, tagBcast)
-		if err != nil {
-			return nil, err
-		}
-		return m.Data, nil
-	}
-	acc := append([]int64(nil), data...)
-	for i := 1; i < r.W.Size; i++ {
-		m, err := r.Recv(-1, tagReduce)
-		if err != nil {
-			return nil, err
-		}
-		if len(m.Data) != len(acc) {
-			return nil, fmt.Errorf("mpisim: allreduce length mismatch %d != %d", len(m.Data), len(acc))
-		}
-		for j := range acc {
-			acc[j] += m.Data[j]
-		}
-	}
-	for dst := 1; dst < r.W.Size; dst++ {
-		if err := r.Send(dst, tagBcast, acc); err != nil {
-			return nil, err
-		}
-	}
-	return acc, nil
-}
-
-// Gather collects every rank's vector on root (others get nil).
-func (r *Rank) Gather(root int, data []int64) ([][]int64, error) {
-	if r.ID != root {
-		return nil, r.Send(root, tagGather, data)
-	}
-	out := make([][]int64, r.W.Size)
-	out[root] = append([]int64(nil), data...)
-	for i := 0; i < r.W.Size-1; i++ {
-		m, err := r.Recv(-1, tagGather)
-		if err != nil {
-			return nil, err
-		}
-		out[m.Source] = m.Data
-	}
-	return out, nil
-}
-
-// Scatter distributes chunks[i] from root to rank i; every rank returns
-// its own chunk. Only root reads chunks (others may pass nil), mirroring
-// MPI_Scatter's root-significant send buffer.
-func (r *Rank) Scatter(root int, chunks [][]int64) ([]int64, error) {
-	if r.ID == root {
-		if len(chunks) != r.W.Size {
-			return nil, fmt.Errorf("mpisim: scatter wants %d chunks, got %d", r.W.Size, len(chunks))
-		}
-		for dst := 0; dst < r.W.Size; dst++ {
-			if dst == root {
-				continue
-			}
-			if err := r.Send(dst, tagScatter, chunks[dst]); err != nil {
-				return nil, err
-			}
-		}
-		return append([]int64(nil), chunks[root]...), nil
-	}
-	m, err := r.Recv(root, tagScatter)
-	if err != nil {
-		return nil, err
-	}
-	return m.Data, nil
-}
-
-// Alltoall performs the complete exchange: rank r sends chunks[j] to rank
-// j and returns the vector of chunks received, indexed by source rank.
-func (r *Rank) Alltoall(chunks [][]int64) ([][]int64, error) {
-	if len(chunks) != r.W.Size {
-		return nil, fmt.Errorf("mpisim: alltoall wants %d chunks, got %d", r.W.Size, len(chunks))
-	}
-	for dst := 0; dst < r.W.Size; dst++ {
-		if dst == r.ID {
-			continue
-		}
-		if err := r.Send(dst, tagAlltoall, chunks[dst]); err != nil {
-			return nil, err
-		}
-	}
-	out := make([][]int64, r.W.Size)
-	out[r.ID] = append([]int64(nil), chunks[r.ID]...)
-	for i := 0; i < r.W.Size-1; i++ {
-		m, err := r.Recv(-1, tagAlltoall)
-		if err != nil {
-			return nil, err
-		}
-		out[m.Source] = m.Data
-	}
-	return out, nil
-}
-
-const (
-	tagBcast = -100 - iota
-	tagReduce
-	tagGather
-	tagScatter
-	tagAlltoall
-)
+import "math"
 
 // CostModel is the analytical communication cost model: alpha latency
 // (seconds), beta inverse bandwidth (seconds per element).

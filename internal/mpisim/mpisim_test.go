@@ -2,158 +2,8 @@ package mpisim
 
 import (
 	"math"
-	"sync/atomic"
 	"testing"
 )
-
-func TestWorldSizeValidation(t *testing.T) {
-	if _, err := NewWorld(0); err == nil {
-		t.Fatal("expected error for size 0")
-	}
-	if _, err := NewWorld(-3); err == nil {
-		t.Fatal("expected error for negative size")
-	}
-	w, err := NewWorld(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Rank(4); err == nil {
-		t.Fatal("expected out-of-range rank error")
-	}
-}
-
-func TestSendRecvRoundTrip(t *testing.T) {
-	w, _ := NewWorld(2)
-	err := w.Run(func(r *Rank) error {
-		if r.ID == 0 {
-			return r.Send(1, 7, []int64{1, 2, 3})
-		}
-		m, err := r.Recv(0, 7)
-		if err != nil {
-			return err
-		}
-		if len(m.Data) != 3 || m.Data[2] != 3 {
-			t.Errorf("bad payload %v", m.Data)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRecvFiltersByTag(t *testing.T) {
-	w, _ := NewWorld(2)
-	err := w.Run(func(r *Rank) error {
-		if r.ID == 0 {
-			if err := r.Send(1, 1, []int64{10}); err != nil {
-				return err
-			}
-			return r.Send(1, 2, []int64{20})
-		}
-		// Receive tag 2 first even though tag 1 arrived earlier.
-		m2, err := r.Recv(0, 2)
-		if err != nil {
-			return err
-		}
-		m1, err := r.Recv(0, 1)
-		if err != nil {
-			return err
-		}
-		if m2.Data[0] != 20 || m1.Data[0] != 10 {
-			t.Errorf("tag filtering broken: %v %v", m1.Data, m2.Data)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBarrierSynchronizes(t *testing.T) {
-	w, _ := NewWorld(8)
-	var before, after int64
-	err := w.Run(func(r *Rank) error {
-		atomic.AddInt64(&before, 1)
-		r.Barrier()
-		if atomic.LoadInt64(&before) != 8 {
-			t.Error("barrier released before all ranks arrived")
-		}
-		atomic.AddInt64(&after, 1)
-		r.Barrier()
-		if atomic.LoadInt64(&after) != 8 {
-			t.Error("second barrier released early")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBcastDistributes(t *testing.T) {
-	w, _ := NewWorld(5)
-	err := w.Run(func(r *Rank) error {
-		var data []int64
-		if r.ID == 2 {
-			data = []int64{42, 43}
-		}
-		got, err := r.Bcast(2, data)
-		if err != nil {
-			return err
-		}
-		if len(got) != 2 || got[0] != 42 || got[1] != 43 {
-			t.Errorf("rank %d got %v", r.ID, got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAllreduceSums(t *testing.T) {
-	const p = 6
-	w, _ := NewWorld(p)
-	err := w.Run(func(r *Rank) error {
-		got, err := r.Allreduce([]int64{int64(r.ID), 1})
-		if err != nil {
-			return err
-		}
-		wantSum := int64(p * (p - 1) / 2)
-		if got[0] != wantSum || got[1] != p {
-			t.Errorf("rank %d allreduce = %v, want [%d %d]", r.ID, got, wantSum, p)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGatherCollectsOnRoot(t *testing.T) {
-	const p = 4
-	w, _ := NewWorld(p)
-	err := w.Run(func(r *Rank) error {
-		got, err := r.Gather(0, []int64{int64(r.ID * 10)})
-		if err != nil {
-			return err
-		}
-		if r.ID == 0 {
-			for i := 0; i < p; i++ {
-				if got[i][0] != int64(i*10) {
-					t.Errorf("gather[%d] = %v", i, got[i])
-				}
-			}
-		} else if got != nil {
-			t.Errorf("non-root rank %d got data", r.ID)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestCostModelShapes(t *testing.T) {
 	c := DefaultCost()
@@ -182,70 +32,6 @@ func TestCostModelShapes(t *testing.T) {
 	}
 	if c.P2P(0) != c.Alpha {
 		t.Fatal("empty message must cost alpha")
-	}
-}
-
-func TestScatterDistributesChunks(t *testing.T) {
-	w, _ := NewWorld(4)
-	err := w.Run(func(r *Rank) error {
-		var chunks [][]int64
-		if r.ID == 1 {
-			for i := 0; i < 4; i++ {
-				chunks = append(chunks, []int64{int64(10 * i), int64(10*i + 1)})
-			}
-		}
-		got, err := r.Scatter(1, chunks)
-		if err != nil {
-			return err
-		}
-		if len(got) != 2 || got[0] != int64(10*r.ID) || got[1] != int64(10*r.ID+1) {
-			t.Errorf("rank %d scatter chunk = %v", r.ID, got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestScatterRejectsWrongChunkCount(t *testing.T) {
-	w, _ := NewWorld(2)
-	err := w.Run(func(r *Rank) error {
-		if r.ID != 0 {
-			return nil
-		}
-		_, err := r.Scatter(0, [][]int64{{1}})
-		if err == nil {
-			t.Error("expected chunk-count error")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAlltoallCompleteExchange(t *testing.T) {
-	const n = 4
-	w, _ := NewWorld(n)
-	err := w.Run(func(r *Rank) error {
-		chunks := make([][]int64, n)
-		for dst := range chunks {
-			chunks[dst] = []int64{int64(100*r.ID + dst)}
-		}
-		got, err := r.Alltoall(chunks)
-		if err != nil {
-			return err
-		}
-		for src := 0; src < n; src++ {
-			if len(got[src]) != 1 || got[src][0] != int64(100*src+r.ID) {
-				t.Errorf("rank %d from %d = %v, want [%d]", r.ID, src, got[src], 100*src+r.ID)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

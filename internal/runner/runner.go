@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
-	"repro/internal/interp"
 	"repro/internal/par"
 )
 
@@ -37,11 +36,6 @@ type Result struct {
 type Runner struct {
 	// Workers bounds batch concurrency; values <= 0 mean GOMAXPROCS.
 	Workers int
-	// Mode selects the interpreter engine for batches this runner
-	// prepares itself (AnalyzeBatch, Sweep); the zero value is the fast
-	// engine. Entry points taking an existing core.Prepared honor its
-	// Mode instead — one batch, one engine.
-	Mode interp.Mode
 }
 
 // New returns a runner that saturates GOMAXPROCS.
@@ -64,9 +58,6 @@ func (r *Runner) AnalyzeBatch(spec *apps.Spec, cfgs []apps.Config) ([]Result, er
 	p, err := core.Prepare(spec)
 	if err != nil {
 		return nil, fmt.Errorf("runner: prepare %s: %w", spec.Name, err)
-	}
-	if r != nil {
-		p.Mode = r.Mode
 	}
 	return r.AnalyzeBatchPrepared(p, cfgs), nil
 }

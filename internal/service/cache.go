@@ -22,8 +22,7 @@ type PreparedCache struct {
 	c *diskcache.Cache[*core.Prepared]
 
 	// prepare builds the artifact on a miss; tests substitute it to count
-	// and delay builds, and Options.Engine pins the interpreter tier
-	// through it. Defaults to core.Prepare.
+	// and delay builds. Defaults to core.Prepare.
 	prepare func(*apps.Spec) (*core.Prepared, error)
 
 	// buildTime observes the latency of every actual prepare; the server

@@ -24,8 +24,9 @@ func ResolveModelDefaults(app App, cfg modelreg.Config) modelreg.Config {
 }
 
 // modelConfig assembles the modelreg configuration from a request and
-// the app's taint defaults.
-func (s *Server) modelConfig(req api.ModelRequest, app App) modelreg.Config {
+// the app's taint defaults: the inverse of api.NewModelRequest, followed
+// by the canonical overlay.
+func modelConfig(req api.ModelRequest, app App) modelreg.Config {
 	cfg := modelreg.Config{
 		App:      req.App,
 		Params:   req.Params,
@@ -55,7 +56,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	cfg := s.modelConfig(req, app)
+	cfg := modelConfig(req, app)
 	if err := cfg.Validate(spec); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return

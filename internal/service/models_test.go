@@ -33,6 +33,41 @@ func modelTestRequest() api.ModelRequest {
 	}
 }
 
+// TestModelRequestRoundTrip keeps local and -addr extractions on one
+// design: a config sent through api.NewModelRequest and read back by the
+// daemon's modelConfig must equal what the local path computes
+// (ResolveModelDefaults), field for field and under the registry key.
+func TestModelRequestRoundTrip(t *testing.T) {
+	cfg := modelreg.Config{
+		App:      "lulesh",
+		Params:   []string{"size", "p"},
+		Defaults: apps.Config{"regions": 4, "iters": 2},
+		Axes: []modelreg.Axis{
+			{Param: "p", Values: []float64{2, 4}},
+			{Param: "size", Values: []float64{4, 5}},
+		},
+		Reps: 2, Seed: 3, RelNoise: 0.05, Batch: 2,
+		Metrics: []string{"iterations", "seconds"},
+	}
+	// A Config field this fixture leaves zero could be dropped on the
+	// wire without the comparison below noticing.
+	for v, i := reflect.ValueOf(cfg), 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Fatalf("fixture leaves modelreg.Config.%s zero; set it", v.Type().Field(i).Name)
+		}
+	}
+	app := BundledApps()[cfg.App]
+	local := ResolveModelDefaults(app, cfg)
+	remote := modelConfig(api.NewModelRequest(cfg), app)
+	if !reflect.DeepEqual(remote, local) {
+		t.Errorf("daemon would extract\n %+v\nthe local path\n %+v", remote, local)
+	}
+	digest := core.SpecDigest(app.New())
+	if r, l := modelreg.Key(digest, remote), modelreg.Key(digest, local); r != l {
+		t.Errorf("registry key differs: remote %s, local %s", r, l)
+	}
+}
+
 func TestServeModelsCachesBySpecAndDesign(t *testing.T) {
 	srv, client := testServer(t, Options{Workers: 2})
 	ctx := context.Background()

@@ -199,6 +199,43 @@ func TestSweepJournalReplayProperty(t *testing.T) {
 	}
 }
 
+// TestSweepRejectsUnreadableLastSeq pins the resume-header contract: a
+// Last-Seq the server cannot read as a non-negative integer answers 400
+// before the journal is touched, instead of being taken for 0 and
+// answered with a full replay that hides the client's bug.
+func TestSweepRejectsUnreadableLastSeq(t *testing.T) {
+	srv, err := NewServer(Options{Workers: 2, CacheDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	raw, err := json.Marshal(resilienceSweepReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []string{"two", "1.5", "-1", "0x3", "99999999999999999999"} {
+		req, err := http.NewRequest(http.MethodPost, hs.URL+"/v1/sweep", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(api.HeaderLastSeq, v)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("Last-Seq %q answered %d, want 400: %.200s", v, resp.StatusCode, body)
+		}
+	}
+	if st := srv.journal.Stats(); st.Appends != 0 || st.OpenJobs != 0 {
+		t.Errorf("rejected sweeps reached the journal: %+v", st)
+	}
+}
+
 // gatedWriter is a ResponseWriter whose body writes block until release
 // closes; entered closes when the first one arrives. It pins a handler
 // inside a write, the one place a streaming handler is busy rather than

@@ -60,7 +60,6 @@ import (
 	"repro/internal/api"
 	"repro/internal/apps"
 	"repro/internal/core"
-	"repro/internal/interp"
 	"repro/internal/journal"
 	"repro/internal/modelreg"
 	"repro/internal/runner"
@@ -92,12 +91,6 @@ type Options struct {
 	// MaxBodyBytes caps every JSON request body; oversized bodies are
 	// rejected with 413. <= 0 means 4 MiB.
 	MaxBodyBytes int64
-	// Engine selects the interpreter tier analysis jobs run on: "fast"
-	// (empty/default), "reference", or "compiled". The engine is applied
-	// when a spec is prepared, so every job served from one cached
-	// Prepared runs on the same tier; the compiled tier's closure-chain
-	// artifact is lowered once per cached digest and shared read-only.
-	Engine string
 	// DisableJournal turns the durable job journal off even when CacheDir
 	// is set. The zero value journals whenever a cache dir exists: sweeps
 	// and model extractions then survive daemon restarts, resuming from
@@ -180,7 +173,6 @@ func (o Options) withDefaults() Options {
 // and scheduler behind it.
 type Server struct {
 	opts    Options
-	engine  interp.Mode
 	cache   *PreparedCache
 	sched   *scheduler
 	models  *modelreg.Registry
@@ -244,23 +236,6 @@ func NewServer(opts Options) (*Server, error) {
 	}
 	if opts.Coordinator && opts.JoinURL != "" {
 		return nil, fmt.Errorf("service: a daemon is a coordinator or a worker, not both")
-	}
-	mode, err := interp.ParseMode(opts.Engine)
-	if err != nil {
-		return nil, fmt.Errorf("service: %w", err)
-	}
-	s.engine = mode
-	if mode != interp.ModeFast {
-		// The engine is pinned before an entry is published, so every job
-		// served from one cached Prepared runs on the same tier.
-		s.cache.prepare = func(spec *apps.Spec) (*core.Prepared, error) {
-			p, err := core.Prepare(spec)
-			if err != nil {
-				return nil, err
-			}
-			p.Mode = mode
-			return p, nil
-		}
 	}
 	s.sched = newScheduler(opts.Workers, opts.QueueDepth, s.metrics.Stage(StageRun))
 	s.baseCtx, s.stop = context.WithCancel(context.Background())
@@ -386,7 +361,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	resp := &api.StatsResponse{
 		UptimeMS:    time.Since(s.start).Milliseconds(),
 		Workers:     s.opts.Workers,
-		Engine:      s.engine.String(),
 		Apps:        names,
 		Cache:       s.cache.Stats(),
 		Models:      s.models.Stats(),
@@ -526,6 +500,16 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	// A resume point the server cannot read is a client bug; answering it
+	// with a full replay (what Last-Seq 0 means) would hide it.
+	var lastSeq int64
+	if v := r.Header.Get(api.HeaderLastSeq); v != "" {
+		if lastSeq, err = strconv.ParseInt(v, 10, 64); err != nil || lastSeq < 0 {
+			httpError(w, http.StatusBadRequest,
+				fmt.Errorf("%s header %q is not a non-negative integer", api.HeaderLastSeq, v))
+			return
+		}
+	}
 	// Admission control charges a sweep by what it costs: one token per
 	// job the design puts on the queue (clamped to the bucket capacity
 	// inside the limiter so a legal design is throttled, not starved).
@@ -549,10 +533,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	d := design{app: req.App, digest: digest, prepared: prepared, cfgs: cfgs,
 		censusParams: censusParams(req.CensusParams)}
-	sink := &sweepSink{s: s, d: d, w: w, rc: http.NewResponseController(w)}
-	if v := r.Header.Get(api.HeaderLastSeq); v != "" {
-		sink.last, _ = strconv.ParseInt(v, 10, 64)
-	}
+	sink := &sweepSink{s: s, d: d, w: w, rc: http.NewResponseController(w), last: lastSeq}
 	key := sweepJournalKey(req.App, digest, cfgs, d.censusParams, r.Header.Get(api.HeaderIdempotencyKey))
 	err = s.streamPoints(ctx, key, d, sink)
 	var jerr *journalError
