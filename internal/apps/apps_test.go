@@ -2,6 +2,7 @@ package apps
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cfg"
@@ -39,6 +40,67 @@ func TestSpecValidateCatchesUnknownCallee(t *testing.T) {
 	}
 	if err := s.Validate(); err == nil {
 		t.Fatal("expected unknown-callee error")
+	}
+}
+
+// Call cycles are rejected by name: nothing in the spec language could end
+// a recursion, so one would run ground-truth evaluation and the interpreter
+// out of stack. A diamond reaches a function twice without a cycle.
+func TestSpecValidateRejectsCallCycles(t *testing.T) {
+	calls := func(names ...string) []Stmt {
+		var body []Stmt
+		for _, n := range names {
+			body = append(body, Loop{Kind: StaticConst, Bound: Q(2), Body: []Stmt{Call{Callee: n}}})
+		}
+		return body
+	}
+	spec := func(funcs ...*FuncSpec) *Spec {
+		return &Spec{Name: "cyc", Params: []string{"n"}, Funcs: funcs, MPIUsed: []string{"MPI_Barrier"}}
+	}
+	for _, c := range []struct {
+		name string
+		spec *Spec
+		want string // "" = valid
+	}{
+		{"self-call", spec(
+			&FuncSpec{Name: "main", Kind: KindMain, Body: calls("f")},
+			&FuncSpec{Name: "f", Kind: KindKernel, Body: calls("MPI_Barrier", "f")},
+		), "call cycle f -> f"},
+		{"two-function cycle", spec(
+			&FuncSpec{Name: "main", Kind: KindMain, Body: calls("f")},
+			&FuncSpec{Name: "f", Kind: KindKernel, Body: calls("g")},
+			&FuncSpec{Name: "g", Kind: KindKernel, Body: calls("f")},
+		), "call cycle f -> g -> f"},
+		{"cycle main never reaches", spec(
+			&FuncSpec{Name: "main", Kind: KindMain},
+			&FuncSpec{Name: "f", Kind: KindKernel, Body: calls("g")},
+			&FuncSpec{Name: "g", Kind: KindKernel, Body: calls("f")},
+		), "call cycle f -> g -> f"},
+		{"diamond", spec(
+			&FuncSpec{Name: "main", Kind: KindMain, Body: calls("l", "r")},
+			&FuncSpec{Name: "l", Kind: KindKernel, Body: calls("leaf")},
+			&FuncSpec{Name: "r", Kind: KindKernel, Body: calls("leaf", "leaf")},
+			&FuncSpec{Name: "leaf", Kind: KindGetter},
+		), ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			err := c.spec.Validate()
+			if c.want == "" {
+				if err != nil {
+					t.Fatalf("Validate rejected an acyclic spec: %v", err)
+				}
+				if _, err := BuildModule(c.spec); err != nil {
+					t.Fatalf("BuildModule: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Validate = %v, want an error naming %q", err, c.want)
+			}
+			if _, err := BuildModule(c.spec); err == nil {
+				t.Fatal("BuildModule lowered a spec with a call cycle")
+			}
+		})
 	}
 }
 

@@ -19,7 +19,9 @@ package apps
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // Quantity is a monomial over the application parameters:
@@ -257,7 +259,9 @@ func (s *Spec) CountFuncs() map[Kind]int {
 	return out
 }
 
-// Validate checks call targets and structural invariants.
+// Validate checks call targets and structural invariants, and rejects call
+// cycles: the spec language has no construct that could end a recursion,
+// and both ground-truth evaluation and the interpreter recurse along calls.
 func (s *Spec) Validate() error {
 	if len(s.Funcs) == 0 {
 		return fmt.Errorf("apps: spec %q has no functions", s.Name)
@@ -269,39 +273,83 @@ func (s *Spec) Validate() error {
 	for _, m := range s.MPIUsed {
 		mpi[m] = true
 	}
-	names := make(map[string]bool, len(s.Funcs))
-	for _, f := range s.Funcs {
-		if names[f.Name] {
+	index := make(map[string]int, len(s.Funcs))
+	for i, f := range s.Funcs {
+		if _, dup := index[f.Name]; dup {
 			return fmt.Errorf("apps: duplicate function %q", f.Name)
 		}
-		names[f.Name] = true
+		index[f.Name] = i
 	}
-	var checkBody func(fn string, body []Stmt) error
-	checkBody = func(fn string, body []Stmt) error {
+	// edges[first[i]:first[i+1]] lists the spec functions Funcs[i] calls,
+	// in body order.
+	var edges []int
+	first := make([]int, len(s.Funcs)+1)
+	var checkBody func(fi int, body []Stmt) error
+	checkBody = func(fi int, body []Stmt) error {
 		for _, st := range body {
 			switch v := st.(type) {
 			case Loop:
-				if err := checkBody(fn, v.Body); err != nil {
+				if err := checkBody(fi, v.Body); err != nil {
 					return err
 				}
 			case Branch:
-				if err := checkBody(fn, v.Then); err != nil {
+				if err := checkBody(fi, v.Then); err != nil {
 					return err
 				}
-				if err := checkBody(fn, v.Else); err != nil {
+				if err := checkBody(fi, v.Else); err != nil {
 					return err
 				}
 			case Call:
-				if !names[v.Callee] && !mpi[v.Callee] {
-					return fmt.Errorf("apps: %s calls unknown %q", fn, v.Callee)
+				if c, ok := index[v.Callee]; ok {
+					edges = append(edges, c)
+				} else if !mpi[v.Callee] {
+					return fmt.Errorf("apps: %s calls unknown %q", s.Funcs[fi].Name, v.Callee)
 				}
 			}
 		}
 		return nil
 	}
-	for _, f := range s.Funcs {
-		if err := checkBody(f.Name, f.Body); err != nil {
+	for i, f := range s.Funcs {
+		if err := checkBody(i, f.Body); err != nil {
 			return err
+		}
+		first[i+1] = len(edges)
+	}
+
+	const (
+		unseen = iota
+		active
+		done
+	)
+	state := make([]uint8, len(s.Funcs))
+	var chain []int // the active call chain, outermost first
+	var visit func(fi int) error
+	visit = func(fi int) error {
+		state[fi] = active
+		chain = append(chain, fi)
+		for _, c := range edges[first[fi]:first[fi+1]] {
+			switch state[c] {
+			case active:
+				var cycle []string
+				for _, f := range append(chain[slices.Index(chain, c):], c) {
+					cycle = append(cycle, s.Funcs[f].Name)
+				}
+				return fmt.Errorf("apps: spec %q: call cycle %s", s.Name, strings.Join(cycle, " -> "))
+			case unseen:
+				if err := visit(c); err != nil {
+					return err
+				}
+			}
+		}
+		chain = chain[:len(chain)-1]
+		state[fi] = done
+		return nil
+	}
+	for i := range s.Funcs {
+		if state[i] == unseen {
+			if err := visit(i); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
 	"reflect"
 	"sort"
 	"strings"
@@ -114,5 +116,48 @@ func TestDifferentialBundledApps(t *testing.T) {
 				t.Errorf("census diverged:\nfast: %+v\nreference: %+v", fc, rc)
 			}
 		})
+	}
+}
+
+// TestDifferentialSummariesFire pins the fast engine's call summaries on the
+// paper's two case-study codes: the accessor functions the specs model after
+// C++ getters are where one call in nine goes, so a generator or predecode
+// change that stops them from being summarized (or a summary that charges
+// anything but the callee's instruction count) must fail here, not in a
+// benchmark.
+func TestDifferentialSummariesFire(t *testing.T) {
+	for _, tc := range []struct {
+		spec         *apps.Spec
+		funcs, least int
+	}{
+		{apps.LULESH(), 349, 249},
+		{apps.MILC(), 621, 316},
+	} {
+		p, err := Prepare(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.Program.NumFuncs(); got != tc.funcs {
+			t.Errorf("%s: %d functions, want %d", tc.spec.Name, got, tc.funcs)
+		}
+		if got := p.Program.NumSummarized(); got < tc.least {
+			t.Errorf("%s: %d functions summarized, want at least %d", tc.spec.Name, got, tc.least)
+		}
+	}
+
+	raw, err := os.ReadFile(goldenPath("lulesh"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden goldenSnapshot
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Analyze(apps.LULESH(), apps.LULESHTaintConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Instructions != golden.Instructions {
+		t.Errorf("LULESH charges %d instructions with summaries, golden %d", rep.Instructions, golden.Instructions)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/apps"
@@ -40,6 +41,25 @@ func TestPrepareAcceptsMaxTaintParams(t *testing.T) {
 	// 63 declared + implicit p = exactly MaxBaseLabels distinct: allowed.
 	if _, err := Prepare(overParamSpec(taint.MaxBaseLabels - 1)); err != nil {
 		t.Fatalf("Prepare rejected a spec at the mask budget: %v", err)
+	}
+}
+
+// A spec whose functions call each other in a cycle never reaches the
+// interpreter: nothing in the spec language ends a recursion, so the tainted
+// run would recurse until the process is killed.
+func TestPrepareRejectsCallCycle(t *testing.T) {
+	spec := &apps.Spec{
+		Name:   "cyc",
+		Params: []string{"n"},
+		Funcs: []*apps.FuncSpec{
+			{Name: "main", Kind: apps.KindMain, Body: []apps.Stmt{apps.Call{Callee: "f"}}},
+			{Name: "f", Kind: apps.KindKernel, Body: []apps.Stmt{apps.Work{Units: 1}, apps.Call{Callee: "g"}}},
+			{Name: "g", Kind: apps.KindKernel, Body: []apps.Stmt{apps.Call{Callee: "f"}}},
+		},
+	}
+	prep, err := Prepare(spec)
+	if prep != nil || err == nil || !strings.Contains(err.Error(), "call cycle f -> g -> f") {
+		t.Fatalf("Prepare = (%v, %v), want an error naming the cycle f -> g -> f", prep, err)
 	}
 }
 

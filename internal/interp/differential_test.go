@@ -26,6 +26,10 @@ type genConfig struct {
 	funcs    int // helper functions besides main
 	stmts    int // statements per body
 	maxDepth int // nesting depth of ifs/loops/switches
+	// leaves is the number of straight-line leaf functions (see buildLeaf)
+	// built before the helpers. Zero draws nothing extra from the random
+	// stream, so a module generated without leaves stays what it was.
+	leaves int
 }
 
 type gen struct {
@@ -45,6 +49,12 @@ type gen struct {
 // run can fail is fuel exhaustion — which the harness also compares.
 func genModule(seed int64, cfg genConfig) *ir.Module {
 	g := &gen{r: rand.New(rand.NewSource(seed)), mod: ir.NewModule(fmt.Sprintf("rand%d", seed)), cfg: cfg}
+	if cfg.leaves > 0 {
+		first := g.r.Intn(numLeafShapes)
+		for i := 0; i < cfg.leaves; i++ {
+			g.buildLeaf(fmt.Sprintf("g%d", i), (first+i)%numLeafShapes)
+		}
+	}
 	for i := 0; i < cfg.funcs; i++ {
 		params := 1 + g.r.Intn(3)
 		name := fmt.Sprintf("f%d", i)
@@ -82,8 +92,130 @@ func (g *gen) buildFunc(name string, params int) {
 	for i := 0; i < n; i++ {
 		bd.stmt()
 	}
+	if g.cfg.leaves > 0 {
+		bd.leafCalls()
+	}
 	b.Ret(bd.pick())
 	b.Finish()
+}
+
+// numLeafShapes counts the shapes buildLeaf knows.
+const numLeafShapes = 7
+
+// buildLeaf adds one single-block function without memory traffic, the
+// kind of callee the fast engine may replace by a call summary. Every
+// shape but the last returns a constant (or nothing) whatever its
+// arguments; the last returns a parameter-dependent value and must keep
+// running as an activation.
+func (g *gen) buildLeaf(name string, shape int) {
+	params := g.r.Intn(3)
+	if shape == 3 || shape == 6 {
+		params = 1 + g.r.Intn(2) // shapes that read a parameter
+	}
+	b := ir.NewFunc(g.mod, name, params)
+	k := int64(g.r.Intn(21) - 10)
+	switch shape {
+	case 0: // constant getter, the shape of the bundled apps' accessors
+		b.Work(b.Const(int64(1 + g.r.Intn(4))))
+		b.Ret(b.Const(k))
+	case 1: // void worker
+		b.Work(b.Const(int64(1 + g.r.Intn(4))))
+		b.Work(b.Const(1))
+		b.RetVoid()
+	case 2: // wrapper of an earlier leaf (a getter, when one exists)
+		if len(g.callees) == 0 {
+			b.Ret(b.Neg(b.Const(k)))
+			break
+		}
+		c := g.callees[g.r.Intn(len(g.callees))]
+		args := make([]ir.Reg, c.params)
+		for i := range args {
+			args[i] = b.Const(int64(i))
+		}
+		b.Ret(b.Bin(ir.OpMax, b.Call(c.name, args...), b.Const(k)))
+	case 3: // constant return next to parameter-dependent dead code
+		dead := b.Mul(b.Param(0), b.Param(params-1))
+		b.MovTo(dead, b.Add(dead, b.Const(k)))
+		b.Ret(b.Bin(ir.OpXor, b.Const(k), b.Const(5)))
+	case 4: // read of a register nothing ever writes (reads as zero)
+		b.Ret(b.Sub(b.NewReg(), b.Const(k)))
+	case 5: // divide and modulo by a constant zero fold to zero
+		zero := b.Const(0)
+		b.Ret(b.Add(b.Div(b.Const(k), zero), b.Mod(b.Const(7), zero)))
+	default: // parameter-dependent return: never summarized
+		b.Ret(b.Add(b.Param(0), b.Const(k)))
+	}
+	b.Finish()
+	g.callees = append(g.callees, struct {
+		name   string
+		params int
+	}{name, params})
+}
+
+// leafCalls calls every leaf from inside a counted loop whose bound and an
+// if whose condition derive from parameters (tainted, in main), so the
+// write of a call's result happens under open loop-exit and branch scopes.
+// Odd leaves return into a register that predates the loop (loop-carried),
+// even ones into a fresh per-iteration temporary.
+func (bd *body) leafCalls() {
+	g, b := bd.g, bd.b
+	acc := b.Mov(bd.pick())
+	carried := b.Const(0)
+	save := len(bd.pool)
+	b.For(b.Const(0), b.Bin(ir.OpAnd, b.Param(0), b.Const(3)), b.Const(1), func(i ir.Reg) {
+		bd.push(i)
+		leaf := func(li int) {
+			c := g.callees[li]
+			args := make([]ir.Reg, c.params)
+			for a := range args {
+				args[a] = bd.pick()
+			}
+			if li%2 == 1 {
+				blk := b.CurBlock()
+				blk.Instrs = append(blk.Instrs, ir.Instr{Op: ir.OpCall, Dst: carried, A: ir.NoReg, B: ir.NoReg, Sym: c.name, Args: args})
+				b.MovTo(acc, b.Add(acc, carried))
+			} else {
+				b.MovTo(acc, b.Add(acc, b.Call(c.name, args...)))
+			}
+		}
+		b.If(b.CmpLT(i, bd.pick()), func() {
+			for li := 0; li < g.cfg.leaves; li += 2 {
+				leaf(li)
+			}
+		}, func() {
+			for li := 1; li < g.cfg.leaves; li += 2 {
+				leaf(li)
+			}
+		})
+		leaf(g.r.Intn(g.cfg.leaves))
+	})
+	bd.pool = bd.pool[:save]
+	bd.push(acc)
+	bd.push(carried)
+
+	// A leaf result first defined as the last write before a loop whose
+	// header only branches (no compare in it): the exit scope opens at the
+	// very next write sequence, so whether the result counts as
+	// loop-carried hinges on the call having recorded the register's birth
+	// and advanced the sequence exactly once.
+	c := g.callees[g.r.Intn(g.cfg.leaves)]
+	args := make([]ir.Reg, c.params)
+	for a := range args {
+		args[a] = bd.pick()
+	}
+	cnt := b.Mov(b.Bin(ir.OpAnd, b.Param(0), b.Const(1)))
+	one := b.Const(1)
+	last := b.Call(c.name, args...)
+	header, loop, exit := b.NewBlock("bareheader"), b.NewBlock("barebody"), b.NewBlock("bareexit")
+	b.Jmp(header)
+	b.SetBlock(header)
+	b.Br(cnt, loop, exit)
+	b.SetBlock(loop)
+	b.MovTo(last, b.Add(last, one))
+	b.MovTo(cnt, b.Sub(cnt, one))
+	b.Jmp(header)
+	b.SetBlock(exit)
+	bd.push(last)
 }
 
 func (bd *body) pick() ir.Reg {
@@ -354,6 +486,19 @@ func instructionsOf(t *testing.T, mod *ir.Module, args []int64) int64 {
 	return res.Instructions
 }
 
+// verifyGenerated fails the test unless mod verifies against the MPI
+// library database.
+func verifyGenerated(t *testing.T, mod *ir.Module) {
+	t.Helper()
+	db := libdb.DefaultMPI()
+	if err := ir.VerifyModule(mod, func(name string) bool {
+		_, ok := db.Lookup(name)
+		return ok
+	}); err != nil {
+		t.Fatalf("generator produced invalid module: %v", err)
+	}
+}
+
 // TestDifferentialFastMatchesReference executes >=50 seeded random modules
 // under both engines — tainted and untainted, full-fuel and truncated — and
 // requires identical observables.
@@ -369,13 +514,7 @@ func TestDifferentialFastMatchesReference(t *testing.T) {
 		cfg := shapes[int(seed)%len(shapes)]
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			mod := genModule(seed*7919+13, cfg)
-			db := libdb.DefaultMPI()
-			if err := ir.VerifyModule(mod, func(name string) bool {
-				_, ok := db.Lookup(name)
-				return ok
-			}); err != nil {
-				t.Fatalf("generator produced invalid module: %v", err)
-			}
+			verifyGenerated(t, mod)
 			args := []int64{seed % 9, (seed % 5) - 2, seed % 3}
 			diffModes(t, mod, args, 1_000_000, true)
 			diffModes(t, mod, args, 1_000_000, false)
@@ -387,6 +526,49 @@ func TestDifferentialFastMatchesReference(t *testing.T) {
 				diffModes(t, mod, args, n-1, false)
 			}
 		})
+	}
+}
+
+// TestDifferentialSummarizedLeaves runs seeded modules whose functions call
+// straight-line leaves — the callees the fast engine executes as call
+// summaries — inside tainted loops and branches. Each module must actually
+// carry summaries (and keep at least main out of them), and the engines
+// must agree at full fuel and at budgets that end before, inside and right
+// after summarized calls.
+func TestDifferentialSummarizedLeaves(t *testing.T) {
+	shapes := []genConfig{
+		{funcs: 0, stmts: 3, maxDepth: 1, leaves: 7},
+		{funcs: 2, stmts: 5, maxDepth: 2, leaves: 3},
+		{funcs: 3, stmts: 4, maxDepth: 2, leaves: 9},
+		{funcs: 1, stmts: 6, maxDepth: 3, leaves: 1},
+	}
+	summarized := 0
+	for seed := int64(0); seed < 32; seed++ {
+		cfg := shapes[int(seed)%len(shapes)]
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			mod := genModule(seed*104723+5, cfg)
+			verifyGenerated(t, mod)
+			prog := interp.Predecode(mod)
+			if n := prog.NumSummarized(); n >= prog.NumFuncs() {
+				t.Fatalf("%d of %d functions summarized: main allocates and must not be", n, prog.NumFuncs())
+			} else if n > 0 {
+				summarized++
+			}
+			args := []int64{3 + seed%5, (seed % 7) - 3, seed % 4}
+			diffModes(t, mod, args, 1_000_000, true)
+			diffModes(t, mod, args, 1_000_000, false)
+			n := instructionsOf(t, mod, args)
+			for _, fuel := range []int64{n - 1, n - 2, n - 3, n / 2, n/2 + 1, n / 3, n / 5} {
+				if fuel > 0 {
+					diffModes(t, mod, args, fuel, true)
+					diffModes(t, mod, args, fuel, false)
+				}
+			}
+		})
+	}
+	// Only the one-leaf shape can come out without a summarizable leaf.
+	if summarized < 24 {
+		t.Fatalf("only %d of 32 modules carried a summarized function", summarized)
 	}
 }
 
@@ -471,13 +653,7 @@ func TestDifferentialDeepUnionChains(t *testing.T) {
 		nparams := 8 + int(seed%5)
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			mod := genDeepModule(seed, nparams)
-			db := libdb.DefaultMPI()
-			if err := ir.VerifyModule(mod, func(name string) bool {
-				_, ok := db.Lookup(name)
-				return ok
-			}); err != nil {
-				t.Fatalf("deep generator produced invalid module: %v", err)
-			}
+			verifyGenerated(t, mod)
 			params := make([]string, nparams)
 			args := make([]int64, nparams)
 			for i := range params {

@@ -728,6 +728,30 @@ func (m *Machine) execLoopFrom(prog *Program, df *dfunc, fr *fastFrame, pathIdx 
 			pc++
 		case ir.OpCall:
 			site := &df.calls[in.aux]
+			if site.sumN > 0 && fuel >= site.sumN {
+				// Summarized callee (see summarizeFunc): charge what the
+				// activation would and write its constant, unlabelled
+				// return the way a returning call does. With less fuel than
+				// that the activation runs below, so the abort lands on the
+				// oracle's instruction.
+				fuel -= site.sumN
+				regs[in.dst] = site.sumVal
+				if tainting {
+					wl := taint.None
+					if cs.cflow {
+						if len(cs.ctl) > 0 {
+							wl |= cs.regCtl(in.dst)
+						}
+						if cs.born[in.dst] < cs.seqBase {
+							cs.born[in.dst] = cs.writeSeq
+						}
+						cs.writeSeq++
+					}
+					labels[in.dst] = wl
+				}
+				pc++
+				break
+			}
 			childCtl := taint.None
 			if cs.cflow && (len(cs.ctl) > 0 || cs.ctlBase != taint.None) {
 				childCtl = cs.memCtl()

@@ -83,7 +83,40 @@ func buildSpinMem(m *ir.Module) {
 	b.Finish()
 }
 
-// TestFuelBoundarySweep runs two spin programs at EVERY fuel value from 1
+// buildSpinLeaf creates main(n): a counted loop that calls a constant
+// getter, a wrapper of that getter and a void worker every iteration, the
+// callees the fast engine replaces by call summaries. A summary is taken
+// only when the remaining fuel covers the whole callee, so fuel sweeps over
+// this program end before, inside (at each instruction of the getter, of the
+// wrapper and of the getter inside the wrapper) and right after every
+// summarized call.
+func buildSpinLeaf(m *ir.Module) {
+	g := ir.NewFunc(m, "get", 0)
+	g.Work(g.Const(2))
+	g.Ret(g.Const(3))
+	g.Finish()
+
+	w := ir.NewFunc(m, "wrap", 1)
+	w.Ret(w.Mul(w.Call("get"), w.Const(2)))
+	w.Finish()
+
+	v := ir.NewFunc(m, "tick", 2)
+	v.Work(v.Const(1))
+	v.RetVoid()
+	v.Finish()
+
+	b := ir.NewFunc(m, "main", 1)
+	acc := b.Const(0)
+	b.For(b.Const(0), b.Param(0), b.Const(1), func(i ir.Reg) {
+		b.MovTo(acc, b.Add(acc, b.Call("get")))
+		b.MovTo(acc, b.Add(acc, b.Call("wrap", i)))
+		b.MovTo(acc, b.Add(acc, b.Call("tick", i, acc)))
+	})
+	b.Ret(acc)
+	b.Finish()
+}
+
+// TestFuelBoundarySweep runs three spin programs at EVERY fuel value from 1
 // through full completion, untainted and tainted, and requires the three
 // engines to agree exactly on the (error, partial instruction count, value,
 // label) observables at each budget. The compiled engine pre-charges fuel
@@ -97,6 +130,7 @@ func TestFuelBoundarySweep(t *testing.T) {
 	}{
 		{"spin", buildSpin},
 		{"spinmem", buildSpinMem},
+		{"spinleaf", buildSpinLeaf},
 	}
 	type obs struct {
 		ins    int64

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/interp"
-	"repro/internal/ir"
 	"repro/internal/libdb"
 )
 
@@ -19,7 +18,10 @@ import (
 // so agreement here pins the whole pipeline. Each input also reruns with a truncated fuel budget derived
 // from the fuzzed selector, sweeping abort points across superinstruction
 // boundaries: the compiled engine must de-optimize to the oracle's exact
-// partial instruction count.
+// partial instruction count. The selector's top three bits add straight-line
+// leaf functions (see fuzzShape), the callees the fast engine executes as
+// call summaries, so the same sweep lands budgets before, inside and after
+// summarized calls.
 //
 // Run it as a fuzzer with:
 //
@@ -33,22 +35,12 @@ func FuzzDifferentialEngines(f *testing.F) {
 	f.Add(int64(7919), int64(8), int64(2), int64(1), uint16(7))
 	f.Add(int64(31337), int64(0), int64(0), int64(0), uint16(255))
 	f.Add(int64(-4), int64(5), int64(-3), int64(7), uint16(31))
+	// Top three bits of the fuel selector set: modules with leaves.
+	f.Add(int64(13), int64(3), int64(-1), int64(2), uint16(0xe005))
+	f.Add(int64(7919), int64(8), int64(2), int64(1), uint16(0x6107))
 	f.Fuzz(func(t *testing.T, seed, a0, a1, a2 int64, fuelSel uint16) {
-		// Shape the module from the seed so one int64 explores the whole
-		// generator space; bounds mirror the table-driven differential.
-		cfg := genConfig{
-			funcs:    int(uint64(seed) % 5),
-			stmts:    2 + int(uint64(seed)>>3%7),
-			maxDepth: 1 + int(uint64(seed)>>7%3),
-		}
-		mod := genModule(seed, cfg)
-		db := libdb.DefaultMPI()
-		if err := ir.VerifyModule(mod, func(name string) bool {
-			_, ok := db.Lookup(name)
-			return ok
-		}); err != nil {
-			t.Fatalf("generator produced invalid module: %v", err)
-		}
+		mod := genModule(seed, fuzzShape(seed, fuelSel))
+		verifyGenerated(t, mod)
 		args := []int64{a0 % 16, a1 % 16, a2 % 16}
 		// The budget bounds runaway generated modules (they terminate, but
 		// possibly only after hundreds of millions of instructions) and
@@ -78,22 +70,46 @@ func FuzzDifferentialEngines(f *testing.F) {
 	})
 }
 
+// fuzzShape derives the generator shape of one fuzz input, so one int64
+// explores the whole generator space; bounds mirror the table-driven
+// differential. The leaf count comes from the top three bits of the fuel
+// selector, which are clear in every input committed before leaves existed:
+// those inputs keep generating the modules they were committed for.
+func fuzzShape(seed int64, fuelSel uint16) genConfig {
+	return genConfig{
+		funcs:    int(uint64(seed) % 5),
+		stmts:    2 + int(uint64(seed)>>3%7),
+		maxDepth: 1 + int(uint64(seed)>>7%3),
+		leaves:   int(fuelSel >> 13),
+	}
+}
+
 // TestFuzzCorpusShapes pins the derivation from fuzz input to generator
 // shape: if the mapping above changes, the committed corpus under
 // testdata/fuzz no longer exercises the intended shapes and should be
-// re-seeded.
+// re-seeded. Inputs that ask for leaves must generate modules the fast
+// engine summarizes calls in, or the fuzzer never reaches that path.
 func TestFuzzCorpusShapes(t *testing.T) {
-	for _, seed := range []int64{13, 7919, 31337, -4} {
-		cfg := genConfig{
-			funcs:    int(uint64(seed) % 5),
-			stmts:    2 + int(uint64(seed)>>3%7),
-			maxDepth: 1 + int(uint64(seed)>>7%3),
+	for _, in := range []struct {
+		seed    int64
+		fuelSel uint16
+	}{
+		{13, 0}, {7919, 7}, {31337, 255}, {-4, 31},
+		{13, 0xe005}, {7919, 0x6107}, {-777, 0xa040}, {424243, 0xc081}, {88001, 0x2011}, {31152, 0x80cb}, {999331, 0xe05a},
+	} {
+		cfg := fuzzShape(in.seed, in.fuelSel)
+		if cfg.funcs < 0 || cfg.funcs > 4 || cfg.stmts < 2 || cfg.stmts > 8 || cfg.maxDepth < 1 || cfg.maxDepth > 3 || cfg.leaves > 7 {
+			t.Fatalf("seed %d derives out-of-bounds shape %+v", in.seed, cfg)
 		}
-		if cfg.funcs < 0 || cfg.funcs > 4 || cfg.stmts < 2 || cfg.stmts > 8 || cfg.maxDepth < 1 || cfg.maxDepth > 3 {
-			t.Fatalf("seed %d derives out-of-bounds shape %+v", seed, cfg)
+		if (cfg.leaves > 0) != (in.fuelSel >= 1<<13) {
+			t.Fatalf("seed %d selector %#x derives %d leaves", in.seed, in.fuelSel, cfg.leaves)
 		}
-		if mod := genModule(seed, cfg); mod == nil {
-			t.Fatalf("seed %d generated no module", seed)
+		mod := genModule(in.seed, cfg)
+		if mod == nil {
+			t.Fatalf("seed %d generated no module", in.seed)
+		}
+		if n := interp.Predecode(mod).NumSummarized(); (n > 0) != (cfg.leaves > 0) {
+			t.Fatalf("seed %d selector %#x (%d leaves): %d functions summarized", in.seed, in.fuelSel, cfg.leaves, n)
 		}
 	}
 }

@@ -5,18 +5,29 @@
 // branch's immediate post-dominator, loop exit branches act as taint sinks,
 // and loop back edges are counted.
 //
-// Three engines implement these semantics. The default fast engine executes
-// a predecoded Program: dense per-function instruction arrays with resolved
-// branch targets and per-edge loop effects, pooled call frames, and interned
-// call paths whose taint records resolve to cached pointers (see
-// predecode.go and fast.go). The compiled engine (Machine.Mode ==
-// ModeCompiled) lowers the same Program once into chains of specialized Go
-// closures — superinstructions for common 2-3 instruction sequences,
-// batched fuel accounting, and provably-clean block variants that skip all
-// label work (see compile.go) — and is the production tier for sweep
-// execution. The original tree-walking interpreter is kept behind
-// Machine.Mode == ModeReference as the semantic oracle; the differential and
-// fuzz harnesses prove all three produce identical observables.
+// Three engines implement these semantics. The default fast engine is the
+// production tier — every analysis, sweep and daemon request runs on it. It
+// executes a predecoded Program: dense per-function instruction arrays with
+// resolved branch targets and per-edge loop effects, pooled call frames, and
+// interned call paths whose taint records resolve to cached pointers (see
+// predecode.go and fast.go). Predecode also gives every straight-line
+// function whose return value it can prove constant — the accessor shape,
+// and wrappers of such functions — a call summary: the exact number of
+// instructions one activation charges and the constant it returns. Such a
+// callee can open no control scope, touch no memory and fire no record, and
+// its return label is empty, so the fast engine executes a call to it as one
+// dispatch that charges the callee's instruction count and writes the
+// constant with the caller-side label bookkeeping of a returning call. A
+// summary is taken only when the remaining fuel covers the whole callee;
+// otherwise the activation runs, so an abort lands on the oracle's
+// instruction. The compiled engine (Machine.Mode == ModeCompiled) lowers the
+// same Program once into chains of specialized Go closures —
+// superinstructions for common 2-3 instruction sequences, batched fuel
+// accounting, and provably-clean block variants that skip all label work
+// (see compile.go); nothing outside tests and benchmarks selects it. The
+// original tree-walking interpreter is kept behind Machine.Mode ==
+// ModeReference as the semantic oracle; the differential and fuzz harnesses
+// prove all three produce identical observables.
 package interp
 
 import (

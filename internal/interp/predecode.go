@@ -29,6 +29,9 @@ type Program struct {
 	// interpreter's map semantics).
 	globalOrd map[string]int32
 	numSites  int32
+	// sums holds, per function, the call summary the bottom-up pass proved
+	// (see summarize); the zero value means "run the activation".
+	sums []summary
 
 	// heapHint / shadowHint are the high-water heap and shadow sizes (in
 	// cells) observed across completed runs of this program. Machines use
@@ -63,6 +66,18 @@ func (p *Program) Func(name string) int32 {
 
 // NumFuncs returns the number of decoded functions.
 func (p *Program) NumFuncs() int { return len(p.funcs) }
+
+// NumSummarized returns how many functions carry a call summary: calls to
+// them cost the fast engine one dispatch instead of an activation.
+func (p *Program) NumSummarized() int {
+	n := 0
+	for _, s := range p.sums {
+		if s.n > 0 {
+			n++
+		}
+	}
+	return n
+}
 
 // edge-event kinds attached to decoded control-flow edges.
 const (
@@ -118,7 +133,10 @@ type dswitch struct {
 
 // dcall is one pre-bound call site. callee >= 0 points at a decoded module
 // function; otherwise externOrd names the machine extern slot. siteID is
-// module-unique and keys the interned call-path tree.
+// module-unique and keys the interned call-path tree. sumN > 0 copies the
+// callee's summary onto a site of matching arity: an activation charges
+// exactly sumN instructions and returns sumVal with an empty label, and can
+// observe or record nothing else.
 type dcall struct {
 	sym       string
 	siteID    int32
@@ -126,6 +144,8 @@ type dcall struct {
 	externOrd int32
 	numParams int32
 	args      []int32
+	sumN      int64
+	sumVal    Value
 }
 
 // loopMeta carries the identity of one func-local natural loop for lazy
@@ -183,6 +203,7 @@ func PredecodeForests(mod *ir.Module, forests []*cfg.Forest) *Program {
 	for i, fn := range mod.FuncList {
 		p.byName[fn.Name] = int32(i)
 	}
+	p.sums = summarize(mod, p.byName)
 	for i, fn := range mod.FuncList {
 		p.funcs = append(p.funcs, p.decodeFunc(fn, int32(i), forests[i]))
 	}
@@ -298,6 +319,9 @@ func (p *Program) decodeFunc(fn *ir.Function, idx int32, loops *cfg.Forest) *dfu
 				if callee, ok := p.byName[in.Sym]; ok {
 					dc.callee = callee
 					dc.numParams = int32(p.Mod.FuncList[callee].NumParams)
+					if len(in.Args) == int(dc.numParams) {
+						dc.sumN, dc.sumVal = p.sums[callee].n, p.sums[callee].val
+					}
 				} else {
 					dc.externOrd = p.externSlot(in.Sym)
 				}
@@ -319,6 +343,150 @@ func (p *Program) decodeFunc(fn *ir.Function, idx int32, loops *cfg.Forest) *dfu
 	}
 	df.zeroRegs = computeZeroRegs(fn)
 	return df
+}
+
+// summary is what one activation of a straight-line constant function can
+// be observed to do: charge n instructions (nested summarized calls
+// included) and return val, 0 for a void return, with an empty label.
+// n == 0 means the function has no summary.
+type summary struct {
+	n   int64
+	val Value
+}
+
+// maxSummaryN caps a summary's instruction count. Wrappers that call
+// wrappers multiply it, and the fast engine compares it against the fuel
+// left; the cap keeps the sum far from overflow.
+const maxSummaryN = 1 << 40
+
+// summarize gives every function of mod it can a summary, callees before
+// callers: a single-block function is examined once all the module
+// functions it calls have been, so one on a call cycle, or reaching one, is
+// never examined and keeps the zero summary.
+func summarize(mod *ir.Module, byName map[string]int32) []summary {
+	nf := len(mod.FuncList)
+	sums := make([]summary, nf)
+	pending := make([]int32, nf)
+	callers := make([][]int32, nf)
+	maxRegs := 0
+	for i, fn := range mod.FuncList {
+		if len(fn.Blocks) != 1 {
+			continue // never summarized, so nothing has to precede it
+		}
+		maxRegs = max(maxRegs, fn.NumRegs)
+		for ii := range fn.Blocks[0].Instrs {
+			if in := &fn.Blocks[0].Instrs[ii]; in.Op == ir.OpCall {
+				if callee, ok := byName[in.Sym]; ok {
+					pending[i]++
+					callers[callee] = append(callers[callee], int32(i))
+				}
+			}
+		}
+	}
+	var ready []int32
+	for i := range pending {
+		if pending[i] == 0 {
+			ready = append(ready, int32(i))
+		}
+	}
+	// Scratch for the abstract evaluation, sized for the widest candidate.
+	known := make([]bool, maxRegs)
+	vals := make([]Value, maxRegs)
+	for len(ready) > 0 {
+		i := ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+		if fn := mod.FuncList[i]; len(fn.Blocks) == 1 {
+			sums[i] = summarizeFunc(mod, fn, byName, sums, known[:fn.NumRegs], vals[:fn.NumRegs])
+		}
+		for _, c := range callers[i] {
+			if pending[c]--; pending[c] == 0 {
+				ready = append(ready, c)
+			}
+		}
+	}
+	return sums
+}
+
+// summarizeFunc evaluates the single block of fn abstractly over {constant,
+// unknown}: register arithmetic, work and calls to summarized functions,
+// ended by returning nothing or a register proved constant. Parameters are
+// unknown, never-written registers read as the constant 0 (the IR
+// contract), and two constants fold with the engine's own binop. Such a
+// body opens no control scope, touches no memory and fires no record, and
+// every register it proves constant carries an empty label: constants are
+// born unlabelled, unions of empty labels are empty, and a single block has
+// no control scope of its own to add. known and vals are caller-owned
+// scratch, one slot per register.
+func summarizeFunc(mod *ir.Module, fn *ir.Function, byName map[string]int32, sums []summary, known []bool, vals []Value) summary {
+	for r := range known {
+		known[r], vals[r] = r >= fn.NumParams, 0
+	}
+	valid := func(rs ...ir.Reg) bool {
+		for _, r := range rs {
+			if r < 0 || int(r) >= fn.NumRegs {
+				return false
+			}
+		}
+		return true
+	}
+	n := int64(0)
+	instrs := fn.Blocks[0].Instrs
+	for ii := range instrs {
+		in := &instrs[ii]
+		n++
+		switch op := in.Op; {
+		case op == ir.OpRet:
+			if in.A == ir.NoReg {
+				return summary{n: n}
+			}
+			if !valid(in.A) || !known[in.A] {
+				return summary{}
+			}
+			return summary{n: n, val: vals[in.A]}
+		case op == ir.OpWork:
+		case op == ir.OpConst:
+			if !valid(in.Dst) {
+				return summary{}
+			}
+			known[in.Dst], vals[in.Dst] = true, in.Imm
+		case op == ir.OpMov:
+			if !valid(in.Dst, in.A) {
+				return summary{}
+			}
+			known[in.Dst], vals[in.Dst] = known[in.A], vals[in.A]
+		case op == ir.OpNeg || op == ir.OpNot:
+			if !valid(in.Dst, in.A) {
+				return summary{}
+			}
+			v := -vals[in.A]
+			if op == ir.OpNot {
+				v = boolVal(vals[in.A] == 0)
+			}
+			known[in.Dst], vals[in.Dst] = known[in.A], v
+		case op >= ir.OpAdd && op <= ir.OpMax:
+			if !valid(in.Dst, in.A, in.B) {
+				return summary{}
+			}
+			k := known[in.A] && known[in.B]
+			known[in.Dst] = k
+			if k {
+				vals[in.Dst] = binop(op, vals[in.A], vals[in.B])
+			}
+		case op == ir.OpCall:
+			callee, ok := byName[in.Sym]
+			if !ok || sums[callee].n == 0 || len(in.Args) != mod.FuncList[callee].NumParams ||
+				!valid(in.Dst) || !valid(in.Args...) {
+				return summary{}
+			}
+			if n += sums[callee].n; n > maxSummaryN {
+				return summary{}
+			}
+			known[in.Dst], vals[in.Dst] = true, sums[callee].val
+		default:
+			return summary{}
+		}
+	}
+	return summary{}
 }
 
 // computeZeroRegs returns the registers of fn that may be read before being
