@@ -175,8 +175,10 @@ func BenchmarkBatchAnalyze(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := runner.FirstErr(res); err != nil {
-			b.Fatal(err)
+		for _, r := range res {
+			if r.Err != nil {
+				b.Fatal(r.Err)
+			}
 		}
 	}
 }
@@ -214,8 +216,10 @@ func BenchmarkSweepParallel(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := runner.FirstErr(res); err != nil {
-			b.Fatal(err)
+		for _, r := range res {
+			if r.Err != nil {
+				b.Fatal(r.Err)
+			}
 		}
 	}
 }

@@ -51,6 +51,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -347,15 +348,9 @@ func runModel(args []string) {
 	if *cfgPath == "" {
 		log.Fatal("model requires -config FILE (a modelreg.Config JSON document)")
 	}
-	raw, err := os.ReadFile(*cfgPath)
+	cfg, err := loadModelConfig(*cfgPath)
 	if err != nil {
 		log.Fatal(err)
-	}
-	var cfg modelreg.Config
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
-		log.Fatalf("parse %s: %v", *cfgPath, err)
 	}
 	progress := func(ev modelreg.Event) {
 		if *quiet {
@@ -373,37 +368,58 @@ func runModel(args []string) {
 		}
 	}
 
-	if *addr != "" {
-		if cfg.App == "" {
-			log.Fatalf("%s requires \"app\" when submitting to a daemon", *cfgPath)
-		}
-		resp, err := newClient(*addr, *retries).ModelsStream(context.Background(), api.NewModelRequest(cfg), progress)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if !*quiet && resp.Cached {
-			log.Printf("served from the model registry (key %s)", resp.Key)
-		}
-		emitJSON(resp.ModelSet)
-		return
-	}
-
-	app, ok := service.BundledApps()[cfg.App]
-	if !ok {
-		log.Fatalf("unknown app %q in %s (want lulesh or milc)", cfg.App, *cfgPath)
-	}
-	// One shared overlay across CLI, daemon, and examples — local and
-	// remote runs must compute identical design digests.
-	cfg = service.ResolveModelDefaults(app, cfg)
-	prep, err := core.Prepare(app.New())
+	ms, cached, err := extractModel(cfg, *addr, *workers, *retries, progress)
 	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("%s: %v", *cfgPath, err)
 	}
-	ms, err := modelreg.Extract(context.Background(), &runner.Runner{Workers: *workers}, prep, cfg, progress)
-	if err != nil {
-		log.Fatal(err)
+	if !*quiet && cached {
+		log.Printf("served from the model registry (key %s)", ms.Key)
 	}
 	emitJSON(ms)
+}
+
+// loadModelConfig reads a modeling config file; a field the config does
+// not have is a typo, not an extension.
+func loadModelConfig(path string) (modelreg.Config, error) {
+	var cfg modelreg.Config
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return cfg, err
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
+		return cfg, fmt.Errorf("parse %s: %w", path, err)
+	}
+	return cfg, nil
+}
+
+// extractModel runs the extraction cfg describes in process or, with addr
+// set, through that daemon's POST /v1/models. Both paths resolve the same
+// design — one defaults overlay, one digest — so they return the same set
+// under the same key; cached reports a daemon registry hit.
+func extractModel(cfg modelreg.Config, addr string, workers, retries int, progress func(modelreg.Event)) (ms *modelreg.ModelSet, cached bool, err error) {
+	if addr != "" {
+		if cfg.App == "" {
+			return nil, false, errors.New(`"app" is required when submitting to a daemon`)
+		}
+		resp, err := newClient(addr, retries).ModelsStream(context.Background(), api.NewModelRequest(cfg), progress)
+		if err != nil {
+			return nil, false, err
+		}
+		return resp.ModelSet, resp.Cached, nil
+	}
+	app, ok := service.BundledApps()[cfg.App]
+	if !ok {
+		return nil, false, fmt.Errorf("unknown app %q (want lulesh or milc)", cfg.App)
+	}
+	prep, err := core.Prepare(app.New())
+	if err != nil {
+		return nil, false, err
+	}
+	ms, err = modelreg.Extract(context.Background(), &runner.Runner{Workers: workers}, prep,
+		service.ResolveModelDefaults(app, cfg), progress)
+	return ms, false, err
 }
 
 // runReport renders a model-set JSON document (stdin or -in) as
@@ -539,14 +555,14 @@ func parseConfig(s string) (apps.Config, error) {
 }
 
 // parseAxes reads "p=2,4,8;size=4,5" into sweep axes.
-func parseAxes(s string) ([]api.SweepAxis, error) {
-	var out []api.SweepAxis
+func parseAxes(s string) ([]runner.Axis, error) {
+	var out []runner.Axis
 	for _, part := range strings.Split(s, ";") {
 		name, vals, ok := strings.Cut(strings.TrimSpace(part), "=")
 		if !ok {
 			return nil, fmt.Errorf("bad axis %q (want name=v1,v2,...)", part)
 		}
-		ax := api.SweepAxis{Param: name}
+		ax := runner.Axis{Param: name}
 		for _, v := range strings.Split(vals, ",") {
 			f, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
 			if err != nil {

@@ -2,12 +2,14 @@ package main
 
 import (
 	"bytes"
+	"net/http/httptest"
 	"os"
 	"reflect"
 	"testing"
 
-	"repro/internal/api"
 	"repro/internal/apps"
+	"repro/internal/runner"
+	"repro/internal/service"
 )
 
 func TestParseConfig(t *testing.T) {
@@ -39,11 +41,11 @@ func TestParseConfig(t *testing.T) {
 func TestParseAxes(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
-		want []api.SweepAxis
+		want []runner.Axis
 		bad  bool
 	}{
-		{in: "p=2,4,8", want: []api.SweepAxis{{Param: "p", Values: []float64{2, 4, 8}}}},
-		{in: "p=2, 4 ; size=4,5", want: []api.SweepAxis{
+		{in: "p=2,4,8", want: []runner.Axis{{Param: "p", Values: []float64{2, 4, 8}}}},
+		{in: "p=2, 4 ; size=4,5", want: []runner.Axis{
 			{Param: "p", Values: []float64{2, 4}},
 			{Param: "size", Values: []float64{4, 5}},
 		}},
@@ -84,5 +86,40 @@ func TestFitGolden(t *testing.T) {
 	}
 	if err := fit(&got, []byte(`{"params": [`)); err == nil {
 		t.Error("fit accepted a truncated measurement file")
+	}
+}
+
+// TestModelMinimalConfigLocalAndRemote pins the documented minimal
+// config: with "params" omitted it defaults to the axis parameters in
+// axis order, in process and through a daemon alike, so `perftaint model`
+// and `perftaint model -addr` address one registry entry.
+func TestModelMinimalConfigLocalAndRemote(t *testing.T) {
+	cfg, err := loadModelConfig("testdata/model_minimal.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Params != nil {
+		t.Fatalf("fixture spells params %v; the point is to omit them", cfg.Params)
+	}
+	srv, err := service.NewServer(service.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	defer func() { hs.Close(); srv.Close() }()
+
+	local, _, err := extractModel(cfg, "", 1, 0, nil)
+	if err != nil {
+		t.Fatalf("local: %v", err)
+	}
+	remote, _, err := extractModel(cfg, hs.URL, 1, 0, nil)
+	if err != nil {
+		t.Fatalf("-addr: %v", err)
+	}
+	if want := []string{"p", "size"}; !reflect.DeepEqual(local.Params, want) || !reflect.DeepEqual(remote.Params, want) {
+		t.Errorf("params defaulted to %v locally and %v remotely, want %v", local.Params, remote.Params, want)
+	}
+	if local.Key != remote.Key {
+		t.Errorf("local key %s, -addr key %s", local.Key, remote.Key)
 	}
 }

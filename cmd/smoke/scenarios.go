@@ -33,7 +33,7 @@ var (
 	smallModel = api.ModelRequest{
 		App:    "lulesh",
 		Params: []string{"p", "size"},
-		Axes: []api.SweepAxis{
+		Axes: []runner.Axis{
 			{Param: "p", Values: []float64{2, 4}},
 			{Param: "size", Values: []float64{4, 5}},
 		},
@@ -43,7 +43,7 @@ var (
 	// chaosSweep is the design every chaos phase runs.
 	chaosSweep = api.SweepRequest{
 		App: "lulesh",
-		Axes: []api.SweepAxis{
+		Axes: []runner.Axis{
 			{Param: "p", Values: []float64{2, 4}},
 			{Param: "size", Values: []float64{10, 14}},
 		},
@@ -194,7 +194,7 @@ func storm(ctx context.Context, base string) (ok, limited, failed, other uint64)
 				case 2:
 					err = cl.Sweep(ctx, api.SweepRequest{
 						App:  "lulesh",
-						Axes: []api.SweepAxis{{Param: "p", Values: []float64{2, 4}}},
+						Axes: []runner.Axis{{Param: "p", Values: []float64{2, 4}}},
 					}, func(api.SweepLine) error { return nil })
 				default:
 					_, err = cl.Stats(ctx)

@@ -80,7 +80,7 @@ func main() {
 	fmt.Println("sweep p x size:")
 	err = client.Sweep(ctx, perftaint.SweepRequest{
 		App: "lulesh",
-		Axes: []perftaint.SweepAxis{
+		Axes: []perftaint.Axis{
 			{Param: "p", Values: []float64{2, 4, 8}},
 			{Param: "size", Values: []float64{4, 5}},
 		},
@@ -110,7 +110,7 @@ func main() {
 	modelReq := perftaint.ModelRequest{
 		App:    "lulesh",
 		Params: []string{"p", "size"},
-		Axes: []perftaint.SweepAxis{
+		Axes: []perftaint.Axis{
 			{Param: "p", Values: []float64{2, 4}},
 			{Param: "size", Values: []float64{4, 5}},
 		},
@@ -199,7 +199,7 @@ func main() {
 	fmt.Println("sweep p x size, sharded across 2 workers:")
 	err = coord.Sweep(cctx, perftaint.SweepRequest{
 		App: "lulesh",
-		Axes: []perftaint.SweepAxis{
+		Axes: []perftaint.Axis{
 			{Param: "p", Values: []float64{2, 4, 8}},
 			{Param: "size", Values: []float64{4, 5}},
 		},

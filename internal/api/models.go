@@ -1,6 +1,9 @@
 package api
 
-import "repro/internal/modelreg"
+import (
+	"repro/internal/modelreg"
+	"repro/internal/runner"
+)
 
 // ModelRequest is the body of POST /v1/models: one end-to-end model
 // extraction — sweep the design, feed every point into the incremental
@@ -17,7 +20,7 @@ type ModelRequest struct {
 	// parameters (same semantics as POST /v1/sweep).
 	Defaults map[string]float64 `json:"defaults,omitempty"`
 	// Axes span the full-factorial modeling design.
-	Axes []SweepAxis `json:"axes"`
+	Axes []runner.Axis `json:"axes"`
 	// Reps, Seed, RelNoise, Batch and Metrics tune the measurement and
 	// fitting cadence; zero values take the modelreg defaults.
 	Reps int `json:"reps,omitempty"`
@@ -41,20 +44,17 @@ type ModelRequest struct {
 // extracted locally and through a daemon is the same design. The
 // daemon's service.modelConfig is its inverse.
 func NewModelRequest(cfg modelreg.Config) ModelRequest {
-	req := ModelRequest{
+	return ModelRequest{
 		App:      cfg.App,
 		Params:   cfg.Params,
 		Defaults: cfg.Defaults,
+		Axes:     cfg.Axes,
 		Reps:     cfg.Reps,
 		Seed:     cfg.Seed,
 		RelNoise: cfg.RelNoise,
 		Batch:    cfg.Batch,
 		Metrics:  cfg.Metrics,
 	}
-	for _, ax := range cfg.Axes {
-		req.Axes = append(req.Axes, SweepAxis{Param: ax.Param, Values: ax.Values})
-	}
-	return req
 }
 
 // ModelResponse is the body of a finished model extraction (and of

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/diskcache"
 	"repro/internal/journal"
+	"repro/internal/runner"
 )
 
 // AnalyzeRequest is the body of POST /v1/analyze: one configuration of a
@@ -32,13 +33,9 @@ type AnalyzeRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// SweepAxis is one swept parameter: mirrors runner.Axis on the wire.
-type SweepAxis struct {
-	// Param names the swept parameter.
-	Param string `json:"param"`
-	// Values are the axis levels in sweep order.
-	Values []float64 `json:"values"`
-}
+// SweepAxis is an alias name of runner.Axis, kept only because
+// benchmark/ spells it (ROADMAP item 1 drops it).
+type SweepAxis = runner.Axis
 
 // SweepRequest is the body of POST /v1/sweep: a full-factorial design
 // over a registered application. The response streams one NDJSON
@@ -52,7 +49,7 @@ type SweepRequest struct {
 	// parameters.
 	Defaults apps.Config `json:"defaults,omitempty"`
 	// Axes span the full-factorial design.
-	Axes []SweepAxis `json:"axes"`
+	Axes []runner.Axis `json:"axes"`
 	// CensusParams selects the loop-relevance column of each result's
 	// census; defaults to {p, size}.
 	CensusParams []string `json:"census_params,omitempty"`

@@ -27,6 +27,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/libdb"
 	"repro/internal/modelreg"
+	"repro/internal/runner"
 )
 
 // Archetype names one generator family. Each archetype stresses a
@@ -133,38 +134,16 @@ func archSalt(arch Archetype) int64 {
 // at, so analytic truth resolved here matches the recovered dependency
 // sets statement for statement.
 func BaseConfig(c modelreg.Config) apps.Config {
-	cfg := c.Defaults.Clone()
-	if cfg == nil {
-		cfg = make(apps.Config)
-	}
-	for _, ax := range c.Axes {
-		min := ax.Values[0]
-		for _, v := range ax.Values[1:] {
-			if v < min {
-				min = v
-			}
-		}
-		cfg[ax.Param] = min
-	}
-	return cfg
+	return runner.Design{Defaults: c.Defaults, Axes: c.Axes}.Corner(false)
 }
 
 // ProbeConfig is the extrapolation configuration recovery scoring
 // evaluates models at: every axis at twice its maximum value, the
 // regime the sweep never measured.
 func ProbeConfig(c modelreg.Config) apps.Config {
-	cfg := c.Defaults.Clone()
-	if cfg == nil {
-		cfg = make(apps.Config)
-	}
+	cfg := runner.Design{Defaults: c.Defaults, Axes: c.Axes}.Corner(true)
 	for _, ax := range c.Axes {
-		max := ax.Values[0]
-		for _, v := range ax.Values[1:] {
-			if v > max {
-				max = v
-			}
-		}
-		cfg[ax.Param] = 2 * max
+		cfg[ax.Param] *= 2
 	}
 	return cfg
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/runner"
 )
 
 // TestGenerateDeterministic pins that equal (archetype, seed) inputs
@@ -48,7 +49,7 @@ func TestTruthMatchesTaintAnalysis(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Generate(%s, %d): %v", arch, seed, err)
 			}
-			if err := app.Design.Validate(app.Spec); err != nil {
+			if _, err := app.Design.Resolve(app.Spec, runner.MaxPoints); err != nil {
 				t.Fatalf("%s: design invalid: %v", app.Spec.Name, err)
 			}
 			cfg := BaseConfig(app.Design)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/modelreg"
+	"repro/internal/runner"
 )
 
 // builder accumulates one generated spec plus its modeling design. All
@@ -31,13 +32,13 @@ func (b *builder) begin(params []string, axes ...[]float64) {
 	b.spec.Funcs = []*apps.FuncSpec{b.main}
 	b.design = modelreg.Config{
 		Params:   append([]string{"p"}, params...),
-		Axes:     []modelreg.Axis{{Param: "p", Values: []float64{2, 4, 8}}},
+		Axes:     []runner.Axis{{Param: "p", Values: []float64{2, 4, 8}}},
 		Reps:     3,
 		RelNoise: 0.01,
 		Batch:    -1,
 	}
 	for i, prm := range params {
-		b.design.Axes = append(b.design.Axes, modelreg.Axis{Param: prm, Values: axes[i]})
+		b.design.Axes = append(b.design.Axes, runner.Axis{Param: prm, Values: axes[i]})
 	}
 }
 

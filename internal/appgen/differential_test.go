@@ -12,6 +12,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/modelreg"
 	"repro/internal/noise"
+	"repro/internal/runner"
 )
 
 // loopDump renders a report's dynamic loop records with labels expanded
@@ -90,20 +91,7 @@ func TestDifferentialGeneratedApps(t *testing.T) {
 // maxConfig is the design corner with every axis at its maximum swept
 // value (unlike ProbeConfig, which doubles it).
 func maxConfig(c modelreg.Config) apps.Config {
-	cfg := c.Defaults.Clone()
-	if cfg == nil {
-		cfg = make(apps.Config)
-	}
-	for _, ax := range c.Axes {
-		max := ax.Values[0]
-		for _, v := range ax.Values[1:] {
-			if v > max {
-				max = v
-			}
-		}
-		cfg[ax.Param] = max
-	}
-	return cfg
+	return runner.Design{Defaults: c.Defaults, Axes: c.Axes}.Corner(true)
 }
 
 // TestMeasureMatchesEvaluate pins the property tying the two ground-truth

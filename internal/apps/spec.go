@@ -355,6 +355,39 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
+// HasParam reports whether name is a parameter a configuration of this
+// spec may set: a declared parameter or the implicit MPI parameter p.
+func (s *Spec) HasParam(name string) bool {
+	return name == "p" || slices.Contains(s.Params, name)
+}
+
+// CheckConfig reports whether cfg is a configuration the pipeline can
+// run: it names only parameters of the spec (a typo'd name must fail
+// loudly, not return a plausible result that never varied anything),
+// provides every declared one, and has p >= 1 — the pipeline truncates p
+// to an integer rank count, so anything below 1 (fractions in (0,1)
+// included) would otherwise fail mid-run as a misleading "missing p".
+func (s *Spec) CheckConfig(cfg Config) error {
+	unknown := ""
+	for name := range cfg {
+		if !s.HasParam(name) && (unknown == "" || name < unknown) {
+			unknown = name
+		}
+	}
+	if unknown != "" {
+		return fmt.Errorf("unknown parameter %q (spec has %v plus the implicit p)", unknown, s.Params)
+	}
+	for _, prm := range s.Params {
+		if _, ok := cfg[prm]; !ok {
+			return fmt.Errorf("config missing spec parameter %q", prm)
+		}
+	}
+	if cfg["p"] < 1 {
+		return fmt.Errorf("config requires the implicit MPI parameter p >= 1")
+	}
+	return nil
+}
+
 // Config is a concrete parameter assignment including the implicit p.
 type Config map[string]float64
 

@@ -272,12 +272,3 @@ func ModuleForests(m *ir.Module) []*Forest {
 	}
 	return out
 }
-
-// CountLoops returns the total number of natural loops in module m.
-func CountLoops(m *ir.Module) int {
-	total := 0
-	for _, f := range ModuleForests(m) {
-		total += len(f.Loops)
-	}
-	return total
-}

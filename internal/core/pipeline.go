@@ -66,11 +66,6 @@ func Analyze(spec *apps.Spec, cfg apps.Config) (*Report, error) {
 	return p.Analyze(cfg)
 }
 
-// AnalyzeModule runs the pipeline on an already built module.
-func AnalyzeModule(spec *apps.Spec, mod *ir.Module, db *libdb.DB, cfg apps.Config) (*Report, error) {
-	return PrepareModule(spec, mod, db).Analyze(cfg)
-}
-
 // DependsOnAny reports whether function fn depends on any of the given
 // parameters.
 func (r *Report) DependsOnAny(fn string, params []string) bool {

@@ -82,7 +82,7 @@ func legacyUnionDeps(a, b map[string][]string) map[string][]string {
 	return out
 }
 
-func legacyCompute(m *ir.Module, deps loopmodel.LoopDeps, trips loopmodel.StaticTrip, externVol loopmodel.ExternVolume) *loopmodel.Volumes {
+func legacyCompute(m *ir.Module, deps func(fn string, loopID int) []string, trips loopmodel.StaticTrip, externVol loopmodel.ExternVolume) *loopmodel.Volumes {
 	cg := cfg.BuildCallGraph(m)
 	rec := cg.FindRecursion()
 	recSet := make(map[string]bool, len(rec))
@@ -130,7 +130,7 @@ func legacyCompute(m *ir.Module, deps loopmodel.LoopDeps, trips loopmodel.Static
 	return v
 }
 
-func legacyComputeFunc(fn *ir.Function, memo map[string]loopmodel.Expr, deps loopmodel.LoopDeps, trips loopmodel.StaticTrip, externVol loopmodel.ExternVolume) (incl, local loopmodel.Expr) {
+func legacyComputeFunc(fn *ir.Function, memo map[string]loopmodel.Expr, deps func(fn string, loopID int) []string, trips loopmodel.StaticTrip, externVol loopmodel.ExternVolume) (incl, local loopmodel.Expr) {
 	g := cfg.Build(fn)
 	forest := cfg.FindLoops(g)
 
@@ -414,7 +414,9 @@ func randomEngine(p *core.Prepared, rng *rand.Rand) *taint.Engine {
 		if rng.Intn(4) == 0 {
 			callee := "MPI_Allreduce"
 			for calls := 1 + rng.Intn(2); calls > 0; calls-- {
-				e.RecordLibCall(fmt.Sprintf("main/%s/%s", fn.Name, callee), callee, pick())
+				rec := e.LibCallRec(fn.Name, callee, fmt.Sprintf("main/%s/%s", fn.Name, callee))
+				rec.Labels |= pick()
+				rec.Count++
 				callee = "MPI_Send"
 			}
 		}

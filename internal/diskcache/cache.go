@@ -2,6 +2,7 @@ package diskcache
 
 import (
 	"container/list"
+	"fmt"
 	"sync"
 )
 
@@ -15,7 +16,8 @@ import (
 //
 // Capacity bounds completed entries only; builds in flight are pinned
 // and never evicted mid-construction. Build errors are returned to every
-// waiter of that flight and never cached: the next Get retries.
+// waiter of that flight and never cached: the next Get retries. A build
+// that panics is a failed build too (see BuildPanicError).
 type Cache[V any] struct {
 	mu sync.Mutex
 	// capacity bounds completed entries; <= 0 means unbounded.
@@ -115,6 +117,23 @@ func (c *Cache[V]) Get(key string, build func() (V, error)) (V, bool, error) {
 	disk := c.disk
 	c.mu.Unlock()
 
+	// However this call leaves — a build or disk read that panics
+	// included — the flight is released: joiners of a panicked flight
+	// receive a BuildPanicError, nothing is cached, the key is buildable
+	// again, and the panic itself keeps unwinding this goroutine.
+	settled := false
+	defer func() {
+		if !settled {
+			var zero V
+			fl.v, fl.err = zero, &BuildPanicError{Key: key}
+			c.mu.Lock()
+			delete(c.inflight, key)
+			c.misses++
+			c.mu.Unlock()
+		}
+		close(fl.done)
+	}()
+
 	// Joiners of this flight share the disk read like they would share a
 	// build.
 	var fromDisk bool
@@ -133,11 +152,24 @@ func (c *Cache[V]) Get(key string, build func() (V, error)) (V, bool, error) {
 		fl.v = c.insertLocked(key, fl.v)
 	}
 	c.mu.Unlock()
+	settled = true
 	if fl.err == nil && !fromDisk {
 		disk.Put(key, fl.v)
 	}
-	close(fl.done)
 	return fl.v, fromDisk, fl.err
+}
+
+// BuildPanicError is what the joiners of an in-flight build receive when
+// the goroutine running it panicked: the value will never arrive, and the
+// next Get of the key builds afresh.
+type BuildPanicError struct {
+	// Key is the content address whose build panicked.
+	Key string
+}
+
+// Error names the key whose build panicked.
+func (e *BuildPanicError) Error() string {
+	return fmt.Sprintf("diskcache: the build of %s panicked", e.Key)
 }
 
 // Lookup is Get's tier walk minus the build: memory, then disk (counted

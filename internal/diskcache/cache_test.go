@@ -145,6 +145,45 @@ func TestCacheContract(t *testing.T) {
 				t.Fatalf("retry after failure = %q, cached=%v, err=%v, builds=%d; want a fresh build", v, cached, err, b.n.Load())
 			}
 		}},
+		{"panic_releases_flight", func(t *testing.T, open func(int) *Cache[string], disk bool) {
+			c := open(4)
+			key := digestOf("explosive")
+			var panics, typed atomic.Int64
+			var wg sync.WaitGroup
+			for i := 0; i < joiners; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					defer func() {
+						if r := recover(); r != nil {
+							panics.Add(1)
+						}
+					}()
+					_, _, err := c.Get(key, func() (string, error) {
+						awaitJoiners(t, c, joiners-1)
+						panic("build blew up")
+					})
+					var bp *BuildPanicError
+					if errors.As(err, &bp) && bp.Key == key {
+						typed.Add(1)
+					} else {
+						t.Errorf("joiner of a panicked build got err = %v", err)
+					}
+				}()
+			}
+			wg.Wait()
+			if panics.Load() != 1 || typed.Load() != joiners-1 {
+				t.Fatalf("%d goroutines saw the panic and %d a BuildPanicError, want 1 and %d",
+					panics.Load(), typed.Load(), joiners-1)
+			}
+			if st := c.Stats(); st.Entries != 0 || st.Misses != 1 {
+				t.Fatalf("stats = %+v, want the panicked build counted as 1 miss and not cached", st)
+			}
+			var b builder
+			if v, cached, err := c.Get(key, b.of("explosive")); err != nil || cached || v != "explosive" || b.n.Load() != 1 {
+				t.Fatalf("Get after a panicked build = %q, cached=%v, err=%v, builds=%d; want a fresh build", v, cached, err, b.n.Load())
+			}
+		}},
 		{"restart", func(t *testing.T, open func(int) *Cache[string], disk bool) {
 			var b builder
 			key := digestOf("durable")

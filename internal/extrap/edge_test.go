@@ -138,10 +138,4 @@ func TestFitAllSurfacesTypedErrors(t *testing.T) {
 	if fits[1].Err.(*FitError).Param != "p" {
 		t.Fatalf("single-parameter failure lost its param: %+v", fits[1].Err)
 	}
-	if err := FirstFitErr(fits); err == nil || !strings.Contains(err.Error(), "bad") {
-		t.Fatalf("FirstFitErr: %v", err)
-	}
-	if err := FirstFitErr(fits[:1]); err != nil {
-		t.Fatalf("FirstFitErr on clean batch: %v", err)
-	}
 }

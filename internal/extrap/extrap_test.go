@@ -338,12 +338,6 @@ func TestCombinations(t *testing.T) {
 	}
 }
 
-func TestGroupKeyCanonical(t *testing.T) {
-	if GroupKey([]string{"s", "p"}) != GroupKey([]string{"p", "s"}) {
-		t.Fatal("GroupKey must sort")
-	}
-}
-
 // Property: the single-parameter search recovers exact PMNF shapes from the
 // default space well enough to interpolate within the training range.
 func TestModelSingleRecoveryProperty(t *testing.T) {

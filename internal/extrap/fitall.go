@@ -22,9 +22,8 @@ type Request struct {
 
 // Fit is the outcome of one Request, in request order. A failed fit
 // carries a nil Model and a non-nil *FitError — callers that range over
-// batch results must check Err before using Model, and the helpers
-// (FirstFitErr, modelreg's pipeline) propagate failures as typed errors
-// instead of zero-value models.
+// batch results must check Err before using Model; modelreg's pipeline
+// propagates failures as typed errors instead of zero-value models.
 type Fit struct {
 	Name  string
 	Model *Model
@@ -82,15 +81,4 @@ func FitAll(reqs []Request, opt Options, workers int) []Fit {
 		out[i] = f
 	})
 	return out
-}
-
-// FirstFitErr returns the first failed fit of a batch in request order,
-// or nil when every request succeeded.
-func FirstFitErr(fits []Fit) error {
-	for _, f := range fits {
-		if f.Err != nil {
-			return f.Err
-		}
-	}
-	return nil
 }

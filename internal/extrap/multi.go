@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Prior is the white-box restriction Perf-Taint derives from the taint
@@ -237,11 +236,4 @@ func combinations(items []string, k int) [][]string {
 	}
 	rec(0, nil)
 	return out
-}
-
-// GroupKey canonicalizes a parameter group for prior lookups.
-func GroupKey(group []string) string {
-	g := append([]string(nil), group...)
-	sort.Strings(g)
-	return strings.Join(g, ",")
 }

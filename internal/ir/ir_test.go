@@ -195,29 +195,6 @@ func TestPrinterMentionsLoopStructure(t *testing.T) {
 	}
 }
 
-func TestCollectStats(t *testing.T) {
-	m := NewModule("t")
-	buildCounted(t, m)
-	b := NewFunc(m, "caller", 0)
-	b.Call("counted", b.Const(3))
-	b.RetVoid()
-	b.Finish()
-
-	s := CollectStats(m)
-	if s.Functions != 2 {
-		t.Fatalf("Functions = %d, want 2", s.Functions)
-	}
-	if s.Calls != 1 {
-		t.Fatalf("Calls = %d, want 1", s.Calls)
-	}
-	if s.Branches != 1 {
-		t.Fatalf("Branches = %d, want 1", s.Branches)
-	}
-	if s.Blocks == 0 || s.Instrs == 0 {
-		t.Fatalf("empty stats: %+v", s)
-	}
-}
-
 func TestFunctionAttrs(t *testing.T) {
 	f := &Function{Name: "f"}
 	if f.Attr("kind") != "" {

@@ -69,33 +69,3 @@ func formatInstr(in *Instr) string {
 		return fmt.Sprintf("%s = %s %s, %s", r(in.Dst), in.Op, r(in.A), r(in.B))
 	}
 }
-
-// Stats summarizes module size; used in reports and tests.
-type Stats struct {
-	Functions int
-	Blocks    int
-	Instrs    int
-	Calls     int
-	Branches  int
-}
-
-// CollectStats walks the module and tallies structural counts.
-func CollectStats(m *Module) Stats {
-	var s Stats
-	s.Functions = len(m.FuncList)
-	for _, f := range m.FuncList {
-		s.Blocks += len(f.Blocks)
-		for _, blk := range f.Blocks {
-			s.Instrs += len(blk.Instrs)
-			for ii := range blk.Instrs {
-				switch blk.Instrs[ii].Op {
-				case OpCall:
-					s.Calls++
-				case OpBr, OpSwitch:
-					s.Branches++
-				}
-			}
-		}
-	}
-	return s
-}

@@ -175,14 +175,6 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the journal directory root ("" for a nil store).
-func (s *Store) Dir() string {
-	if s == nil {
-		return ""
-	}
-	return s.dir
-}
-
 // Stats snapshots journal counters and walks the directory for open-job
 // count and byte size. Nil-safe: a nil store reports zeros.
 func (s *Store) Stats() Stats {

@@ -8,7 +8,6 @@ package libdb
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/interp"
 	"repro/internal/loopmodel"
@@ -70,16 +69,6 @@ func (db *DB) Lookup(name string) (Entry, bool) {
 func (db *DB) Relevant(name string) bool {
 	e, ok := db.Entries[name]
 	return ok && e.Relevant
-}
-
-// Names returns all database entries sorted by name.
-func (db *DB) Names() []string {
-	out := make([]string, 0, len(db.Entries))
-	for n := range db.Entries {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // MPIParam is the conventional name of the implicit global-communicator
@@ -199,22 +188,4 @@ func (db *DB) ExternVolume() loopmodel.ExternVolume {
 		}
 		return loopmodel.Unknown{Params: append([]string(nil), e.ImplicitParams...)}
 	}
-}
-
-// ShapeDeps returns the parameter names entry's analytic model depends on,
-// merging implicit parameters with the provided count labels.
-func ShapeDeps(e Entry, countParams []string) []string {
-	set := make(map[string]bool)
-	for _, p := range e.ImplicitParams {
-		set[p] = true
-	}
-	for _, p := range countParams {
-		set[p] = true
-	}
-	out := make([]string, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }

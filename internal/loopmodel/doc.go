@@ -15,5 +15,4 @@
 // non-constant loops. A Plan is immutable and shared by all runs; the
 // Volumes it evaluates to share its constant sub-expressions and the
 // parameter slices the caller passed in, and are never written afterwards.
-// Compute is the one-shot form of the same two steps.
 package loopmodel

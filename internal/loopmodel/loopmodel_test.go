@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/cfg"
 	"repro/internal/ir"
 )
 
@@ -193,9 +194,19 @@ func testTrips(fn string, loopID int) (int64, bool) {
 	return 0, false
 }
 
+// compute builds m's Plan and evaluates it once under deps (nil: every
+// non-constant loop is an unknown with no parameters).
+func compute(m *ir.Module, deps func(fn string, loopID int) []string, trips StaticTrip, externVol ExternVolume) *Volumes {
+	pl := NewPlan(m, cfg.ModuleForests(m), trips, externVol)
+	if deps == nil {
+		return pl.Evaluate(nil)
+	}
+	return pl.Evaluate(func(fn, loop int) []string { return deps(pl.FuncName(fn), loop) })
+}
+
 func TestComputeVolumesInterprocedural(t *testing.T) {
 	m := buildModule(t)
-	v := Compute(m, testDeps, testTrips, nil)
+	v := compute(m, testDeps, testTrips, nil)
 
 	mainStruct := v.StructByFunc["main"]
 	if !mainStruct.Multiplicative("p", "s") {
@@ -216,7 +227,7 @@ func TestComputeVolumesInterprocedural(t *testing.T) {
 
 func TestComputeVolumesLocalExcludesCallees(t *testing.T) {
 	m := buildModule(t)
-	v := Compute(m, testDeps, testTrips, nil)
+	v := compute(m, testDeps, testTrips, nil)
 	local := StructureOf(v.LocalByFunc["main"])
 	if got := local.Params(); !reflect.DeepEqual(got, []string{"p"}) {
 		t.Fatalf("main local params = %v, want [p]", got)
@@ -236,7 +247,7 @@ func TestComputeVolumesExtern(t *testing.T) {
 		}
 		return nil
 	}
-	v := Compute(m, nil, nil, ext)
+	v := compute(m, nil, nil, ext)
 	st := v.StructByFunc["comm"]
 	if got := st.Params(); !reflect.DeepEqual(got, []string{"p"}) {
 		t.Fatalf("comm params = %v, want [p]", got)
@@ -254,7 +265,7 @@ func TestComputeVolumesRecursionWarning(t *testing.T) {
 	bb.RetVoid()
 	bb.Finish()
 
-	v := Compute(m, nil, nil, nil)
+	v := compute(m, nil, nil, nil)
 	if len(v.RecursionWarnings) != 2 {
 		t.Fatalf("recursion warnings = %v, want a and b", v.RecursionWarnings)
 	}

@@ -55,7 +55,8 @@ type planCall struct {
 }
 
 // NewPlan derives the plan of m from its loop forests (cfg.ModuleForests,
-// only read). trips and externVol may be nil, as for Compute.
+// only read). trips may be nil (no loop is statically constant) and so may
+// externVol.
 func NewPlan(m *ir.Module, forests []*cfg.Forest, trips StaticTrip, externVol ExternVolume) *Plan {
 	cg := cfg.BuildCallGraph(m)
 	rec := cg.FindRecursion()

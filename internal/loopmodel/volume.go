@@ -1,14 +1,5 @@
 package loopmodel
 
-import (
-	"repro/internal/cfg"
-	"repro/internal/ir"
-)
-
-// LoopDeps supplies, per function and loop ID, the parameter names the taint
-// analysis attached to the loop's exit conditions (empty for untainted).
-type LoopDeps func(fn string, loopID int) []string
-
 // StaticTrip supplies the statically resolved constant trip count of a loop
 // (ok=false when the loop is not statically constant).
 type StaticTrip func(fn string, loopID int) (count int64, ok bool)
@@ -32,21 +23,6 @@ type Volumes struct {
 	// RecursionWarnings names functions on call-graph cycles whose volumes
 	// are over-approximated as unknown (Section 4.1's warning).
 	RecursionWarnings []string
-}
-
-// Compute derives volumes for every function in m bottom-up over the call
-// graph. deps and trips may be nil (then every non-constant loop counts as
-// an unknown with no parameters); externVol may be nil. It builds the
-// module's Plan and evaluates it once; callers with many runs of one module
-// keep the Plan instead.
-func Compute(m *ir.Module, deps LoopDeps, trips StaticTrip, externVol ExternVolume) *Volumes {
-	pl := NewPlan(m, cfg.ModuleForests(m), trips, externVol)
-	if deps == nil {
-		return pl.Evaluate(nil)
-	}
-	return pl.Evaluate(func(fn, loop int) []string {
-		return append([]string(nil), deps(pl.FuncName(fn), loop)...)
-	})
 }
 
 // RequiredExperiments computes the size of the experiment design for the

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -28,17 +29,14 @@ const (
 	MetricIterations = "iterations"
 )
 
-// Axis is one swept parameter of a modeling design: the wire form of
-// runner.Axis.
-type Axis struct {
-	Param  string    `json:"param"`
-	Values []float64 `json:"values"`
-}
+// Axis is an alias name of runner.Axis, kept only because benchmark/
+// spells it (ROADMAP item 1 drops it).
+type Axis = runner.Axis
 
 // Config declares one model-extraction run: the design to sweep, the
-// parameters to model over, and the fitting cadence. The zero values of
-// the optional fields are filled by withDefaults; Validate rejects
-// designs the pipeline cannot fit. Config round-trips through JSON — it
+// parameters to model over, and the fitting cadence. Resolve fills the
+// zero values of the optional fields and rejects designs the pipeline
+// cannot fit. Config round-trips through JSON — it
 // is the body of the CLI's -config file and part of the service's
 // POST /v1/models request.
 type Config struct {
@@ -98,130 +96,47 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Validate checks the design against spec: every axis and model
-// parameter must be a spec parameter (or the implicit p), model
-// parameters must be swept, axes must not repeat, and the expanded grid
-// must provide every spec parameter with p >= 1.
-func (c Config) Validate(spec *apps.Spec) error {
-	if len(c.Axes) == 0 {
-		return fmt.Errorf("modelreg: design has no axes")
-	}
-	if len(c.Params) == 0 {
-		return fmt.Errorf("modelreg: no model parameters")
-	}
-	known := func(name string) bool {
-		if name == "p" {
-			return true
-		}
-		for _, prm := range spec.Params {
-			if prm == name {
-				return true
-			}
-		}
-		return false
-	}
-	axis := make(map[string]bool, len(c.Axes))
-	for _, ax := range c.Axes {
-		if len(ax.Values) == 0 {
-			return fmt.Errorf("modelreg: axis %q has no values", ax.Param)
-		}
-		if axis[ax.Param] {
-			return fmt.Errorf("modelreg: axis %q repeated", ax.Param)
-		}
-		if !known(ax.Param) {
-			return fmt.Errorf("modelreg: axis %q is not a parameter of %s (spec has %v plus the implicit p)",
-				ax.Param, spec.Name, spec.Params)
-		}
-		axis[ax.Param] = true
+// Resolved is a Config that went through Resolve against one spec: every
+// optional field filled, the design legal and sized, the digest taken.
+// It is the only input the pipeline accepts, so a caller that resolves a
+// request once (the daemon's handler, to answer 400 and to address the
+// registry) and the pipeline it later starts cannot disagree.
+type Resolved struct {
+	Config
+	// Digest is DesignDigest of the filled config.
+	Digest string
+
+	grid runner.Design
+}
+
+// Resolve is the one front door of a modeling config: defaults filled,
+// then the design checked by runner.Design.Check against spec and the
+// caller's point cap (runner.MaxPoints in process, the daemon's
+// MaxSweepConfigs behind POST /v1/models), then what only a modeling
+// design must satisfy on top — every model parameter swept by an axis,
+// every metric known — then digested.
+func (c Config) Resolve(spec *apps.Spec, max int) (*Resolved, error) {
+	c = c.withDefaults()
+	grid := runner.Design{Spec: spec, Defaults: c.Defaults, Axes: c.Axes}
+	if _, err := grid.Check(max); err != nil {
+		return nil, err
 	}
 	for _, prm := range c.Params {
-		if !axis[prm] {
-			return fmt.Errorf("modelreg: model parameter %q is not swept by any axis", prm)
-		}
-	}
-	for name := range c.Defaults {
-		if !known(name) {
-			return fmt.Errorf("modelreg: default %q is not a parameter of %s", name, spec.Name)
+		if !slices.ContainsFunc(c.Axes, func(ax Axis) bool { return ax.Param == prm }) {
+			return nil, fmt.Errorf("modelreg: model parameter %q is not swept by any axis", prm)
 		}
 	}
 	for _, m := range c.Metrics {
 		if m != MetricSeconds && m != MetricIterations {
-			return fmt.Errorf("modelreg: unknown metric %q (want %q or %q)", m, MetricSeconds, MetricIterations)
+			return nil, fmt.Errorf("modelreg: unknown metric %q (want %q or %q)", m, MetricSeconds, MetricIterations)
 		}
 	}
-	// The smallest design point doubles as the taint-run configuration,
-	// so the whole grid must be analyzable.
-	base := c.baseConfig()
-	if base["p"] < 1 {
-		return fmt.Errorf("modelreg: design requires the implicit MPI parameter p >= 1")
-	}
-	for _, prm := range spec.Params {
-		if _, ok := base[prm]; !ok {
-			return fmt.Errorf("modelreg: design missing spec parameter %q (add a default or an axis)", prm)
-		}
-	}
-	return nil
+	return &Resolved{Config: c, Digest: DesignDigest(c), grid: grid}, nil
 }
 
-// Size returns the number of design points the config expands to.
-func (c Config) Size() int {
-	if len(c.Axes) == 0 {
-		return 0
-	}
-	n := 1
-	for _, ax := range c.Axes {
-		n *= len(ax.Values)
-	}
-	return n
-}
-
-// design expands the config into the runner's full-factorial form.
-func (c Config) design(spec *apps.Spec) runner.Design {
-	d := runner.Design{Spec: spec, Defaults: c.Defaults}
-	for _, ax := range c.Axes {
-		d.Axes = append(d.Axes, runner.Axis{Param: ax.Param, Values: ax.Values})
-	}
-	return d
-}
-
-// baseConfig is the smallest design point: defaults overlaid with each
-// axis at its minimum value. It doubles as the taint-run configuration —
-// cheap to execute and guaranteed to be a member of the design family.
-func (c Config) baseConfig() apps.Config {
-	cfg := c.Defaults.Clone()
-	if cfg == nil {
-		cfg = make(apps.Config)
-	}
-	for _, ax := range c.Axes {
-		min := ax.Values[0]
-		for _, v := range ax.Values[1:] {
-			if v < min {
-				min = v
-			}
-		}
-		cfg[ax.Param] = min
-	}
-	return cfg
-}
-
-// largestConfig is the biggest design point (each axis at its maximum),
-// the configuration report ranking evaluates models at.
-func (c Config) largestConfig() apps.Config {
-	cfg := c.Defaults.Clone()
-	if cfg == nil {
-		cfg = make(apps.Config)
-	}
-	for _, ax := range c.Axes {
-		max := ax.Values[0]
-		for _, v := range ax.Values[1:] {
-			if v > max {
-				max = v
-			}
-		}
-		cfg[ax.Param] = max
-	}
-	return cfg
-}
+// Key is the registry key of the resolved design for a spec digest: the
+// value of the package-level Key, without digesting the design again.
+func (r *Resolved) Key(specDigest string) string { return key(specDigest, r.Digest) }
 
 // designDigestVersion salts every design digest; bump it when the
 // pipeline's fitting semantics change so stale cached model sets are
@@ -272,12 +187,14 @@ func DesignDigest(c Config) string {
 // registry key: equal keys mean the sweep and fit would reproduce the
 // exact same model set, which is what makes the registry safe to share
 // across tenants.
-func Key(specDigest string, c Config) string {
+func Key(specDigest string, c Config) string { return key(specDigest, DesignDigest(c)) }
+
+func key(specDigest, designDigest string) string {
 	h := sha256.New()
 	w := digestWriter{h: h}
 	w.str(designDigestVersion)
 	w.str(specDigest)
-	w.str(DesignDigest(c))
+	w.str(designDigest)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

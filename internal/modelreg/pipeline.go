@@ -49,16 +49,16 @@ type fnMetric struct {
 
 // Pipeline incrementally turns streamed sweep results into a ModelSet.
 // Construction runs the white-box taint analysis once (at the smallest
-// design point); every Consume call folds one design point's
+// design point); every ConsumeSample call folds one design point's
 // measurements into the per-function datasets and refits when the
 // configured batch fills; Finish runs the final fits and assembles the
 // artifact.
 //
-// A Pipeline is single-consumer: Consume and Finish must be called from
-// one goroutine (runner.SweepFitCtx's emit contract guarantees this).
+// A Pipeline is single-consumer: ConsumeSample and Finish must be called
+// from one goroutine (runner.SweepFitCtx's emit contract guarantees this).
 // It implements the sink side of runner.SweepFitCtx.
 type Pipeline struct {
-	cfg     Config
+	cfg     *Resolved
 	prep    *core.Prepared
 	workers int
 	onEvent func(Event)
@@ -73,28 +73,32 @@ type Pipeline struct {
 	points int
 }
 
-// NewPipeline validates cfg against the prepared spec, runs the taint
+// NewPipeline resolves cfg against the prepared spec, runs the taint
 // analysis at the smallest design point, and returns a pipeline ready to
 // consume the sweep. workers bounds the fitting fan-out (<= 0 means
 // GOMAXPROCS); onEvent, when non-nil, observes progress.
 func NewPipeline(p *core.Prepared, cfg Config, workers int, onEvent func(Event)) (*Pipeline, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(p.Spec); err != nil {
+	d, err := cfg.Resolve(p.Spec, runner.MaxPoints)
+	if err != nil {
 		return nil, err
 	}
+	return newPipeline(p, d, workers, onEvent)
+}
+
+func newPipeline(p *core.Prepared, cfg *Resolved, workers int, onEvent func(Event)) (*Pipeline, error) {
 	pl := &Pipeline{
 		cfg:     cfg,
 		prep:    p,
 		workers: workers,
 		onEvent: onEvent,
 		data:    make(map[fnMetric]*extrap.Dataset),
-		cfgs:    cfg.design(p.Spec).Configs(),
+		cfgs:    cfg.grid.Configs(),
 	}
 
 	// White-box half: one taint run delivers the parameter-dependence
 	// proof (priors), the relevance set (instrumentation filter), and
 	// the symbolic volumes the report cross-references.
-	rep, err := p.Analyze(cfg.baseConfig())
+	rep, err := p.Analyze(cfg.grid.Corner(false))
 	if err != nil {
 		return nil, fmt.Errorf("modelreg: taint run: %w", err)
 	}
@@ -108,7 +112,7 @@ func NewPipeline(p *core.Prepared, cfg Config, workers int, onEvent func(Event))
 }
 
 // Configs returns the design's configuration grid in sweep order — the
-// exact slice to hand runner.SweepFitCtx alongside Consume.
+// exact slice to hand a SweepFunc alongside ConsumeSample.
 func (pl *Pipeline) Configs() []apps.Config { return pl.cfgs }
 
 func (pl *Pipeline) emit(ev Event) {
@@ -163,22 +167,11 @@ func ResultSample(res runner.Result) (Sample, error) {
 	}, nil
 }
 
-// Consume folds one streamed sweep result into the datasets: the tainted
-// run's per-function loop iteration counts (MetricIterations) and the
-// synthetic instrumented measurement at the same configuration
-// (MetricSeconds). When a full batch of new points has accumulated, the
-// primary-metric models are refit incrementally. An analysis failure
-// aborts the stream.
-func (pl *Pipeline) Consume(res runner.Result) error {
-	s, err := ResultSample(res)
-	if err != nil {
-		return err
-	}
-	return pl.ConsumeSample(s)
-}
-
 // ConsumeSample folds one design point's distilled observation into the
-// datasets. It is the process-boundary-friendly half of Consume: the
+// datasets: the tainted run's per-function loop iteration counts
+// (MetricIterations) and the synthetic instrumented measurement at the
+// same configuration (MetricSeconds), refitting the primary-metric models
+// whenever a full batch of new points has accumulated. The
 // MetricSeconds measurement is synthesized here — deterministically from
 // the seed and the sample's index, never from who computed the sample —
 // so a coordinator consuming remote samples produces the exact datasets
@@ -336,14 +329,14 @@ func (pl *Pipeline) Finish() (*ModelSet, error) {
 	ms := &ModelSet{
 		App:          pl.cfg.App,
 		SpecDigest:   pl.prep.Digest,
-		DesignDigest: DesignDigest(pl.cfg),
-		Key:          Key(pl.prep.Digest, pl.cfg),
+		DesignDigest: pl.cfg.Digest,
+		Key:          pl.cfg.Key(pl.prep.Digest),
 		Params:       pl.cfg.Params,
 		Metrics:      pl.cfg.Metrics,
 		Points:       pl.points,
 		Reps:         pl.cfg.Reps,
-		TaintConfig:  pl.cfg.baseConfig(),
-		RankConfig:   pl.cfg.largestConfig(),
+		TaintConfig:  pl.cfg.grid.Corner(false),
+		RankConfig:   pl.cfg.grid.Corner(true),
 	}
 
 	// Rank by predicted primary-metric contribution at the largest
@@ -437,15 +430,15 @@ func LocalSweep(r *runner.Runner, p *core.Prepared) SweepFunc {
 }
 
 // ExtractWith runs the whole model-extraction pipeline over an arbitrary
-// sweep executor: build the pipeline (one local taint run), hand the
-// design to sweep, fold every sample into the incremental fitter, and
-// return the finished ModelSet. The executor controls only where design
-// points run; fitting, measurement synthesis, and ranking always happen
-// here, so any executor that delivers faithful samples in design order
-// produces the identical artifact. workers bounds the fitting fan-out;
-// onEvent (optional) observes progress.
-func ExtractWith(ctx context.Context, sweep SweepFunc, workers int, p *core.Prepared, cfg Config, onEvent func(Event)) (*ModelSet, error) {
-	pl, err := NewPipeline(p, cfg, workers, onEvent)
+// sweep executor: build the pipeline for the resolved design d (one local
+// taint run), hand the design to sweep, fold every sample into the
+// incremental fitter, and return the finished ModelSet. The executor
+// controls only where design points run; fitting, measurement synthesis,
+// and ranking always happen here, so any executor that delivers faithful
+// samples in design order produces the identical artifact. workers bounds
+// the fitting fan-out; onEvent (optional) observes progress.
+func ExtractWith(ctx context.Context, sweep SweepFunc, workers int, p *core.Prepared, d *Resolved, onEvent func(Event)) (*ModelSet, error) {
+	pl, err := newPipeline(p, d, workers, onEvent)
 	if err != nil {
 		return nil, err
 	}
@@ -455,10 +448,14 @@ func ExtractWith(ctx context.Context, sweep SweepFunc, workers int, p *core.Prep
 	return pl.Finish()
 }
 
-// Extract runs the whole model-extraction pipeline in one call: expand
+// Extract runs the whole model-extraction pipeline in one call: resolve
 // the design, stream the sweep through r (pipelined, in design order),
 // feed every result into an incremental fitting pipeline, and return
 // the finished ModelSet. onEvent (optional) observes progress.
 func Extract(ctx context.Context, r *runner.Runner, p *core.Prepared, cfg Config, onEvent func(Event)) (*ModelSet, error) {
-	return ExtractWith(ctx, LocalSweep(r, p), r.Workers, p, cfg, onEvent)
+	d, err := cfg.Resolve(p.Spec, runner.MaxPoints)
+	if err != nil {
+		return nil, err
+	}
+	return ExtractWith(ctx, LocalSweep(r, p), r.Workers, p, d, onEvent)
 }

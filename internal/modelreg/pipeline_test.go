@@ -200,8 +200,8 @@ func TestPipelineAbortsOnAnalysisError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pl.Consume(runner.Result{Index: 0, Err: errors.New("boom")}); err == nil {
-		t.Fatal("Consume swallowed a design-point failure")
+	if _, err := ResultSample(runner.Result{Index: 0, Err: errors.New("boom")}); err == nil {
+		t.Fatal("ResultSample swallowed a design-point failure")
 	}
 	if _, err := pl.Finish(); err == nil {
 		t.Fatal("Finish succeeded with zero consumed points")
@@ -229,19 +229,19 @@ func TestConfigValidate(t *testing.T) {
 		cfg.Defaults = base.Defaults.Clone()
 		cfg.Axes = append([]Axis(nil), base.Axes...)
 		tc.mutate(&cfg)
-		if err := cfg.withDefaults().Validate(spec); err == nil {
+		if _, err := cfg.Resolve(spec, runner.MaxPoints); err == nil {
 			t.Errorf("%s: validation passed", tc.name)
 		}
 	}
-	if err := base.withDefaults().Validate(spec); err != nil {
+	if _, err := base.Resolve(spec, runner.MaxPoints); err != nil {
 		t.Fatalf("base config rejected: %v", err)
 	}
 	// Empty Params is valid everywhere: it defaults to the axis
 	// parameters in axis order (the same rule on CLI, daemon, library).
 	noParams := base
 	noParams.Params = nil
-	filled := noParams.withDefaults()
-	if err := filled.Validate(spec); err != nil {
+	filled, err := noParams.Resolve(spec, runner.MaxPoints)
+	if err != nil {
 		t.Fatalf("axis-params default rejected: %v", err)
 	}
 	if !reflect.DeepEqual(filled.Params, []string{"p", "size"}) {

@@ -88,9 +88,12 @@ func (r *Runner) AnalyzeBatchPreparedCtx(ctx context.Context, p *core.Prepared, 
 	return out
 }
 
-// Sweep expands the design's full-factorial configuration grid and runs it
-// as one batch.
+// Sweep checks the design, expands its full-factorial configuration grid
+// and runs it as one batch.
 func (r *Runner) Sweep(d Design) ([]Result, error) {
+	if _, err := d.Check(MaxPoints); err != nil {
+		return nil, fmt.Errorf("runner: %w", err)
+	}
 	return r.AnalyzeBatch(d.Spec, d.Configs())
 }
 
@@ -142,30 +145,6 @@ func (r *Runner) SweepFitCtx(ctx context.Context, p *core.Prepared, cfgs []apps.
 	}
 	<-poolDone
 	return emitErr
-}
-
-// FirstErr returns the first per-job error of a batch in input order, or
-// nil when every job succeeded.
-func FirstErr(rs []Result) error {
-	for _, res := range rs {
-		if res.Err != nil {
-			return fmt.Errorf("runner: job %d: %w", res.Index, res.Err)
-		}
-	}
-	return nil
-}
-
-// Reports unwraps a fully successful batch into its reports, failing on
-// the first captured job error.
-func Reports(rs []Result) ([]*core.Report, error) {
-	if err := FirstErr(rs); err != nil {
-		return nil, err
-	}
-	out := make([]*core.Report, len(rs))
-	for i, res := range rs {
-		out[i] = res.Report
-	}
-	return out, nil
 }
 
 // Map runs n index jobs on at most workers goroutines (workers <= 0 means

@@ -134,13 +134,10 @@ func TestBatchDifferentialEngines(t *testing.T) {
 	r := &Runner{Workers: 4}
 	fast := r.AnalyzeBatchPrepared(pFast, cfgs)
 	ref := r.AnalyzeBatchPrepared(pRef, cfgs)
-	if err := FirstErr(fast); err != nil {
-		t.Fatal(err)
-	}
-	if err := FirstErr(ref); err != nil {
-		t.Fatal(err)
-	}
 	for i := range cfgs {
+		if fast[i].Err != nil || ref[i].Err != nil {
+			t.Fatalf("config %d: fast %v, reference %v", i, fast[i].Err, ref[i].Err)
+		}
 		if got, want := summarize(fast[i].Report), summarize(ref[i].Report); got != want {
 			t.Errorf("config %d: engines diverged:\n--- fast ---\n%s--- reference ---\n%s", i, got, want)
 		}
@@ -193,12 +190,6 @@ func TestErrorCapture(t *testing.T) {
 			t.Fatalf("job %d should have succeeded: %v", i, res[i].Err)
 		}
 	}
-	if err := FirstErr(res); err == nil || !strings.Contains(err.Error(), "job 1") {
-		t.Fatalf("FirstErr = %v, want job 1 error", err)
-	}
-	if _, err := Reports(res); err == nil {
-		t.Fatal("Reports should propagate the captured error")
-	}
 }
 
 func TestDesignConfigs(t *testing.T) {
@@ -208,9 +199,6 @@ func TestDesignConfigs(t *testing.T) {
 			{Param: "p", Values: []float64{2, 4}},
 			{Param: "size", Values: []float64{5, 6, 7}},
 		},
-	}
-	if d.Size() != 6 {
-		t.Fatalf("Size = %d, want 6", d.Size())
 	}
 	cfgs := d.Configs()
 	if len(cfgs) != 6 {
@@ -241,17 +229,16 @@ func TestSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != d.Size() {
-		t.Fatalf("got %d results, want %d", len(res), d.Size())
-	}
-	reps, err := Reports(res)
-	if err != nil {
-		t.Fatal(err)
+	if len(res) != 4 {
+		t.Fatalf("got %d results, want 4", len(res))
 	}
 	cfgs := d.Configs()
-	for i, rep := range reps {
-		if rep.Spec.Name != apps.LULESH().Name {
-			t.Fatalf("result %d analyzed %s", i, rep.Spec.Name)
+	for i := range res {
+		if res[i].Err != nil {
+			t.Fatal(res[i].Err)
+		}
+		if res[i].Report.Spec.Name != apps.LULESH().Name {
+			t.Fatalf("result %d analyzed %s", i, res[i].Report.Spec.Name)
 		}
 		if res[i].Config["p"] != cfgs[i]["p"] || res[i].Config["size"] != cfgs[i]["size"] {
 			t.Fatalf("result %d out of design order", i)
@@ -293,8 +280,10 @@ func TestAnalyzeBatchPreparedCtxCancel(t *testing.T) {
 	cfgs := luleshConfigs()
 
 	live := (&Runner{Workers: 2}).AnalyzeBatchPreparedCtx(context.Background(), p, cfgs)
-	if err := FirstErr(live); err != nil {
-		t.Fatalf("live context batch failed: %v", err)
+	for _, res := range live {
+		if res.Err != nil {
+			t.Fatalf("live context batch failed at job %d: %v", res.Index, res.Err)
+		}
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -356,13 +356,8 @@ func analyzeForest(forest *cfg.Forest, relevantCall func(string) bool) *FuncClas
 	return fc
 }
 
-// AnalyzeModule classifies every function of m.
-func AnalyzeModule(m *ir.Module, relevantCall func(string) bool) map[string]*FuncClass {
-	return AnalyzeForests(cfg.ModuleForests(m), relevantCall)
-}
-
-// AnalyzeForests is AnalyzeModule over loop forests the caller already
-// built (cfg.ModuleForests); the forests are only read.
+// AnalyzeForests classifies every function of a module from its loop
+// forests (cfg.ModuleForests); the forests are only read.
 func AnalyzeForests(forests []*cfg.Forest, relevantCall func(string) bool) map[string]*FuncClass {
 	out := make(map[string]*FuncClass, len(forests))
 	for _, forest := range forests {

@@ -144,7 +144,7 @@ func TestAnalyzeModule(t *testing.T) {
 	b2.RetVoid()
 	b2.Finish()
 
-	cls := AnalyzeModule(m, nil)
+	cls := AnalyzeForests(cfg.ModuleForests(m), nil)
 	if !cls["getter"].Pruned {
 		t.Fatal("getter should be pruned")
 	}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/leakcheck"
+	"repro/internal/runner"
 )
 
 // clusterNode is one daemon of a test cluster plus its HTTP front.
@@ -103,7 +104,7 @@ func waitLiveWorkers(t *testing.T, c *Client, want int) {
 func clusterSweepReq() api.SweepRequest {
 	return api.SweepRequest{
 		App: "lulesh",
-		Axes: []api.SweepAxis{
+		Axes: []runner.Axis{
 			{Param: "p", Values: []float64{2, 4, 6, 8}},
 			{Param: "size", Values: []float64{10, 14, 18}},
 		},
@@ -281,7 +282,7 @@ func TestClusterModelExtractionMatchesSingleNode(t *testing.T) {
 	req := api.ModelRequest{
 		App:    "lulesh",
 		Params: []string{"p", "size"},
-		Axes: []api.SweepAxis{
+		Axes: []runner.Axis{
 			{Param: "p", Values: []float64{2, 4, 6, 8}},
 			{Param: "size", Values: []float64{10, 14, 18}},
 		},

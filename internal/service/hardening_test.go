@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/runner"
 )
 
 // postJSON fires a raw POST so tests can control headers and bodies the
@@ -235,7 +236,7 @@ func TestSweepDrainEmitsTerminalErrorLine(t *testing.T) {
 	lines := 0
 	err := client.Sweep(ctx, api.SweepRequest{
 		App:  "slow",
-		Axes: []api.SweepAxis{{Param: "n", Values: []float64{2e6, 2e6, 2e6, 2e6}}},
+		Axes: []runner.Axis{{Param: "n", Values: []float64{2e6, 2e6, 2e6, 2e6}}},
 	}, func(line api.SweepLine) error {
 		lines++
 		if lines == 1 {

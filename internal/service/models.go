@@ -36,9 +36,7 @@ func modelConfig(req api.ModelRequest, app App) modelreg.Config {
 		Batch:    req.Batch,
 		Metrics:  req.Metrics,
 		Defaults: req.Defaults,
-	}
-	for _, ax := range req.Axes {
-		cfg.Axes = append(cfg.Axes, modelreg.Axis{Param: ax.Param, Values: ax.Values})
+		Axes:     req.Axes,
 	}
 	return ResolveModelDefaults(app, cfg)
 }
@@ -56,17 +54,15 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	cfg := modelConfig(req, app)
-	if err := cfg.Validate(spec); err != nil {
+	// The request is resolved once — defaults filled, design checked and
+	// sized against the cap, digest taken — and the build below starts
+	// from that same value.
+	cfg, err := modelConfig(req, app).Resolve(spec, s.opts.MaxSweepConfigs)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if n := cfg.Size(); n > s.opts.MaxSweepConfigs {
-		httpError(w, http.StatusBadRequest,
-			fmt.Errorf("design expands to %d configs, over the server cap of %d", n, s.opts.MaxSweepConfigs))
-		return
-	}
-	key := modelreg.Key(digest, cfg)
+	key := cfg.Key(digest)
 
 	// Streaming mode: progress events as they happen, one JSON object
 	// per line, then the terminal result. Joiners of someone else's

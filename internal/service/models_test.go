@@ -15,6 +15,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/modelreg"
+	"repro/internal/runner"
 )
 
 // modelTestRequest is a small but real LULESH modeling design.
@@ -23,7 +24,7 @@ func modelTestRequest() api.ModelRequest {
 		App:      "lulesh",
 		Params:   []string{"p", "size"},
 		Defaults: map[string]float64{"regions": 4, "balance": 2, "cost": 1, "iters": 2},
-		Axes: []api.SweepAxis{
+		Axes: []runner.Axis{
 			{Param: "p", Values: []float64{2, 4}},
 			{Param: "size", Values: []float64{4, 5}},
 		},
@@ -42,7 +43,7 @@ func TestModelRequestRoundTrip(t *testing.T) {
 		App:      "lulesh",
 		Params:   []string{"size", "p"},
 		Defaults: apps.Config{"regions": 4, "iters": 2},
-		Axes: []modelreg.Axis{
+		Axes: []runner.Axis{
 			{Param: "p", Values: []float64{2, 4}},
 			{Param: "size", Values: []float64{4, 5}},
 		},
@@ -210,7 +211,7 @@ func TestServeModelsRejectsBadDesigns(t *testing.T) {
 	}
 	for _, tc := range cases {
 		req := modelTestRequest()
-		req.Axes = []api.SweepAxis{
+		req.Axes = []runner.Axis{
 			{Param: "p", Values: append([]float64(nil), 2, 4)},
 			{Param: "size", Values: append([]float64(nil), 4, 5)},
 		}

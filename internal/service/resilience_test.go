@@ -20,6 +20,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/journal"
 	"repro/internal/leakcheck"
+	"repro/internal/runner"
 )
 
 // installFaults makes sched the process-wide fault plan for one test and
@@ -38,7 +39,7 @@ func installFaults(t *testing.T, sched *faultinject.Schedule) {
 func resilienceSweepReq() api.SweepRequest {
 	return api.SweepRequest{
 		App: "lulesh",
-		Axes: []api.SweepAxis{
+		Axes: []runner.Axis{
 			{Param: "p", Values: []float64{2, 4}},
 			{Param: "size", Values: []float64{10, 14}},
 		},
@@ -267,7 +268,7 @@ func TestSweepCanceledPointIsNeverJournaled(t *testing.T) {
 	srv, client := testServer(t, Options{Workers: 1, CacheDir: t.TempDir(),
 		Apps: map[string]App{"slow": slowApp()}})
 	bg := context.Background()
-	raw, err := json.Marshal(api.SweepRequest{App: "slow", Axes: []api.SweepAxis{
+	raw, err := json.Marshal(api.SweepRequest{App: "slow", Axes: []runner.Axis{
 		{Param: "n", Values: []float64{100, 200, 300}}}})
 	if err != nil {
 		t.Fatal(err)

@@ -407,16 +407,12 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := validateParamNames(spec, configKeys(req.Config)); err != nil {
+	cfg := mergedConfig(app, req.Config)
+	if err := spec.CheckConfig(cfg); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := validateParamNames(spec, req.CensusParams); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("census_params: %w", err))
-		return
-	}
-	cfg := mergedConfig(app, req.Config)
-	if err := validateConfig(spec, cfg); err != nil {
+	if err := checkCensusParams(spec, req.CensusParams); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -453,53 +449,16 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if len(req.Axes) == 0 {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("sweep requires at least one axis"))
-		return
-	}
-	if err := validateParamNames(spec, configKeys(req.Defaults)); err != nil {
+	grid := runner.Design{Spec: spec, Defaults: mergedConfig(app, req.Defaults), Axes: req.Axes}
+	if _, err := grid.Check(s.opts.MaxSweepConfigs); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := validateParamNames(spec, req.CensusParams); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("census_params: %w", err))
+	if err := checkCensusParams(spec, req.CensusParams); err != nil {
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	grid := runner.Design{Spec: spec, Defaults: mergedConfig(app, req.Defaults)}
-	// Size the grid incrementally while validating each axis: rejecting
-	// as soon as the partial product passes the cap means the product can
-	// never overflow, however many axes the request stacks up.
-	seenAxis := make(map[string]bool, len(req.Axes))
-	size := 1
-	for _, ax := range req.Axes {
-		if len(ax.Values) == 0 {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("axis %q has no values", ax.Param))
-			return
-		}
-		if seenAxis[ax.Param] {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("axis %q repeated", ax.Param))
-			return
-		}
-		seenAxis[ax.Param] = true
-		if err := validateParamNames(spec, []string{ax.Param}); err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		size *= len(ax.Values)
-		if size > s.opts.MaxSweepConfigs {
-			httpError(w, http.StatusBadRequest,
-				fmt.Errorf("design exceeds the server cap of %d configs", s.opts.MaxSweepConfigs))
-			return
-		}
-		grid.Axes = append(grid.Axes, runner.Axis{Param: ax.Param, Values: ax.Values})
-	}
 	cfgs := grid.Configs()
-	for i, cfg := range cfgs {
-		if err := validateConfig(spec, cfg); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("config %d: %w", i, err))
-			return
-		}
-	}
 	// A resume point the server cannot read is a client bug; answering it
 	// with a full replay (what Last-Seq 0 means) would hide it.
 	var lastSeq int64

@@ -13,6 +13,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/leakcheck"
+	"repro/internal/runner"
 )
 
 func testServer(t *testing.T, opts Options) (*Server, *Client) {
@@ -119,7 +120,7 @@ func TestServeSweepStreamsDeterministicOrder(t *testing.T) {
 	ctx := context.Background()
 	req := api.SweepRequest{
 		App: "lulesh",
-		Axes: []api.SweepAxis{
+		Axes: []runner.Axis{
 			{Param: "p", Values: []float64{2, 4}},
 			{Param: "size", Values: []float64{4, 5}},
 		},
@@ -217,7 +218,7 @@ func TestServeRejectsBadRequests(t *testing.T) {
 	}
 	if _, err := client.SweepAll(ctx, api.SweepRequest{
 		App:  "lulesh",
-		Axes: []api.SweepAxis{{Param: "sze", Values: []float64{4, 5}}},
+		Axes: []runner.Axis{{Param: "sze", Values: []float64{4, 5}}},
 	}); err == nil {
 		t.Error("typo'd sweep axis silently ignored instead of rejected")
 	}
@@ -232,7 +233,7 @@ func TestServeRejectsBadRequests(t *testing.T) {
 	}
 	if _, err := client.SweepAll(ctx, api.SweepRequest{
 		App:  "lulesh",
-		Axes: []api.SweepAxis{{Param: "p"}},
+		Axes: []runner.Axis{{Param: "p"}},
 	}); err == nil {
 		t.Error("empty axis accepted")
 	}
@@ -246,7 +247,7 @@ func TestServeSweepCapsDesignSize(t *testing.T) {
 	vals := []float64{2, 4, 8, 16}
 	_, err := client.SweepAll(context.Background(), api.SweepRequest{
 		App:  "lulesh",
-		Axes: []api.SweepAxis{{Param: "p", Values: vals}},
+		Axes: []runner.Axis{{Param: "p", Values: vals}},
 	})
 	if err == nil {
 		t.Fatal("oversized design accepted")
@@ -254,16 +255,16 @@ func TestServeSweepCapsDesignSize(t *testing.T) {
 
 	// Stacking enough binary axes to overflow a naive size product must
 	// still be rejected (incremental check), as must repeated axes.
-	var many []api.SweepAxis
+	var many []runner.Axis
 	for i := 0; i < 70; i++ {
-		many = append(many, api.SweepAxis{Param: "p", Values: []float64{2, 4}})
+		many = append(many, runner.Axis{Param: "p", Values: []float64{2, 4}})
 	}
 	if _, err := client.SweepAll(context.Background(), api.SweepRequest{App: "lulesh", Axes: many}); err == nil {
 		t.Fatal("2^70 design accepted (size product overflowed)")
 	}
 	if _, err := client.SweepAll(context.Background(), api.SweepRequest{
 		App: "lulesh",
-		Axes: []api.SweepAxis{
+		Axes: []runner.Axis{
 			{Param: "p", Values: []float64{2}},
 			{Param: "p", Values: []float64{4}},
 		},

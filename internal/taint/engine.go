@@ -123,15 +123,6 @@ func (e *Engine) LibCallRec(caller, callee, callPath string) *LibCallRecord {
 	return r
 }
 
-// RecordLibCall notes an execution of the library function callee with the
-// given dependency labels; callPath is the interpreter call path ending in
-// callee.
-func (e *Engine) RecordLibCall(callPath, callee string, labels Label) {
-	r := e.LibCallRec(CallerFromPath(callPath, callee), callee, callPath)
-	r.Labels |= labels
-	r.Count++
-}
-
 // FuncLibDeps aggregates, per calling function, the union of parameter
 // names its library calls depend on.
 func (e *Engine) FuncLibDeps() map[string][]string {

@@ -57,7 +57,8 @@ type (
 	BatchResult = runner.Result
 	// Design declares a full-factorial parameter sweep over one spec.
 	Design = runner.Design
-	// Axis is one swept parameter of a Design.
+	// Axis is one swept parameter of a Design, a SweepRequest, a
+	// ModelConfig or a ModelRequest: the one axis type.
 	Axis = runner.Axis
 	// Server is the analysis daemon: the pipeline behind a JSON HTTP API
 	// with a content-addressed PreparedCache and a bounded job scheduler.
@@ -72,8 +73,6 @@ type (
 	// SweepRequest is a full-factorial design submitted to a daemon; the
 	// results stream back as NDJSON lines in design order.
 	SweepRequest = api.SweepRequest
-	// SweepAxis is one swept parameter of a SweepRequest.
-	SweepAxis = api.SweepAxis
 	// SweepLine is one streamed result record of a sweep.
 	SweepLine = api.SweepLine
 	// JobInfo is the wire view of one scheduled analysis job.
@@ -81,8 +80,6 @@ type (
 	// ModelConfig declares one end-to-end model extraction: the design
 	// to sweep, the parameters to model over, and the fitting cadence.
 	ModelConfig = modelreg.Config
-	// ModelAxis is one swept parameter of a ModelConfig design.
-	ModelAxis = modelreg.Axis
 	// ModelSet is the finished model-extraction artifact: ranked
 	// per-function models with validation diagnostics and parameter
 	// attribution.
