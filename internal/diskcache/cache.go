@@ -2,6 +2,7 @@ package diskcache
 
 import (
 	"container/list"
+	"context"
 	"fmt"
 	"sync"
 )
@@ -90,11 +91,22 @@ func (c *Cache[V]) SetDisk(disk *Layer[V]) {
 	c.mu.Unlock()
 }
 
-// Get returns the value stored under key, walking memory, then disk,
-// then build. The returned bool reports whether the value came from the
-// cache (memory, an in-flight build this call joined, or disk) rather
-// than from this call's own build.
+// Get is GetContext for a caller that never gives up.
 func (c *Cache[V]) Get(key string, build func() (V, error)) (V, bool, error) {
+	return c.GetContext(context.Background(), key, build)
+}
+
+// GetContext returns the value stored under key, walking memory, then
+// disk, then build. The returned bool reports whether the value came from
+// the cache (memory, an in-flight build this call joined, or disk) rather
+// than from this call's own build.
+//
+// ctx belongs to the caller as a joiner: one waiting on someone else's
+// flight returns ctx.Err() as soon as ctx ends, while the build carries on
+// for everyone else. The caller that runs the build is not interrupted — a
+// started build runs to completion and is cached, whoever is left to see
+// it.
+func (c *Cache[V]) GetContext(ctx context.Context, key string, build func() (V, error)) (V, bool, error) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		c.order.MoveToFront(el)
@@ -109,8 +121,13 @@ func (c *Cache[V]) Get(key string, build func() (V, error)) (V, bool, error) {
 		// report as a hit (misses count actual builds).
 		c.hits++
 		c.mu.Unlock()
-		<-fl.done
-		return fl.v, true, fl.err
+		select {
+		case <-fl.done:
+			return fl.v, true, fl.err
+		case <-ctx.Done():
+			var zero V
+			return zero, false, ctx.Err()
+		}
 	}
 	fl := &flight[V]{done: make(chan struct{})}
 	c.inflight[key] = fl

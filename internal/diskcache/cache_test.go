@@ -1,6 +1,7 @@
 package diskcache
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -39,6 +40,23 @@ func awaitJoiners[V any](t *testing.T, c *Cache[V], n uint64) {
 		if time.Now().After(deadline) {
 			t.Errorf("only %d of %d joiners arrived", c.Stats().Hits, n)
 			return
+		}
+		runtime.Gosched()
+	}
+}
+
+// awaitInflight blocks until a Get of key has started its flight.
+func awaitInflight[V any](t *testing.T, c *Cache[V], key string) {
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		c.mu.Lock()
+		_, ok := c.inflight[key]
+		c.mu.Unlock()
+		if ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no build of %s started", key)
 		}
 		runtime.Gosched()
 	}
@@ -182,6 +200,48 @@ func TestCacheContract(t *testing.T) {
 			var b builder
 			if v, cached, err := c.Get(key, b.of("explosive")); err != nil || cached || v != "explosive" || b.n.Load() != 1 {
 				t.Fatalf("Get after a panicked build = %q, cached=%v, err=%v, builds=%d; want a fresh build", v, cached, err, b.n.Load())
+			}
+		}},
+		{"joiner_cancelled_mid_build", func(t *testing.T, open func(int) *Cache[string], disk bool) {
+			c := open(4)
+			key := digestOf("slow")
+			var b builder
+			release := make(chan struct{})
+			built := make(chan error, 1)
+			go func() {
+				// The builder's own context is already over: a started build
+				// is not interrupted by it.
+				ctx, cancel := context.WithCancel(context.Background())
+				cancel()
+				_, _, err := c.GetContext(ctx, key, func() (string, error) {
+					<-release
+					return b.of("slow")()
+				})
+				built <- err
+			}()
+			awaitInflight(t, c, key)
+			ctx, cancel := context.WithCancel(context.Background())
+			joined := make(chan error, 1)
+			go func() {
+				_, _, err := c.GetContext(ctx, key, b.of("never"))
+				joined <- err
+			}()
+			awaitJoiners(t, c, 1)
+			cancel()
+			// The joiner returns while the build is still held open.
+			if err := <-joined; !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled joiner got err = %v, want context.Canceled", err)
+			}
+			close(release)
+			if err := <-built; err != nil {
+				t.Fatalf("the build a joiner walked away from failed: %v", err)
+			}
+			v, cached, err := c.Get(key, b.of("never"))
+			if err != nil || !cached || v != "slow" || b.n.Load() != 1 {
+				t.Fatalf("Get after the build = %q, cached=%v, err=%v, builds=%d; want the one build's value from memory", v, cached, err, b.n.Load())
+			}
+			if st := c.Stats(); st.Misses != 1 || st.Entries != 1 || st.Hits != 2 {
+				t.Fatalf("stats = %+v, want 1 miss, 1 entry, 2 hits (the join and the later Get)", st)
 			}
 		}},
 		{"restart", func(t *testing.T, open func(int) *Cache[string], disk bool) {

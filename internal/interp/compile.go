@@ -23,7 +23,7 @@ import (
 //   - Fuel batching with an exact de-optimization path: each straight-line
 //     segment pre-charges its instruction count once. When the remaining
 //     budget cannot cover a segment, the activation falls back to the fast
-//     interpreter loop at the segment's first instruction (execLoopFrom),
+//     interpreter loop at the segment's first instruction (execLoop),
 //     so ErrFuel aborts at the identical instruction with the identical
 //     partial count as the oracle engines. Segments end at call sites, so
 //     a callee never observes fuel pre-charged for instructions that have
@@ -127,7 +127,6 @@ type kctx struct {
 	labels []taint.Label
 	path   *pathNode
 	eng    *taint.Engine
-	cs     ctlState
 
 	// gen matches Machine.kGen when m/cp/prog/eng are current for this run.
 	gen     uint64
@@ -142,29 +141,31 @@ type kctx struct {
 	retl   taint.Label
 }
 
-// wr applies the canonical register-label write sequence of the taint
-// variants: control-scope union, birth-epoch bookkeeping, label store. The
-// control-flow path is split out (wrFlow) so this hot path stays under the
-// inline budget and disappears into every step closure.
+// wr applies the register-label write of the taint variants: the frame's
+// control-taint state joins the control label and keeps the birth epochs.
 func (k *kctx) wr(dst int32, wl taint.Label) {
-	if k.cs.cflow {
-		k.wrFlow(dst, wl)
-		return
-	}
-	k.labels[dst] = wl
+	k.labels[dst] = k.fr.cs.write(dst, wl)
 }
 
-//go:noinline
-func (k *kctx) wrFlow(dst int32, wl taint.Label) {
-	cs := &k.cs
-	if len(cs.ctl) > 0 {
-		wl |= cs.regCtl(dst)
+// loopEvent, branchRec and sinkExits resolve (lazily, preserving the
+// reference engine's record creation order) the records of this activation's
+// context: a taken edge's latch/entry effect, the branch counters, and the
+// loop-exit taint sinks.
+func (k *kctx) loopEvent(kind uint8, li int32) {
+	tick(k.m.loopRec(k.df, k.path, li, k.eng), kind)
+}
+
+func (k *kctx) branchRec(t *dterm) *taint.BranchRecord {
+	if brs := k.m.branchRecs[k.df.idx]; brs != nil {
+		if r := brs[t.block]; r != nil {
+			return r
+		}
 	}
-	if cs.born[dst] < cs.seqBase {
-		cs.born[dst] = cs.writeSeq
-	}
-	cs.writeSeq++
-	k.labels[dst] = wl
+	return k.m.branchRecSlow(k.df, t, k.eng)
+}
+
+func (k *kctx) sinkExits(t *dterm, l taint.Label) {
+	k.m.sinkExits(k.df, k.path, t, l, k.eng)
 }
 
 // fail records an execution error. sc points at the enclosing segment's
@@ -598,10 +599,7 @@ func (c *compiler) emitStore(in *dinstr) {
 			}
 			m.heap[addr] = k.regs[b]
 			l := k.labels[b] | k.labels[a]
-			cs := &k.cs
-			if cs.cflow && (len(cs.ctl) > 0 || cs.ctlBase != taint.None) {
-				l |= cs.memCtl()
-			}
+			l |= k.fr.cs.memCtl()
 			if addr < Value(len(m.shadow)) {
 				m.shadow[addr] = l
 			} else if l != taint.None {
@@ -764,10 +762,7 @@ func (c *compiler) emitLoadOpStore(in, nx, st *dinstr) {
 			}
 			m.heap[saddr] = v
 			l := k.labels[d2] | k.labels[sa]
-			cs := &k.cs
-			if cs.cflow && (len(cs.ctl) > 0 || cs.ctlBase != taint.None) {
-				l |= cs.memCtl()
-			}
+			l |= k.fr.cs.memCtl()
 			if saddr < Value(len(m.shadow)) {
 				m.shadow[saddr] = l
 			} else if l != taint.None {
@@ -814,10 +809,7 @@ func (c *compiler) emitOpStore(in, nx *dinstr) {
 			}
 			m.heap[addr] = v
 			l := k.labels[dst] | k.labels[sa]
-			cs := &k.cs
-			if cs.cflow && (len(cs.ctl) > 0 || cs.ctlBase != taint.None) {
-				l |= cs.memCtl()
-			}
+			l |= k.fr.cs.memCtl()
 			if addr < Value(len(m.shadow)) {
 				m.shadow[addr] = l
 			} else if l != taint.None {
@@ -862,19 +854,16 @@ func (c *compiler) emitJmpEdge(t *dinstr) {
 	switch c.vk {
 	case vkTaint:
 		c.put(func(k *kctx) bool {
-			cs := &k.cs
-			if cs.cflow && len(cs.ctl) > 0 {
-				cs.closeAt(blk)
-			}
+			k.fr.cs.closeAt(blk)
 			if evk != evNone {
-				k.m.loopEvent(k.df, k.path, evk, evl, k.eng)
+				k.loopEvent(evk, evl)
 			}
 			return true
 		}, 1)
 	case vkClean:
 		if evk != evNone {
 			c.put(func(k *kctx) bool {
-				k.m.loopEvent(k.df, k.path, evk, evl, k.eng)
+				k.loopEvent(evk, evl)
 				return true
 			}, 1)
 		} else {
@@ -891,19 +880,16 @@ func (c *compiler) jmpTerm(t *dinstr) termFn {
 	switch c.vk {
 	case vkTaint:
 		return func(k *kctx) int32 {
-			cs := &k.cs
-			if cs.cflow && len(cs.ctl) > 0 {
-				cs.closeAt(blk)
-			}
+			k.fr.cs.closeAt(blk)
 			if evk != evNone {
-				k.m.loopEvent(k.df, k.path, evk, evl, k.eng)
+				k.loopEvent(evk, evl)
 			}
 			return blk
 		}
 	case vkClean:
 		if evk != evNone {
 			return func(k *kctx) int32 {
-				k.m.loopEvent(k.df, k.path, evk, evl, k.eng)
+				k.loopEvent(evk, evl)
 				return blk
 			}
 		}
@@ -916,7 +902,7 @@ func (c *compiler) jmpTerm(t *dinstr) termFn {
 // brInfo carries the captured state of one conditional-branch terminator,
 // optionally fused with the comparison that computes its condition.
 type brInfo struct {
-	bm         *dbranch
+	bm         *dterm
 	a          int32
 	blk0, blk1 int32
 	evk0, evk1 uint8
@@ -944,38 +930,29 @@ func (bi *brInfo) taintTerm(k *kctx) int32 {
 	}
 	cond := k.regs[bi.a] != 0
 	condLabel := k.labels[bi.a]
-	m, eng, df, path := k.m, k.eng, k.df, k.path
 	bm := bi.bm
-	for _, li := range bm.exits {
-		r := m.loopRec(df, path, li, eng)
-		r.Labels |= condLabel
-	}
-	br := m.branchRec(df, bm.block, eng)
+	k.sinkExits(bm, condLabel)
+	br := k.branchRec(bm)
 	br.Labels |= condLabel
-	br.IsLoopExit = br.IsLoopExit || len(bm.exits) > 0
-	cs := &k.cs
+	cs := &k.fr.cs
 	if cond {
 		br.Taken++
 	} else {
 		br.NotTaken++
 	}
 	if cs.cflow && condLabel != taint.None {
-		cs.push(int(bm.joinBlk), condLabel, len(bm.exits) > 0)
+		cs.push(int(bm.joinBlk), condLabel, bm.exit != noExit)
 	}
 	if cond {
-		if cs.cflow && len(cs.ctl) > 0 {
-			cs.closeAt(bi.blk0)
-		}
+		cs.closeAt(bi.blk0)
 		if bi.evk0 != evNone {
-			m.loopEvent(df, path, bi.evk0, bi.evl0, eng)
+			k.loopEvent(bi.evk0, bi.evl0)
 		}
 		return bi.blk0
 	}
-	if cs.cflow && len(cs.ctl) > 0 {
-		cs.closeAt(bi.blk1)
-	}
+	cs.closeAt(bi.blk1)
 	if bi.evk1 != evNone {
-		m.loopEvent(df, path, bi.evk1, bi.evl1, eng)
+		k.loopEvent(bi.evk1, bi.evl1)
 	}
 	return bi.blk1
 }
@@ -988,23 +965,19 @@ func (bi *brInfo) cleanTerm(k *kctx) int32 {
 		k.regs[bi.cdst] = binop(bi.cop, k.regs[bi.ca], k.regs[bi.cb])
 	}
 	cond := k.regs[bi.a] != 0
-	m, eng, df, path := k.m, k.eng, k.df, k.path
 	bm := bi.bm
-	for _, li := range bm.exits {
-		m.loopRec(df, path, li, eng)
-	}
-	br := m.branchRec(df, bm.block, eng)
-	br.IsLoopExit = br.IsLoopExit || len(bm.exits) > 0
+	k.sinkExits(bm, taint.None)
+	br := k.branchRec(bm)
 	if cond {
 		br.Taken++
 		if bi.evk0 != evNone {
-			m.loopEvent(df, path, bi.evk0, bi.evl0, eng)
+			k.loopEvent(bi.evk0, bi.evl0)
 		}
 		return bi.blk0
 	}
 	br.NotTaken++
 	if bi.evk1 != evNone {
-		m.loopEvent(df, path, bi.evk1, bi.evl1, eng)
+		k.loopEvent(bi.evk1, bi.evl1)
 	}
 	return bi.blk1
 }
@@ -1032,34 +1005,25 @@ func (si *swInfo) plainTerm(k *kctx) int32 {
 
 func (si *swInfo) taintTerm(k *kctx) int32 {
 	tgt := si.pick(k)
-	m, eng, df, path := k.m, k.eng, k.df, k.path
 	sw := si.sw
 	condLabel := k.labels[si.a]
-	for _, li := range sw.exits {
-		r := m.loopRec(df, path, li, eng)
-		r.Labels |= condLabel
-	}
-	cs := &k.cs
+	k.sinkExits(&sw.dterm, condLabel)
+	cs := &k.fr.cs
 	if cs.cflow && condLabel != taint.None {
-		cs.push(int(sw.joinBlk), condLabel, len(sw.exits) > 0)
+		cs.push(int(sw.joinBlk), condLabel, sw.exit != noExit)
 	}
-	if cs.cflow && len(cs.ctl) > 0 {
-		cs.closeAt(tgt.blk)
-	}
+	cs.closeAt(tgt.blk)
 	if tgt.evk != evNone {
-		m.loopEvent(df, path, tgt.evk, tgt.evl, eng)
+		k.loopEvent(tgt.evk, tgt.evl)
 	}
 	return tgt.blk
 }
 
 func (si *swInfo) cleanTerm(k *kctx) int32 {
 	tgt := si.pick(k)
-	m, eng, df, path := k.m, k.eng, k.df, k.path
-	for _, li := range si.sw.exits {
-		m.loopRec(df, path, li, eng)
-	}
+	k.sinkExits(&si.sw.dterm, taint.None)
 	if tgt.evk != evNone {
-		m.loopEvent(df, path, tgt.evk, tgt.evl, eng)
+		k.loopEvent(tgt.evk, tgt.evl)
 	}
 	return tgt.blk
 }
@@ -1141,11 +1105,7 @@ func moduleCallTaint(site *dcall, cdf *dfunc, ccf *cfunc, dst int32, sc *int64, 
 	args := site.args
 	return func(k *kctx) bool {
 		m := k.m
-		cs := &k.cs
-		childCtl := taint.None
-		if cs.cflow && (len(cs.ctl) > 0 || cs.ctlBase != taint.None) {
-			childCtl = cs.memCtl()
-		}
+		childCtl := k.fr.cs.memCtl()
 		childIdx := resolveChild(k, site, siteID, true)
 		cfr := m.frame(k.depth+1, cdf)
 		am := taint.None

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cfg"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/libdb"
@@ -30,6 +31,10 @@ type genConfig struct {
 	// built before the helpers. Zero draws nothing extra from the random
 	// stream, so a module generated without leaves stays what it was.
 	leaves int
+	// scopes selects the control-scope shapes appended to main, one bit each
+	// (see scopeShapes). No shape draws from the random stream, selected or
+	// not, so the rest of the module stays what it was.
+	scopes uint8
 }
 
 type gen struct {
@@ -64,6 +69,9 @@ func genModule(seed int64, cfg genConfig) *ir.Module {
 			params int
 		}{name, params})
 	}
+	if cfg.scopes&scopeRecurse != 0 {
+		g.buildRecursive()
+	}
 	g.buildFunc("main", 3)
 	return g.mod
 }
@@ -87,6 +95,10 @@ func (g *gen) buildFunc(name string, params int) {
 	// Seed the scratch array with the parameters.
 	for i := 0; i < params; i++ {
 		b.Store(bd.arr, int64(i), b.Param(i))
+	}
+	if name == "main" {
+		// First, while the parameters still carry their base labels alone.
+		bd.scopeShapes()
 	}
 	n := 2 + g.r.Intn(g.cfg.stmts)
 	for i := 0; i < n; i++ {
@@ -216,6 +228,151 @@ func (bd *body) leafCalls() {
 	b.Jmp(header)
 	b.SetBlock(exit)
 	bd.push(last)
+}
+
+// The control-scope shapes: each reaches one path of the scope-stack summary
+// (see ctlState) that random statements reach rarely or never. They open
+// main, whose parameters carry the base labels x, y and z, and end in a probe
+// loop whose record shows the label the path produced; their results join
+// the pool the random statements draw from.
+const (
+	// scopeStraddle: a register first written between an outer and an inner
+	// tainted loop-exit test, then written inside the inner loop — its born
+	// straddles the two loop scopes, the one read that scans the stack.
+	scopeStraddle uint8 = 1 << iota
+	// scopeCollide: a tainted if whose arm spans more than 64 blocks, so a
+	// jump target inside it shares the join block's bit in the close filter.
+	scopeCollide
+	// scopeTwoExit: a branch that leaves two loops at once.
+	scopeTwoExit
+	// scopeRecurse: a tainted loop in a function that has not branched yet
+	// when its recursive activation runs the same loop.
+	scopeRecurse
+)
+
+func (bd *body) scopeShapes() {
+	sel := bd.g.cfg.scopes
+	if sel&scopeStraddle != 0 {
+		bd.straddle()
+	}
+	if sel&scopeCollide != 0 {
+		bd.collide()
+	}
+	if sel&scopeTwoExit != 0 {
+		bd.twoExit()
+	}
+	if sel&scopeRecurse != 0 {
+		b := bd.b
+		bd.push(b.Call("rec", b.Const(2), b.Param(0)))
+	}
+}
+
+// probe appends a bare count-down loop whose header block is called name and
+// whose exit condition carries exactly v's label into the loop's record.
+func (bd *body) probe(name string, v ir.Reg) {
+	b := bd.b
+	one := b.Const(1)
+	cnt := b.Mov(b.Bin(ir.OpAnd, v, one))
+	header, loop, exit := b.NewBlock(name), b.NewBlock(name+".body"), b.NewBlock(name+".exit")
+	b.Jmp(header)
+	b.SetBlock(header)
+	b.Br(cnt, loop, exit)
+	b.SetBlock(loop)
+	b.MovTo(cnt, b.Sub(cnt, one))
+	b.Jmp(header)
+	b.SetBlock(exit)
+}
+
+// straddle runs one iteration of a loop bounded by x around a loop bounded by
+// y. t is first written between the two exit tests and accumulated inside the
+// inner loop: it is carried by the inner loop only, so its label is y alone.
+func (bd *body) straddle() {
+	b := bd.b
+	zero, one := b.Const(0), b.Const(1)
+	var t ir.Reg
+	b.For(zero, b.Add(b.Bin(ir.OpAnd, b.Param(0), zero), one), one, func(ir.Reg) {
+		t = b.Mov(one)
+		b.For(zero, b.Add(b.Bin(ir.OpAnd, b.Param(1), one), one), one, func(j ir.Reg) {
+			b.MovTo(t, b.Add(t, j))
+		})
+	})
+	bd.probe("straddle", t)
+	bd.push(t)
+}
+
+// collide opens a scope on an always-true test of z and walks 33 ifs (66
+// blocks) inside it, so one of their blocks sits 64 past the scope's join.
+// w is a constant written after them: it carries z only while the scope is
+// still open there.
+func (bd *body) collide() {
+	b := bd.b
+	then, join := b.NewBlock("collide.then"), b.NewBlock("collide.join")
+	u := b.Const(0)
+	b.Br(b.CmpGE(b.Param(2), b.Param(2)), then, join)
+	b.SetBlock(then)
+	for i := 0; i < 33; i++ {
+		b.If(b.CmpLT(u, b.Const(int64(i))), func() { b.MovTo(u, b.Add(u, b.Const(1))) }, nil)
+	}
+	w := b.Const(7)
+	b.Jmp(join)
+	b.SetBlock(join)
+	bd.probe("collide", w)
+	bd.push(u)
+}
+
+// twoExit nests two loops bounded by x; the block called twoexit leaves both
+// at once as soon as acc passes a bound labelled y, and the inner latch is a
+// switch that could (j never gets that far).
+func (bd *body) twoExit() {
+	b := bd.b
+	zero, one := b.Const(0), b.Const(1)
+	n := b.Add(b.Bin(ir.OpAnd, b.Param(0), one), one)
+	lim := b.Bin(ir.OpAnd, b.Param(1), one)
+	i, j, acc := b.Mov(zero), b.Mov(zero), b.Mov(zero)
+	outer, outerBody, inner, both := b.NewBlock("two.outer"), b.NewBlock("two.outerbody"), b.NewBlock("two.inner"), b.NewBlock("twoexit")
+	innerLatch, outerLatch, exit := b.NewBlock("two.innerlatch"), b.NewBlock("two.outerlatch"), b.NewBlock("two.exit")
+	b.Jmp(outer)
+	b.SetBlock(outer)
+	b.Br(b.CmpLT(i, n), outerBody, exit)
+	b.SetBlock(outerBody)
+	b.MovTo(j, zero)
+	b.Jmp(inner)
+	b.SetBlock(inner)
+	b.Br(b.CmpLT(j, n), both, outerLatch)
+	b.SetBlock(both)
+	b.MovTo(acc, b.Add(acc, one))
+	b.Br(b.CmpGT(acc, lim), exit, innerLatch)
+	b.SetBlock(innerLatch)
+	b.MovTo(j, b.Add(j, one))
+	b.Switch(j, inner, []ir.SwitchCase{{Value: 5, Block: exit.Index}})
+	b.SetBlock(outerLatch)
+	b.MovTo(i, b.Add(i, one))
+	b.Jmp(outer)
+	b.SetBlock(exit)
+	bd.push(acc)
+}
+
+// buildRecursive adds rec(d, n), which calls recb before it branches and
+// then runs a loop bounded by n, and recb(d, n), which calls rec(d-1, n)
+// while d > 0. The innermost rec runs its loop — and resolves the function's
+// branch records — while every outer activation of rec, entered before any
+// record existed, has yet to reach its own.
+func (g *gen) buildRecursive() {
+	b := ir.NewFunc(g.mod, "rec", 2)
+	acc := b.Call("recb", b.Param(0), b.Param(1))
+	b.For(b.Const(0), b.Add(b.Bin(ir.OpAnd, b.Param(1), b.Const(1)), b.Const(1)), b.Const(1), func(i ir.Reg) {
+		b.MovTo(acc, b.Add(acc, i))
+	})
+	b.Ret(acc)
+	b.Finish()
+
+	c := ir.NewFunc(g.mod, "recb", 2)
+	r := c.Const(0)
+	c.If(c.CmpGT(c.Param(0), c.Const(0)), func() {
+		c.MovTo(r, c.Call("rec", c.Sub(c.Param(0), c.Const(1)), c.Param(1)))
+	}, nil)
+	c.Ret(r)
+	c.Finish()
 }
 
 func (bd *body) pick() ir.Reg {
@@ -569,6 +726,119 @@ func TestDifferentialSummarizedLeaves(t *testing.T) {
 	// Only the one-leaf shape can come out without a summarizable leaf.
 	if summarized < 24 {
 		t.Fatalf("only %d of 32 modules carried a summarized function", summarized)
+	}
+}
+
+// TestDifferentialScopeShapes runs every combination of the control-scope
+// shapes on top of seeded random modules: each module must reach the paths
+// its shapes are named for, and the engines must agree at full fuel and at
+// budgets that end inside the shapes.
+func TestDifferentialScopeShapes(t *testing.T) {
+	for sel := uint8(1); sel < 16; sel++ {
+		for seed := int64(0); seed < 2; seed++ {
+			t.Run(fmt.Sprintf("shapes%x/seed%d", sel, seed), func(t *testing.T) {
+				cfg := genConfig{funcs: int(seed) * 2, stmts: 3 + int(seed), maxDepth: 2, leaves: int(seed) * 3, scopes: sel}
+				mod := genModule(seed*6151+int64(sel), cfg)
+				verifyGenerated(t, mod)
+				requireScopePaths(t, mod, sel)
+				args := []int64{2 + seed, 3 - seed, int64(sel)}
+				diffModes(t, mod, args, 1_000_000, true)
+				diffModes(t, mod, args, 1_000_000, false)
+				n := instructionsOf(t, mod, args)
+				for _, fuel := range []int64{n - 1, n - 7, n - 40, n / 2, n / 3} {
+					if fuel > 0 {
+						diffModes(t, mod, args, fuel, true)
+					}
+				}
+			})
+		}
+	}
+}
+
+// requireScopePaths fails the test unless the shapes selected in mod reach
+// the scope-stack paths they exist for: shown by the label the reference
+// engine hands a shape's probe loop where the path decides a label, and by
+// the module's structure where it does not.
+func requireScopePaths(t *testing.T, mod *ir.Module, sel uint8) {
+	t.Helper()
+	main := mod.Funcs["main"]
+	blockOf := func(name string) int {
+		for _, blk := range main.Blocks {
+			if blk.Name == name {
+				return blk.Index
+			}
+		}
+		t.Fatalf("main has no block %q", name)
+		return -1
+	}
+	eng := taint.NewEngine()
+	mach := interp.NewMachine(mod)
+	mach.Mode = interp.ModeReference
+	mach.Taint = eng
+	libdb.DefaultMPI().Bind(mach, eng, libdb.RunConfig{CommSize: 8})
+	labels := []taint.Label{eng.Table.Base("x"), eng.Table.Base("y"), eng.Table.Base("z")}
+	if _, err := mach.Run("main", []int64{5, 3, 2}, labels); err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+	probeLabel := func(header string) string {
+		h := blockOf(header)
+		for _, r := range eng.SortedLoops() {
+			if r.Key.Func == "main" && r.Header == h {
+				return eng.Table.ExpandString(r.Labels)
+			}
+		}
+		t.Fatalf("no loop record for probe %q", header)
+		return ""
+	}
+	if sel&scopeStraddle != 0 {
+		// x would mean t counts as carried by the outer loop too, nothing
+		// that it is carried by neither: y alone is the straddle.
+		if got := probeLabel("straddle"); got != "y" {
+			t.Fatalf("straddle probe is labelled %q, want y", got)
+		}
+	}
+	if sel&scopeCollide != 0 {
+		if j, end := blockOf("collide.join"), blockOf("collide"); j+64 >= end {
+			t.Fatalf("no block 64 past the join (%d) inside the scope ending at %d", j, end)
+		}
+		if got := probeLabel("collide"); got != "z" {
+			t.Fatalf("collide probe is labelled %q, want z", got)
+		}
+	}
+	if sel&scopeTwoExit != 0 {
+		if n := len(cfg.FindLoops(cfg.Build(main)).ExitLoops(blockOf("twoexit"))); n != 2 {
+			t.Fatalf("block twoexit leaves %d loops, want 2", n)
+		}
+	}
+	if sel&scopeRecurse != 0 && !eng.RecursionWarnings["rec"] {
+		t.Fatal("rec never ran recursively")
+	}
+}
+
+// TestDifferentialEntryBlockLoop runs a loop headed by its function's entry
+// block: no edge enters it from outside, so the first event its record sees
+// is the exit test itself, not a loop entry.
+func TestDifferentialEntryBlockLoop(t *testing.T) {
+	mod := ir.NewModule("entryloop")
+	h := ir.NewFunc(mod, "countdown", 1)
+	header := h.CurBlock()
+	loop, exit := h.NewBlock("loop"), h.NewBlock("exit")
+	h.Br(h.Param(0), loop, exit)
+	h.SetBlock(loop)
+	h.MovTo(h.Param(0), h.Sub(h.Param(0), h.Const(1)))
+	h.Jmp(header)
+	h.SetBlock(exit)
+	h.Ret(h.Param(0))
+	h.Finish()
+	b := ir.NewFunc(mod, "main", 3)
+	b.Ret(b.Add(b.Call("countdown", b.Bin(ir.OpAnd, b.Param(0), b.Const(3))), b.Call("countdown", b.Param(2))))
+	b.Finish()
+	verifyGenerated(t, mod)
+	args := []int64{7, 0, 2}
+	diffModes(t, mod, args, 1_000_000, true)
+	diffModes(t, mod, args, 1_000_000, false)
+	for fuel := int64(1); fuel < instructionsOf(t, mod, args); fuel++ {
+		diffModes(t, mod, args, fuel, true)
 	}
 }
 

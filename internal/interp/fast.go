@@ -39,67 +39,112 @@ type pathChild struct {
 
 // fastFrame is a reusable activation record. Frames are pooled per call
 // depth, so steady-state execution allocates nothing per call: register and
-// label banks are re-sliced and zeroed, the control-scope stack keeps its
-// capacity, and the extern scratch buffers and ExternCall header are reused.
+// label banks are re-sliced and zeroed, the control-taint state keeps its
+// born bank and scope-stack capacity, and the extern scratch buffers and
+// ExternCall header are reused.
 type fastFrame struct {
 	regs      []Value
 	labels    []taint.Label
-	born      []int
-	ctl       []ctlScope
 	args      []Value
 	argLabels []taint.Label
 	ext       ExternCall
+	// cs is the control-taint state of the activation on this frame, in
+	// either engine: the compiled one de-optimizes into the fast loop on it.
+	cs ctlState
 	// k is the compiled engine's pooled execution context for activations at
 	// this frame's depth (see compile.go); the fast engine never touches it.
 	k kctx
-	// seqBase is the write-sequence epoch of the next activation on this
-	// frame. born entries below it belong to earlier activations and read
-	// as "not yet defined", so reusing the frame costs O(params) instead
-	// of re-initializing the whole born array. Clean returns advance it
-	// past every sequence number the activation handed out; aborted runs
-	// scrub born wholesale instead (see runFast).
-	seqBase int
 }
 
-// ctlState carries the control-flow-taint state of one activation. Its
-// methods replace the per-call writeLabel/regCtl/memCtl closures of the
-// reference interpreter with plain calls on a stack-allocated struct.
-// Labels are parameter masks, so every join below is a bare OR — no table,
-// no memoization, no allocation.
+// ctlState carries the control-flow-taint state of one activation: the
+// stack of open control scopes, the write sequence, and born, the sequence
+// at which each register was first written. Its methods replace the per-call
+// writeLabel/regCtl/memCtl closures of the reference interpreter. Labels are
+// parameter masks, so every join below is a bare OR.
+//
+// plain, all, loopMin, loopMax and joins summarize the scope stack. They are
+// derived state: only push, closeAt and reset write them, and every read of
+// the stack goes through them in O(1) except a born that straddles two loop
+// scopes (write). Without control flow nothing is ever pushed, so the
+// summary stays zero and every read answers "no control label".
 type ctlState struct {
 	ctl      []ctlScope
 	born     []int
 	writeSeq int
 	// seqBase is the epoch of this activation: born entries below it are
-	// stale leftovers from earlier activations of the pooled frame.
+	// stale leftovers from earlier activations of the pooled frame and read
+	// as "not yet written", so reusing the frame costs O(params) instead of
+	// re-initializing the whole bank. A clean return advances it past every
+	// sequence number the activation handed out; aborted runs scrub born
+	// wholesale instead (see scrubEpochs).
 	seqBase int
 	ctlBase taint.Label
 	cflow   bool
+
+	// plain is the union of the non-loop scopes' labels, all the union of
+	// every scope's.
+	plain, all taint.Label
+	// loopMin and loopMax are the smallest and largest openSeq over the
+	// loop-exit scopes, both 0 when there is none (a live openSeq is >= 2).
+	loopMin, loopMax int
+	// joins has bit join&63 set for every open scope: exact below 64 blocks,
+	// a conservative filter above.
+	joins uint64
 }
 
-// regCtl computes the control label applicable to a register write: every
-// non-loop scope, plus loop scopes for which the destination is loop-carried
-// (born before the scope opened).
-func (cs *ctlState) regCtl(dst int32) taint.Label {
-	l := taint.None
-	for i := range cs.ctl {
-		s := &cs.ctl[i]
-		if !s.loopExit || (cs.born[dst] >= cs.seqBase && cs.born[dst] < s.openSeq) {
-			l |= s.label
+// begin opens an activation on the pooled state: an empty scope stack, the
+// next epoch, and the parameters born at its start.
+func (cs *ctlState) begin(ctlBase taint.Label, cflow bool, numParams int32) {
+	cs.reset()
+	cs.ctlBase = ctlBase
+	cs.cflow = cflow
+	cs.writeSeq = cs.seqBase + 1
+	if cflow {
+		for i := range numParams {
+			cs.born[i] = cs.seqBase
 		}
 	}
-	return l
+}
+
+// reset empties the scope stack, the only way one is emptied: the summary
+// goes with it, so nothing derived can go stale behind a pooled frame.
+func (cs *ctlState) reset() {
+	cs.ctl = cs.ctl[:0]
+	cs.summarize()
+}
+
+// write is the one register-write path of the taint engines: it records the
+// birth of a register first written by this activation, hands out the write
+// sequence number and returns wl joined with the control label of the write —
+// every non-loop scope, plus the loop scopes that carry the register (it was
+// born before they opened). One born before loopMin is carried by all of
+// them, one born at or after loopMax (or just now) by none; only a born
+// between two loop scopes' openSeq scans the stack. It fits the inliner's
+// budget, so every dispatch arm and step closure takes it inline.
+func (cs *ctlState) write(dst int32, wl taint.Label) taint.Label {
+	b := cs.born[dst]
+	if b < cs.seqBase {
+		b = cs.writeSeq
+		cs.born[dst] = b
+	}
+	cs.writeSeq++
+	if b < cs.loopMin {
+		return wl | cs.all
+	}
+	wl |= cs.plain
+	if b < cs.loopMax {
+		for i := range cs.ctl {
+			if s := &cs.ctl[i]; s.loopExit && b < s.openSeq {
+				wl |= s.label
+			}
+		}
+	}
+	return wl
 }
 
 // memCtl computes the control label applicable to a store: all scopes plus
 // the control context inherited from the caller.
-func (cs *ctlState) memCtl() taint.Label {
-	l := cs.ctlBase
-	for i := range cs.ctl {
-		l |= cs.ctl[i].label
-	}
-	return l
-}
+func (cs *ctlState) memCtl() taint.Label { return cs.ctlBase | cs.all }
 
 // push opens a control scope, merging it with an open scope of identical
 // join, label, and kind by bumping that scope's openSeq to the new write
@@ -112,27 +157,78 @@ func (cs *ctlState) memCtl() taint.Label {
 // exactly what the merged scope keeps. Since labels are canonical parameter
 // masks, the union order cannot even produce different representations.
 func (cs *ctlState) push(join int, label taint.Label, loopExit bool) {
+	seq := cs.writeSeq
 	for i := range cs.ctl {
 		s := &cs.ctl[i]
 		if s.join == join && s.label == label && s.loopExit == loopExit {
-			s.openSeq = cs.writeSeq
+			old := s.openSeq
+			s.openSeq = seq
+			if !loopExit {
+				return
+			}
+			// No openSeq exceeds the write sequence. The minimum moves only
+			// with the scope that held it: alone on the stack (the enclosing
+			// loop's exit test, iteration after iteration) it is both bounds.
+			cs.loopMax = seq
+			if len(cs.ctl) == 1 {
+				cs.loopMin = seq
+			} else if old == cs.loopMin {
+				cs.summarize()
+			}
 			return
 		}
 	}
-	cs.ctl = append(cs.ctl, ctlScope{join: join, label: label, loopExit: loopExit, openSeq: cs.writeSeq})
+	cs.ctl = append(cs.ctl, ctlScope{join: join, label: label, loopExit: loopExit, openSeq: seq})
+	cs.joins |= 1 << (uint(join) & 63)
+	cs.all |= label
+	if !loopExit {
+		cs.plain |= label
+		return
+	}
+	if cs.loopMax == 0 {
+		cs.loopMin = seq
+	}
+	cs.loopMax = seq
 }
 
 // closeAt drops control scopes whose join block has been reached.
 func (cs *ctlState) closeAt(blk int32) {
+	if cs.joins&(1<<(uint(blk)&63)) != 0 {
+		cs.closeSlow(int(blk))
+	}
+}
+
+//go:noinline
+func (cs *ctlState) closeSlow(blk int) {
 	n := 0
-	j := int(blk)
 	for _, s := range cs.ctl {
-		if s.join != j {
+		if s.join != blk {
 			cs.ctl[n] = s
 			n++
 		}
 	}
-	cs.ctl = cs.ctl[:n]
+	if n < len(cs.ctl) {
+		cs.ctl = cs.ctl[:n]
+		cs.summarize()
+	}
+}
+
+// summarize rebuilds the summary from the scope stack.
+func (cs *ctlState) summarize() {
+	cs.plain, cs.all, cs.loopMin, cs.loopMax, cs.joins = taint.None, taint.None, 0, 0, 0
+	for i := range cs.ctl {
+		s := &cs.ctl[i]
+		cs.joins |= 1 << (uint(s.join) & 63)
+		cs.all |= s.label
+		if !s.loopExit {
+			cs.plain |= s.label
+			continue
+		}
+		if cs.loopMax == 0 || s.openSeq < cs.loopMin {
+			cs.loopMin = s.openSeq
+		}
+		cs.loopMax = max(cs.loopMax, s.openSeq)
+	}
 }
 
 // resetFast prepares the per-run fast-engine state against prog.
@@ -146,23 +242,17 @@ func (m *Machine) resetFast(prog *Program) {
 	if len(m.externSlots) != len(prog.externs) {
 		m.externSlots = make([]Extern, len(prog.externs))
 	} else {
-		for i := range m.externSlots {
-			m.externSlots[i] = nil
-		}
+		clear(m.externSlots)
 	}
 	if len(m.activeN) != len(prog.funcs) {
 		m.activeN = make([]int32, len(prog.funcs))
 	} else {
-		for i := range m.activeN {
-			m.activeN[i] = 0
-		}
+		clear(m.activeN)
 	}
 	if len(m.branchRecs) != len(prog.funcs) {
 		m.branchRecs = make([][]*taint.BranchRecord, len(prog.funcs))
 	} else {
-		for i := range m.branchRecs {
-			m.branchRecs[i] = nil
-		}
+		clear(m.branchRecs)
 	}
 	if len(m.siteCache) != int(prog.numSites) {
 		m.siteCache = make([]int64, prog.numSites)
@@ -186,9 +276,9 @@ func (m *Machine) frame(depth int, df *dfunc) *fastFrame {
 	if cap(fr.regs) < n {
 		fr.regs = make([]Value, n)
 		fr.labels = make([]taint.Label, n)
-		fr.born = make([]int, n)
+		fr.cs.born = make([]int, n)
 		// A fresh born array is all zeros; epoch 1 makes them read stale.
-		fr.seqBase = 1
+		fr.cs.seqBase = 1
 		// The pooled compiled-engine context caches these banks behind a
 		// df identity guard; force it to re-derive them.
 		fr.k.df = nil
@@ -196,7 +286,7 @@ func (m *Machine) frame(depth int, df *dfunc) *fastFrame {
 	}
 	fr.regs = fr.regs[:n]
 	fr.labels = fr.labels[:n]
-	fr.born = fr.born[:n]
+	fr.cs.born = fr.cs.born[:n]
 	switch {
 	case m.labeling && m.Taint != nil:
 		// Tainted run: every register write also writes its label, so the
@@ -212,9 +302,7 @@ func (m *Machine) frame(depth int, df *dfunc) *fastFrame {
 		for _, r := range df.zeroRegs {
 			fr.regs[r] = 0
 		}
-		for i := range fr.labels {
-			fr.labels[i] = taint.None
-		}
+		clear(fr.labels)
 	default:
 		for _, r := range df.zeroRegs {
 			fr.regs[r] = 0
@@ -249,7 +337,7 @@ func (m *Machine) childPath(prog *Program, parent int32, site *dcall, tainting b
 
 // loopRec resolves (lazily, preserving the reference engine's record
 // creation order) the loop record for func-local loop li in context path.
-// The hit path is a slice probe and inlines into the dispatch loop.
+// The dispatch loop spells the hit path out on its copy of path.loopRecs.
 func (m *Machine) loopRec(df *dfunc, path *pathNode, li int32, eng *taint.Engine) *taint.LoopRecord {
 	if r := path.loopRecs[li]; r != nil {
 		return r
@@ -265,9 +353,22 @@ func (m *Machine) loopRecSlow(df *dfunc, path *pathNode, li int32, eng *taint.En
 	return r
 }
 
-// loopEvent fires the precomputed latch/entry effect of a taken edge.
-func (m *Machine) loopEvent(df *dfunc, path *pathNode, kind uint8, li int32, eng *taint.Engine) {
-	r := m.loopRec(df, path, li, eng)
+// sinkExits hands a terminator's condition label to the record of every loop
+// it exits; an empty label still resolves the records (census parity).
+func (m *Machine) sinkExits(df *dfunc, path *pathNode, t *dterm, l taint.Label, eng *taint.Engine) {
+	if t.exit == noExit {
+		return
+	}
+	m.loopRec(df, path, t.exit, eng).Labels |= l
+	if t.more != noExit {
+		for _, li := range df.moreExits[t.more] {
+			m.loopRec(df, path, li, eng).Labels |= l
+		}
+	}
+}
+
+// tick applies the precomputed latch/entry effect of a taken edge.
+func tick(r *taint.LoopRecord, kind uint8) {
 	if kind == evLatch {
 		r.Iterations++
 	} else {
@@ -275,28 +376,21 @@ func (m *Machine) loopEvent(df *dfunc, path *pathNode, kind uint8, li int32, eng
 	}
 }
 
-// branchRec resolves (lazily, run-scoped) the branch record of block in df.
-// The hit path is two slice probes and inlines into the dispatch loop.
-func (m *Machine) branchRec(df *dfunc, block int32, eng *taint.Engine) *taint.BranchRecord {
-	if brs := m.branchRecs[df.idx]; brs != nil {
-		if r := brs[block]; r != nil {
-			return r
-		}
-	}
-	return m.branchRecSlow(df, block, eng)
-}
-
+// branchRecSlow resolves (lazily, run-scoped) the record of branch t of df.
+// Whether a branch exits a loop is static, so it is recorded here, once.
+//
 //go:noinline
-func (m *Machine) branchRecSlow(df *dfunc, block int32, eng *taint.Engine) *taint.BranchRecord {
+func (m *Machine) branchRecSlow(df *dfunc, t *dterm, eng *taint.Engine) *taint.BranchRecord {
 	brs := m.branchRecs[df.idx]
 	if brs == nil {
 		brs = make([]*taint.BranchRecord, df.numBlocks)
 		m.branchRecs[df.idx] = brs
 	}
-	r := brs[block]
+	r := brs[t.block]
 	if r == nil {
-		r = eng.BranchRec(df.name, int(block))
-		brs[block] = r
+		r = eng.BranchRec(df.name, int(t.block))
+		r.IsLoopExit = r.IsLoopExit || t.exit != noExit
+		brs[t.block] = r
 	}
 	return r
 }
@@ -350,15 +444,7 @@ func (m *Machine) runFast(entry string, args []Value, argLabels []taint.Label) (
 	v, l, err := m.execFast(prog, df, fr, 0, taint.None, 0)
 	prog.noteArenas(len(m.heap), len(m.shadow))
 	if err != nil {
-		// Aborted activations did not advance their frames' epochs past
-		// the sequence numbers they handed out; scrub born wholesale so a
-		// reused machine cannot mistake stale entries for live ones. The
-		// scrub must reach the full capacity: a later activation may
-		// reslice the bank wider than the aborted one's length.
-		for _, f := range m.frames {
-			clear(f.born[:cap(f.born)])
-			f.seqBase = 1
-		}
+		m.scrubEpochs()
 		return &Result{Instructions: startFuel - m.fuel}, err
 	}
 	if !m.labeling {
@@ -367,15 +453,27 @@ func (m *Machine) runFast(entry string, args []Value, argLabels []taint.Label) (
 	return &Result{Value: v, Label: l, Instructions: startFuel - m.fuel}, nil
 }
 
-// execFast wraps execLoop with the recursion accounting of one
-// activation, mirroring the reference interpreter's call prologue.
+// scrubEpochs ends an aborted run: its activations did not advance their
+// frames' epochs past the sequence numbers they handed out, so born is
+// scrubbed wholesale, to the full capacity (a later activation may reslice
+// the bank wider), and a reused machine cannot take stale entries for live.
+func (m *Machine) scrubEpochs() {
+	for _, f := range m.frames {
+		clear(f.cs.born[:cap(f.cs.born)])
+		f.cs.seqBase = 1
+	}
+}
+
+// execFast is one activation of the fast engine: the reference interpreter's
+// recursion accounting, a fresh control-taint state, and the dispatch loop.
 func (m *Machine) execFast(prog *Program, df *dfunc, fr *fastFrame, pathIdx int32, ctlBase taint.Label, depth int) (Value, taint.Label, error) {
 	eng := m.Taint
 	if m.activeN[df.idx] > 0 && eng != nil {
 		eng.WarnRecursion(df.name)
 	}
 	m.activeN[df.idx]++
-	v, l, err := m.execLoop(prog, df, fr, pathIdx, ctlBase, depth, eng)
+	fr.cs.begin(ctlBase, eng != nil && eng.ControlFlow, df.numParams)
+	v, l, err := m.execLoop(prog, df, fr, pathIdx, depth, eng, 0)
 	m.activeN[df.idx]--
 	return v, l, err
 }
@@ -383,40 +481,26 @@ func (m *Machine) execFast(prog *Program, df *dfunc, fr *fastFrame, pathIdx int3
 // execLoop is the fast engine's dispatch loop: a single dense instruction
 // array, pc-threaded control flow, precomputed loop effects per edge, and
 // label bookkeeping inlined from the reference semantics. Every observable
-// action (taint unions, record updates, instruction fuel)
-// happens in exactly the order the reference interpreter produces, which
-// the differential harness asserts.
-func (m *Machine) execLoop(prog *Program, df *dfunc, fr *fastFrame, pathIdx int32, ctlBase taint.Label, depth int, eng *taint.Engine) (Value, taint.Label, error) {
-	var cs ctlState
-	cs.ctl = fr.ctl[:0]
-	cs.ctlBase = ctlBase
-	cs.seqBase = fr.seqBase
-	cs.writeSeq = fr.seqBase + 1
-	if eng != nil && eng.ControlFlow {
-		cs.cflow = true
-		born := fr.born
-		for i := int32(0); i < df.numParams; i++ {
-			born[i] = cs.seqBase
-		}
-		cs.born = born
-	}
-	return m.execLoopFrom(prog, df, fr, pathIdx, depth, eng, 0, &cs)
-}
-
-// execLoopFrom runs the dispatch loop from an arbitrary instruction index
-// with an existing control-taint state. The compiled engine uses it as its
-// exact-fuel de-optimization path: when the remaining budget cannot cover a
-// pre-charged superinstruction segment, the activation resumes here at the
-// segment's first instruction and burns down per-instruction, so the abort
+// action (taint unions, record updates, instruction fuel) happens in exactly
+// the order the reference interpreter produces, which the differential
+// harness asserts.
+//
+// It runs from instruction pc0 on the control-taint state the frame holds:
+// the compiled engine enters it mid-function when the remaining fuel cannot
+// cover a pre-charged superinstruction segment, at the segment's first
+// instruction, so the activation burns down per-instruction and the abort
 // point (and the partial instruction count) is identical to the oracle's.
-// csp is consumed: the callee owns the scope stack and epochs from here on.
-func (m *Machine) execLoopFrom(prog *Program, df *dfunc, fr *fastFrame, pathIdx int32, depth int, eng *taint.Engine, pc0 int32, csp *ctlState) (Value, taint.Label, error) {
+func (m *Machine) execLoop(prog *Program, df *dfunc, fr *fastFrame, pathIdx int32, depth int, eng *taint.Engine, pc0 int32) (Value, taint.Label, error) {
 	regs := fr.regs
 	labels := fr.labels
 	code := df.code
 	path := m.paths[pathIdx]
 	tainting := eng != nil
-	cs := *csp
+	cs := &fr.cs
+	// Records resolve per activation, not per event: recs is nil without an
+	// engine, brs until the run's first branch record of df exists.
+	recs := path.loopRecs
+	brs := m.branchRecs[df.idx]
 
 	fuel := m.fuel
 	pc := pc0
@@ -425,200 +509,79 @@ func (m *Machine) execLoopFrom(prog *Program, df *dfunc, fr *fastFrame, pathIdx 
 		fuel--
 		if fuel < 0 {
 			m.fuel = fuel
-			fr.ctl = cs.ctl[:0]
 			return 0, taint.None, ErrFuel
 		}
 		switch in.op {
 		case ir.OpConst:
 			regs[in.dst] = in.imm
 			if tainting {
-				wl := taint.None
-				if cs.cflow {
-					if len(cs.ctl) > 0 {
-						wl |= cs.regCtl(in.dst)
-					}
-					if cs.born[in.dst] < cs.seqBase {
-						cs.born[in.dst] = cs.writeSeq
-					}
-					cs.writeSeq++
-				}
-				labels[in.dst] = wl
+				labels[in.dst] = cs.write(in.dst, taint.None)
 			}
 			pc++
 		case ir.OpMov:
 			regs[in.dst] = regs[in.a]
 			if tainting {
-				wl := labels[in.a]
-				if cs.cflow {
-					if len(cs.ctl) > 0 {
-						wl |= cs.regCtl(in.dst)
-					}
-					if cs.born[in.dst] < cs.seqBase {
-						cs.born[in.dst] = cs.writeSeq
-					}
-					cs.writeSeq++
-				}
-				labels[in.dst] = wl
+				labels[in.dst] = cs.write(in.dst, labels[in.a])
 			}
 			pc++
 		case ir.OpAdd:
 			regs[in.dst] = regs[in.a] + regs[in.b]
 			if tainting {
-				wl := labels[in.a] | labels[in.b]
-				if cs.cflow {
-					if len(cs.ctl) > 0 {
-						wl |= cs.regCtl(in.dst)
-					}
-					if cs.born[in.dst] < cs.seqBase {
-						cs.born[in.dst] = cs.writeSeq
-					}
-					cs.writeSeq++
-				}
-				labels[in.dst] = wl
+				labels[in.dst] = cs.write(in.dst, labels[in.a]|labels[in.b])
 			}
 			pc++
 		case ir.OpSub:
 			regs[in.dst] = regs[in.a] - regs[in.b]
 			if tainting {
-				wl := labels[in.a] | labels[in.b]
-				if cs.cflow {
-					if len(cs.ctl) > 0 {
-						wl |= cs.regCtl(in.dst)
-					}
-					if cs.born[in.dst] < cs.seqBase {
-						cs.born[in.dst] = cs.writeSeq
-					}
-					cs.writeSeq++
-				}
-				labels[in.dst] = wl
+				labels[in.dst] = cs.write(in.dst, labels[in.a]|labels[in.b])
 			}
 			pc++
 		case ir.OpMul:
 			regs[in.dst] = regs[in.a] * regs[in.b]
 			if tainting {
-				wl := labels[in.a] | labels[in.b]
-				if cs.cflow {
-					if len(cs.ctl) > 0 {
-						wl |= cs.regCtl(in.dst)
-					}
-					if cs.born[in.dst] < cs.seqBase {
-						cs.born[in.dst] = cs.writeSeq
-					}
-					cs.writeSeq++
-				}
-				labels[in.dst] = wl
+				labels[in.dst] = cs.write(in.dst, labels[in.a]|labels[in.b])
 			}
 			pc++
 		case ir.OpCmpLT:
 			regs[in.dst] = boolVal(regs[in.a] < regs[in.b])
 			if tainting {
-				wl := labels[in.a] | labels[in.b]
-				if cs.cflow {
-					if len(cs.ctl) > 0 {
-						wl |= cs.regCtl(in.dst)
-					}
-					if cs.born[in.dst] < cs.seqBase {
-						cs.born[in.dst] = cs.writeSeq
-					}
-					cs.writeSeq++
-				}
-				labels[in.dst] = wl
+				labels[in.dst] = cs.write(in.dst, labels[in.a]|labels[in.b])
 			}
 			pc++
 		case ir.OpCmpLE:
 			regs[in.dst] = boolVal(regs[in.a] <= regs[in.b])
 			if tainting {
-				wl := labels[in.a] | labels[in.b]
-				if cs.cflow {
-					if len(cs.ctl) > 0 {
-						wl |= cs.regCtl(in.dst)
-					}
-					if cs.born[in.dst] < cs.seqBase {
-						cs.born[in.dst] = cs.writeSeq
-					}
-					cs.writeSeq++
-				}
-				labels[in.dst] = wl
+				labels[in.dst] = cs.write(in.dst, labels[in.a]|labels[in.b])
 			}
 			pc++
 		case ir.OpCmpGT:
 			regs[in.dst] = boolVal(regs[in.a] > regs[in.b])
 			if tainting {
-				wl := labels[in.a] | labels[in.b]
-				if cs.cflow {
-					if len(cs.ctl) > 0 {
-						wl |= cs.regCtl(in.dst)
-					}
-					if cs.born[in.dst] < cs.seqBase {
-						cs.born[in.dst] = cs.writeSeq
-					}
-					cs.writeSeq++
-				}
-				labels[in.dst] = wl
+				labels[in.dst] = cs.write(in.dst, labels[in.a]|labels[in.b])
 			}
 			pc++
 		case ir.OpCmpGE:
 			regs[in.dst] = boolVal(regs[in.a] >= regs[in.b])
 			if tainting {
-				wl := labels[in.a] | labels[in.b]
-				if cs.cflow {
-					if len(cs.ctl) > 0 {
-						wl |= cs.regCtl(in.dst)
-					}
-					if cs.born[in.dst] < cs.seqBase {
-						cs.born[in.dst] = cs.writeSeq
-					}
-					cs.writeSeq++
-				}
-				labels[in.dst] = wl
+				labels[in.dst] = cs.write(in.dst, labels[in.a]|labels[in.b])
 			}
 			pc++
 		case ir.OpCmpEQ:
 			regs[in.dst] = boolVal(regs[in.a] == regs[in.b])
 			if tainting {
-				wl := labels[in.a] | labels[in.b]
-				if cs.cflow {
-					if len(cs.ctl) > 0 {
-						wl |= cs.regCtl(in.dst)
-					}
-					if cs.born[in.dst] < cs.seqBase {
-						cs.born[in.dst] = cs.writeSeq
-					}
-					cs.writeSeq++
-				}
-				labels[in.dst] = wl
+				labels[in.dst] = cs.write(in.dst, labels[in.a]|labels[in.b])
 			}
 			pc++
 		case ir.OpCmpNE:
 			regs[in.dst] = boolVal(regs[in.a] != regs[in.b])
 			if tainting {
-				wl := labels[in.a] | labels[in.b]
-				if cs.cflow {
-					if len(cs.ctl) > 0 {
-						wl |= cs.regCtl(in.dst)
-					}
-					if cs.born[in.dst] < cs.seqBase {
-						cs.born[in.dst] = cs.writeSeq
-					}
-					cs.writeSeq++
-				}
-				labels[in.dst] = wl
+				labels[in.dst] = cs.write(in.dst, labels[in.a]|labels[in.b])
 			}
 			pc++
 		case ir.OpNeg:
 			regs[in.dst] = -regs[in.a]
 			if tainting {
-				wl := labels[in.a]
-				if cs.cflow {
-					if len(cs.ctl) > 0 {
-						wl |= cs.regCtl(in.dst)
-					}
-					if cs.born[in.dst] < cs.seqBase {
-						cs.born[in.dst] = cs.writeSeq
-					}
-					cs.writeSeq++
-				}
-				labels[in.dst] = wl
+				labels[in.dst] = cs.write(in.dst, labels[in.a])
 			}
 			pc++
 		case ir.OpNot:
@@ -628,17 +591,7 @@ func (m *Machine) execLoopFrom(prog *Program, df *dfunc, fr *fastFrame, pathIdx 
 				regs[in.dst] = 0
 			}
 			if tainting {
-				wl := labels[in.a]
-				if cs.cflow {
-					if len(cs.ctl) > 0 {
-						wl |= cs.regCtl(in.dst)
-					}
-					if cs.born[in.dst] < cs.seqBase {
-						cs.born[in.dst] = cs.writeSeq
-					}
-					cs.writeSeq++
-				}
-				labels[in.dst] = wl
+				labels[in.dst] = cs.write(in.dst, labels[in.a])
 			}
 			pc++
 		case ir.OpLoad:
@@ -653,17 +606,7 @@ func (m *Machine) execLoopFrom(prog *Program, df *dfunc, fr *fastFrame, pathIdx 
 				if addr < Value(len(m.shadow)) {
 					sl = m.shadow[addr]
 				}
-				wl := sl | labels[in.a]
-				if cs.cflow {
-					if len(cs.ctl) > 0 {
-						wl |= cs.regCtl(in.dst)
-					}
-					if cs.born[in.dst] < cs.seqBase {
-						cs.born[in.dst] = cs.writeSeq
-					}
-					cs.writeSeq++
-				}
-				labels[in.dst] = wl
+				labels[in.dst] = cs.write(in.dst, sl|labels[in.a])
 			}
 			pc++
 		case ir.OpStore:
@@ -674,10 +617,7 @@ func (m *Machine) execLoopFrom(prog *Program, df *dfunc, fr *fastFrame, pathIdx 
 			}
 			m.heap[addr] = regs[in.b]
 			if tainting {
-				l := labels[in.b] | labels[in.a]
-				if cs.cflow && (len(cs.ctl) > 0 || cs.ctlBase != taint.None) {
-					l |= cs.memCtl()
-				}
+				l := labels[in.b] | labels[in.a] | cs.memCtl()
 				if addr < Value(len(m.shadow)) {
 					m.shadow[addr] = l
 				} else if l != taint.None {
@@ -693,17 +633,7 @@ func (m *Machine) execLoopFrom(prog *Program, df *dfunc, fr *fastFrame, pathIdx 
 			}
 			regs[in.dst] = base
 			if tainting {
-				wl := taint.None
-				if cs.cflow {
-					if len(cs.ctl) > 0 {
-						wl |= cs.regCtl(in.dst)
-					}
-					if cs.born[in.dst] < cs.seqBase {
-						cs.born[in.dst] = cs.writeSeq
-					}
-					cs.writeSeq++
-				}
-				labels[in.dst] = wl
+				labels[in.dst] = cs.write(in.dst, taint.None)
 			}
 			pc++
 		case ir.OpGlobal:
@@ -713,17 +643,7 @@ func (m *Machine) execLoopFrom(prog *Program, df *dfunc, fr *fastFrame, pathIdx 
 			}
 			regs[in.dst] = m.globalBase[in.aux]
 			if tainting {
-				wl := taint.None
-				if cs.cflow {
-					if len(cs.ctl) > 0 {
-						wl |= cs.regCtl(in.dst)
-					}
-					if cs.born[in.dst] < cs.seqBase {
-						cs.born[in.dst] = cs.writeSeq
-					}
-					cs.writeSeq++
-				}
-				labels[in.dst] = wl
+				labels[in.dst] = cs.write(in.dst, taint.None)
 			}
 			pc++
 		case ir.OpCall:
@@ -737,25 +657,12 @@ func (m *Machine) execLoopFrom(prog *Program, df *dfunc, fr *fastFrame, pathIdx 
 				fuel -= site.sumN
 				regs[in.dst] = site.sumVal
 				if tainting {
-					wl := taint.None
-					if cs.cflow {
-						if len(cs.ctl) > 0 {
-							wl |= cs.regCtl(in.dst)
-						}
-						if cs.born[in.dst] < cs.seqBase {
-							cs.born[in.dst] = cs.writeSeq
-						}
-						cs.writeSeq++
-					}
-					labels[in.dst] = wl
+					labels[in.dst] = cs.write(in.dst, taint.None)
 				}
 				pc++
 				break
 			}
-			childCtl := taint.None
-			if cs.cflow && (len(cs.ctl) > 0 || cs.ctlBase != taint.None) {
-				childCtl = cs.memCtl()
-			}
+			childCtl := cs.memCtl()
 			var childIdx int32
 			if sc := m.siteCache[site.siteID]; sc != 0 && int32(sc>>32) == pathIdx {
 				childIdx = int32(sc)
@@ -783,23 +690,12 @@ func (m *Machine) execLoopFrom(prog *Program, df *dfunc, fr *fastFrame, pathIdx 
 				m.fuel = fuel
 				v, l, err := m.execFast(prog, cdf, cf, childIdx, childCtl, depth+1)
 				if err != nil {
-					fr.ctl = cs.ctl[:0]
 					return 0, taint.None, err
 				}
 				fuel = m.fuel
 				regs[in.dst] = v
 				if tainting {
-					wl := l
-					if cs.cflow {
-						if len(cs.ctl) > 0 {
-							wl |= cs.regCtl(in.dst)
-						}
-						if cs.born[in.dst] < cs.seqBase {
-							cs.born[in.dst] = cs.writeSeq
-						}
-						cs.writeSeq++
-					}
-					labels[in.dst] = wl
+					labels[in.dst] = cs.write(in.dst, l)
 				}
 			} else {
 				ext := m.externSlots[site.externOrd]
@@ -840,22 +736,11 @@ func (m *Machine) execLoopFrom(prog *Program, df *dfunc, fr *fastFrame, pathIdx 
 				v, err := ext(c)
 				if err != nil {
 					m.fuel = fuel
-					fr.ctl = cs.ctl[:0]
 					return 0, taint.None, fmt.Errorf("extern %s: %w", site.sym, err)
 				}
 				regs[in.dst] = v
 				if tainting {
-					wl := c.RetLabel
-					if cs.cflow {
-						if len(cs.ctl) > 0 {
-							wl |= cs.regCtl(in.dst)
-						}
-						if cs.born[in.dst] < cs.seqBase {
-							cs.born[in.dst] = cs.writeSeq
-						}
-						cs.writeSeq++
-					}
-					labels[in.dst] = wl
+					labels[in.dst] = cs.write(in.dst, c.RetLabel)
 				}
 			}
 			pc++
@@ -863,18 +748,19 @@ func (m *Machine) execLoopFrom(prog *Program, df *dfunc, fr *fastFrame, pathIdx 
 			pc++
 		case ir.OpRet:
 			m.fuel = fuel
-			fr.ctl = cs.ctl[:0]
-			fr.seqBase = cs.writeSeq
+			cs.seqBase = cs.writeSeq
 			if in.a < 0 {
 				return 0, taint.None, nil
 			}
 			return regs[in.a], labels[in.a], nil
 		case ir.OpJmp:
-			if cs.cflow && len(cs.ctl) > 0 {
-				cs.closeAt(in.blk0)
-			}
+			cs.closeAt(in.blk0)
 			if tainting && in.evk0 != evNone {
-				m.loopEvent(df, path, in.evk0, in.evl0, eng)
+				r := recs[in.evl0]
+				if r == nil {
+					r = m.loopRecSlow(df, path, in.evl0, eng)
+				}
+				tick(r, in.evk0)
 			}
 			pc = in.tgt0
 		case ir.OpBr:
@@ -882,39 +768,48 @@ func (m *Machine) execLoopFrom(prog *Program, df *dfunc, fr *fastFrame, pathIdx 
 			if tainting {
 				condLabel := labels[in.a]
 				bm := &df.branches[in.aux]
-				for _, li := range bm.exits {
-					r := m.loopRec(df, path, li, eng)
+				if bm.more != noExit {
+					m.sinkExits(df, path, bm, condLabel, eng)
+				} else if li := bm.exit; li != noExit {
+					r := recs[li]
+					if r == nil {
+						r = m.loopRecSlow(df, path, li, eng)
+					}
 					r.Labels |= condLabel
 				}
-				br := m.branchRec(df, bm.block, eng)
+				var br *taint.BranchRecord
+				if brs != nil {
+					br = brs[bm.block]
+				}
+				if br == nil {
+					// A recursive activation may have filled the table since
+					// this one read it.
+					br = m.branchRecSlow(df, bm, eng)
+					brs = m.branchRecs[df.idx]
+				}
 				br.Labels |= condLabel
-				br.IsLoopExit = br.IsLoopExit || len(bm.exits) > 0
 				if cond {
 					br.Taken++
 				} else {
 					br.NotTaken++
 				}
 				if cs.cflow && condLabel != taint.None {
-					cs.push(int(bm.joinBlk), condLabel, len(bm.exits) > 0)
+					cs.push(int(bm.joinBlk), condLabel, bm.exit != noExit)
 				}
 			}
+			blk, tgt, evk, evl := in.blk1, in.tgt1, in.evk1, in.evl1
 			if cond {
-				if cs.cflow && len(cs.ctl) > 0 {
-					cs.closeAt(in.blk0)
-				}
-				if tainting && in.evk0 != evNone {
-					m.loopEvent(df, path, in.evk0, in.evl0, eng)
-				}
-				pc = in.tgt0
-			} else {
-				if cs.cflow && len(cs.ctl) > 0 {
-					cs.closeAt(in.blk1)
-				}
-				if tainting && in.evk1 != evNone {
-					m.loopEvent(df, path, in.evk1, in.evl1, eng)
-				}
-				pc = in.tgt1
+				blk, tgt, evk, evl = in.blk0, in.tgt0, in.evk0, in.evl0
 			}
+			cs.closeAt(blk)
+			if tainting && evk != evNone {
+				r := recs[evl]
+				if r == nil {
+					r = m.loopRecSlow(df, path, evl, eng)
+				}
+				tick(r, evk)
+			}
+			pc = tgt
 		case ir.OpSwitch:
 			sw := &df.switches[in.aux]
 			v := regs[in.a]
@@ -927,19 +822,14 @@ func (m *Machine) execLoopFrom(prog *Program, df *dfunc, fr *fastFrame, pathIdx 
 			}
 			if tainting {
 				condLabel := labels[in.a]
-				for _, li := range sw.exits {
-					r := m.loopRec(df, path, li, eng)
-					r.Labels |= condLabel
-				}
+				m.sinkExits(df, path, &sw.dterm, condLabel, eng)
 				if cs.cflow && condLabel != taint.None {
-					cs.push(int(sw.joinBlk), condLabel, len(sw.exits) > 0)
+					cs.push(int(sw.joinBlk), condLabel, sw.exit != noExit)
 				}
 			}
-			if cs.cflow && len(cs.ctl) > 0 {
-				cs.closeAt(tgt.blk)
-			}
+			cs.closeAt(tgt.blk)
 			if tainting && tgt.evk != evNone {
-				m.loopEvent(df, path, tgt.evk, tgt.evl, eng)
+				tick(m.loopRec(df, path, tgt.evl, eng), tgt.evk)
 			}
 			pc = tgt.pc
 		default:
@@ -952,17 +842,7 @@ func (m *Machine) execLoopFrom(prog *Program, df *dfunc, fr *fastFrame, pathIdx 
 			}
 			regs[in.dst] = binop(in.op, a, b)
 			if tainting {
-				wl := la | lb
-				if cs.cflow {
-					if len(cs.ctl) > 0 {
-						wl |= cs.regCtl(in.dst)
-					}
-					if cs.born[in.dst] < cs.seqBase {
-						cs.born[in.dst] = cs.writeSeq
-					}
-					cs.writeSeq++
-				}
-				labels[in.dst] = wl
+				labels[in.dst] = cs.write(in.dst, la|lb)
 			}
 			pc++
 		}

@@ -21,7 +21,8 @@ import (
 // partial instruction count. The selector's top three bits add straight-line
 // leaf functions (see fuzzShape), the callees the fast engine executes as
 // call summaries, so the same sweep lands budgets before, inside and after
-// summarized calls.
+// summarized calls. Bits 8-11 of a positive third argument add the
+// control-scope shapes (see scopeShapes).
 //
 // Run it as a fuzzer with:
 //
@@ -38,8 +39,11 @@ func FuzzDifferentialEngines(f *testing.F) {
 	// Top three bits of the fuel selector set: modules with leaves.
 	f.Add(int64(13), int64(3), int64(-1), int64(2), uint16(0xe005))
 	f.Add(int64(7919), int64(8), int64(2), int64(1), uint16(0x6107))
+	// Bits 8-11 of the third argument set: modules with scope shapes.
+	f.Add(int64(13), int64(3), int64(-1), int64(0xf02), uint16(0))
+	f.Add(int64(7919), int64(8), int64(2), int64(0x501), uint16(0x6107))
 	f.Fuzz(func(t *testing.T, seed, a0, a1, a2 int64, fuelSel uint16) {
-		mod := genModule(seed, fuzzShape(seed, fuelSel))
+		mod := genModule(seed, fuzzShape(seed, a2, fuelSel))
 		verifyGenerated(t, mod)
 		args := []int64{a0 % 16, a1 % 16, a2 % 16}
 		// The budget bounds runaway generated modules (they terminate, but
@@ -74,35 +78,48 @@ func FuzzDifferentialEngines(f *testing.F) {
 // explores the whole generator space; bounds mirror the table-driven
 // differential. The leaf count comes from the top three bits of the fuel
 // selector, which are clear in every input committed before leaves existed:
-// those inputs keep generating the modules they were committed for.
-func fuzzShape(seed int64, fuelSel uint16) genConfig {
-	return genConfig{
+// those inputs keep generating the modules they were committed for. The
+// scope shapes likewise come from bits 8-11 of the third argument when it is
+// positive — main only sees that argument modulo 16, and every input
+// committed before the shapes existed keeps it below 256.
+func fuzzShape(seed, a2 int64, fuelSel uint16) genConfig {
+	cfg := genConfig{
 		funcs:    int(uint64(seed) % 5),
 		stmts:    2 + int(uint64(seed)>>3%7),
 		maxDepth: 1 + int(uint64(seed)>>7%3),
 		leaves:   int(fuelSel >> 13),
 	}
+	if a2 > 0 {
+		cfg.scopes = uint8(a2>>8) & 15
+	}
+	return cfg
 }
 
 // TestFuzzCorpusShapes pins the derivation from fuzz input to generator
 // shape: if the mapping above changes, the committed corpus under
 // testdata/fuzz no longer exercises the intended shapes and should be
 // re-seeded. Inputs that ask for leaves must generate modules the fast
-// engine summarizes calls in, or the fuzzer never reaches that path.
+// engine summarizes calls in, and inputs that ask for scope shapes modules
+// that reach the scope-stack paths the shapes are named for, or the fuzzer
+// never reaches those paths.
 func TestFuzzCorpusShapes(t *testing.T) {
 	for _, in := range []struct {
-		seed    int64
-		fuelSel uint16
+		seed, a2 int64
+		fuelSel  uint16
 	}{
-		{13, 0}, {7919, 7}, {31337, 255}, {-4, 31},
-		{13, 0xe005}, {7919, 0x6107}, {-777, 0xa040}, {424243, 0xc081}, {88001, 0x2011}, {31152, 0x80cb}, {999331, 0xe05a},
+		{13, 2, 0}, {7919, 1, 7}, {31337, 0, 255}, {-4, 7, 31},
+		{13, 2, 0xe005}, {7919, 1, 0x6107}, {-777, 5, 0xa040}, {424243, 1, 0xc081}, {88001, 3, 0x2011}, {31152, -21, 0x80cb}, {999331, 6, 0xe05a},
+		{13, 0xf02, 0}, {7919, 0x501, 0x6107}, {101, 0x102, 3}, {-31, 0x20b, 250}, {424243, 0x401, 0xc081}, {88001, 0x803, 17},
 	} {
-		cfg := fuzzShape(in.seed, in.fuelSel)
-		if cfg.funcs < 0 || cfg.funcs > 4 || cfg.stmts < 2 || cfg.stmts > 8 || cfg.maxDepth < 1 || cfg.maxDepth > 3 || cfg.leaves > 7 {
+		cfg := fuzzShape(in.seed, in.a2, in.fuelSel)
+		if cfg.funcs < 0 || cfg.funcs > 4 || cfg.stmts < 2 || cfg.stmts > 8 || cfg.maxDepth < 1 || cfg.maxDepth > 3 || cfg.leaves > 7 || cfg.scopes > 15 {
 			t.Fatalf("seed %d derives out-of-bounds shape %+v", in.seed, cfg)
 		}
 		if (cfg.leaves > 0) != (in.fuelSel >= 1<<13) {
 			t.Fatalf("seed %d selector %#x derives %d leaves", in.seed, in.fuelSel, cfg.leaves)
+		}
+		if want := uint8(max(in.a2, 0) >> 8); cfg.scopes != want {
+			t.Fatalf("seed %d third argument %#x derives scope shapes %#x, want %#x", in.seed, in.a2, cfg.scopes, want)
 		}
 		mod := genModule(in.seed, cfg)
 		if mod == nil {
@@ -111,5 +128,6 @@ func TestFuzzCorpusShapes(t *testing.T) {
 		if n := interp.Predecode(mod).NumSummarized(); (n > 0) != (cfg.leaves > 0) {
 			t.Fatalf("seed %d selector %#x (%d leaves): %d functions summarized", in.seed, in.fuelSel, cfg.leaves, n)
 		}
+		requireScopePaths(t, mod, cfg.scopes)
 	}
 }

@@ -20,14 +20,25 @@
 // constant with the caller-side label bookkeeping of a returning call. A
 // summary is taken only when the remaining fuel covers the whole callee;
 // otherwise the activation runs, so an abort lands on the oracle's
-// instruction. The compiled engine (Machine.Mode == ModeCompiled) lowers the
-// same Program once into chains of specialized Go closures —
-// superinstructions for common 2-3 instruction sequences, batched fuel
-// accounting, and provably-clean block variants that skip all label work
-// (see compile.go); nothing outside tests and benchmarks selects it. The
-// original tree-walking interpreter is kept behind Machine.Mode ==
-// ModeReference as the semantic oracle; the differential and fuzz harnesses
-// prove all three produce identical observables.
+// instruction.
+//
+// Control-flow taint costs the fast and compiled engines O(1) per register
+// write, store and taken edge. The activation's scope stack (ctlState,
+// fast.go) carries a summary: the union of the non-loop scopes' labels, the
+// union of all, the smallest and largest opening sequence of the loop-exit
+// scopes, and a 64-bit filter of join blocks. The scope summary is derived
+// state — only push, closeAt and reset write it; every read is O(1) except a
+// born that straddles two loop scopes, which scans the stack.
+// ctlState.write is the one register-write path of both engines.
+//
+// The compiled engine (Machine.Mode == ModeCompiled) lowers the same Program
+// once into chains of specialized Go closures — superinstructions for common
+// 2-3 instruction sequences, batched fuel accounting, and provably-clean
+// block variants that skip all label work (see compile.go); nothing outside
+// tests and benchmarks selects it. The original tree-walking interpreter is
+// kept behind Machine.Mode == ModeReference as the semantic oracle; the
+// differential and fuzz harnesses prove all three produce identical
+// observables.
 package interp
 
 import (

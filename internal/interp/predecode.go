@@ -104,14 +104,22 @@ type dinstr struct {
 	imm        int64
 }
 
-// dbranch is the precomputed terminator metadata of one conditional branch:
-// the source block, the control-scope join block (immediate post-dominator),
-// and the loops for which this branch is an exit (taint sinks).
-type dbranch struct {
+// dterm is the precomputed metadata of one conditional terminator (a branch,
+// or the head of a dswitch): the source block, the control-scope join block
+// (immediate post-dominator), and the loops it is an exit (taint sink) of.
+// The common cases — no exit, one exit — live in the scalar next to joinBlk;
+// a terminator that leaves several loops at once lists the further ones in
+// dfunc.moreExits[more].
+type dterm struct {
 	block   int32
 	joinBlk int32
-	exits   []int32
+	exit    int32
+	more    int32
 }
+
+// noExit is the dterm.exit of a terminator that exits no loop, and the
+// dterm.more of one that exits at most one.
+const noExit int32 = -1
 
 // dcase is one decoded switch arm (or the default) with its edge effects.
 type dcase struct {
@@ -124,11 +132,9 @@ type dcase struct {
 
 // dswitch is the precomputed metadata of one switch terminator.
 type dswitch struct {
-	block   int32
-	joinBlk int32
-	exits   []int32
-	cases   []dcase
-	def     dcase
+	dterm
+	cases []dcase
+	def   dcase
 }
 
 // dcall is one pre-bound call site. callee >= 0 points at a decoded module
@@ -166,8 +172,9 @@ type dfunc struct {
 	code      []dinstr
 	blockPC   []int32
 	calls     []dcall
-	branches  []dbranch
+	branches  []dterm
 	switches  []dswitch
+	moreExits [][]int32
 	loops     []loopMeta
 	// unknownGlob names the unresolved global referenced at a pc (error
 	// reporting only; resolved globals carry their ordinal in aux).
@@ -244,12 +251,20 @@ func (p *Program) decodeFunc(fn *ir.Function, idx int32, loops *cfg.Forest) *dfu
 	}
 	df.code = make([]dinstr, 0, pc)
 
-	exitsOf := func(b int) []int32 {
-		var out []int32
-		for _, l := range loops.ExitLoops(b) {
-			out = append(out, int32(l.ID))
+	term := func(b int) dterm {
+		t := dterm{block: int32(b), joinBlk: int32(ipdom[b]), exit: noExit, more: noExit}
+		for i, l := range loops.ExitLoops(b) {
+			switch i {
+			case 0:
+				t.exit = int32(l.ID)
+			case 1:
+				t.more = int32(len(df.moreExits))
+				df.moreExits = append(df.moreExits, []int32{int32(l.ID)})
+			default:
+				df.moreExits[t.more] = append(df.moreExits[t.more], int32(l.ID))
+			}
 		}
-		return out
+		return t
 	}
 	edge := func(from, to int) (uint8, int32) {
 		kind, l := loops.ClassifyEdge(from, to)
@@ -282,17 +297,9 @@ func (p *Program) decodeFunc(fn *ir.Function, idx int32, loops *cfg.Forest) *dfu
 				d.evk0, d.evl0 = edge(bi, in.Blk0)
 				d.evk1, d.evl1 = edge(bi, in.Blk1)
 				d.aux = int32(len(df.branches))
-				df.branches = append(df.branches, dbranch{
-					block:   int32(bi),
-					joinBlk: int32(ipdom[bi]),
-					exits:   exitsOf(bi),
-				})
+				df.branches = append(df.branches, term(bi))
 			case ir.OpSwitch:
-				sw := dswitch{
-					block:   int32(bi),
-					joinBlk: int32(ipdom[bi]),
-					exits:   exitsOf(bi),
-				}
+				sw := dswitch{dterm: term(bi)}
 				defEvk, defEvl := edge(bi, in.Blk0)
 				sw.def = dcase{pc: df.blockPC[in.Blk0], blk: int32(in.Blk0), evk: defEvk, evl: defEvl}
 				for _, c := range in.Cases {

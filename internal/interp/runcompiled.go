@@ -87,12 +87,7 @@ func (m *Machine) runCompiled(entry string, args []Value, argLabels []taint.Labe
 	v, l, err := m.execCompiled(cp, ccf, blocks, fr, 0, taint.None, 0, vk)
 	prog.noteArenas(len(m.heap), len(m.shadow))
 	if err != nil {
-		// Mirror runFast: aborted activations did not advance their frames'
-		// epochs, so scrub born wholesale before the machine is reused.
-		for _, f := range m.frames {
-			clear(f.born[:cap(f.born)])
-			f.seqBase = 1
-		}
+		m.scrubEpochs()
 		return &Result{Instructions: startFuel - m.fuel}, err
 	}
 	if !m.labeling {
@@ -139,25 +134,14 @@ func (m *Machine) execCompiled(cp *Compiled, ccf *cfunc, blocks []cblock, fr *fa
 		k.df = df
 		k.regs = fr.regs
 		k.labels = fr.labels
-		k.cs.born = fr.born
 	}
 	if k.pathIdx != pathIdx {
 		k.pathIdx = pathIdx
 		k.path = m.paths[pathIdx]
 	}
 
-	cs := &k.cs
-	cs.ctlBase = ctlBase
-	cs.seqBase = fr.seqBase
-	cs.writeSeq = fr.seqBase + 1
-	cs.cflow = false
-	if vk == vkTaint && k.eng.ControlFlow {
-		cs.cflow = true
-		born := cs.born
-		for i := int32(0); i < df.numParams; i++ {
-			born[i] = cs.seqBase
-		}
-	}
+	cs := &fr.cs
+	cs.begin(ctlBase, vk == vkTaint && k.eng.ControlFlow, df.numParams)
 
 	k.fuel = m.fuel
 	bi := int32(0)
@@ -194,10 +178,7 @@ loop:
 		bi = b.term(k)
 		if bi < 0 {
 			m.fuel = k.fuel
-			if len(cs.ctl) != 0 {
-				cs.ctl = cs.ctl[:0]
-			}
-			fr.seqBase = cs.writeSeq
+			cs.seqBase = cs.writeSeq
 			v, l = k.ret, k.retl
 			break loop
 		}
@@ -210,21 +191,16 @@ loop:
 }
 
 // compiledAbort finishes an activation whose step reported an error:
-// restore the unconsumed remainder of the segment pre-charge and leave the
-// pooled scope stack empty for the next activation at this depth.
+// restore the unconsumed remainder of the segment pre-charge.
 func (m *Machine) compiledAbort(k *kctx) (Value, taint.Label, error) {
 	m.fuel = k.fuel + k.refund
-	cs := &k.cs
-	if len(cs.ctl) != 0 {
-		cs.ctl = cs.ctl[:0]
-	}
 	return 0, taint.None, k.err
 }
 
 // compiledFallback de-optimizes the current activation into the fast
 // interpreter loop at the first instruction of a segment whose pre-charge
 // would overdraw the fuel budget. Nothing from that segment has executed
-// or been charged yet, so execLoopFrom burns down per-instruction and
+// or been charged yet, so execLoop burns down per-instruction and
 // aborts (or completes) at exactly the oracle's instruction.
 func (m *Machine) compiledFallback(k *kctx, pc int32, vk vkind) (Value, taint.Label, error) {
 	m.fuel = k.fuel
@@ -236,11 +212,5 @@ func (m *Machine) compiledFallback(k *kctx, pc int32, vk vkind) (Value, taint.La
 		// scope can open and no born bookkeeping can become observable.
 		clear(k.labels)
 	}
-	v, l, err := m.execLoopFrom(k.prog, k.df, k.fr, k.pathIdx, k.depth, k.eng, pc, &k.cs)
-	// execLoopFrom works on a by-value copy of the scope stack; restore the
-	// pooled kctx invariant that cs.ctl is empty between activations.
-	if len(k.cs.ctl) != 0 {
-		k.cs.ctl = k.cs.ctl[:0]
-	}
-	return v, l, err
+	return m.execLoop(k.prog, k.df, k.fr, k.pathIdx, k.depth, k.eng, pc)
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"time"
 
 	"repro/internal/api"
@@ -42,10 +43,11 @@ func NewPreparedCache(capacity int, buildTime *Histogram) *PreparedCache {
 
 // Get returns the Prepared artifact for spec and its content address,
 // building it at most once per digest. A build error is returned to
-// every waiter of that flight and is not cached: the next Get retries.
-func (c *PreparedCache) Get(spec *apps.Spec) (*core.Prepared, string, error) {
+// every waiter of that flight and is not cached: the next Get retries. A
+// caller waiting on someone else's build returns ctx.Err() once ctx ends.
+func (c *PreparedCache) Get(ctx context.Context, spec *apps.Spec) (*core.Prepared, string, error) {
 	digest := core.SpecDigest(spec)
-	p, _, err := c.c.Get(digest, func() (*core.Prepared, error) {
+	p, _, err := c.c.GetContext(ctx, digest, func() (*core.Prepared, error) {
 		defer c.buildTime.ObserveSince(time.Now())
 		return c.prepare(spec)
 	})

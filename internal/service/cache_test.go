@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/apps"
@@ -34,10 +35,10 @@ func TestPreparedCacheHashStability(t *testing.T) {
 	}
 	// Two separately constructed but equivalent specs must share one
 	// entry: the cache is content-addressed, not identity-addressed.
-	if _, _, err := c.Get(tinySpec(5)); err != nil {
+	if _, _, err := c.Get(context.Background(), tinySpec(5)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Get(tinySpec(5)); err != nil {
+	if _, _, err := c.Get(context.Background(), tinySpec(5)); err != nil {
 		t.Fatal(err)
 	}
 	if n := builds; n != 1 {
@@ -48,7 +49,7 @@ func TestPreparedCacheHashStability(t *testing.T) {
 		t.Fatalf("stats = %+v, want 1 hit / 1 miss", st)
 	}
 	// A semantically different spec is a different address.
-	if _, _, err := c.Get(tinySpec(6)); err != nil {
+	if _, _, err := c.Get(context.Background(), tinySpec(6)); err != nil {
 		t.Fatal(err)
 	}
 	if n := builds; n != 2 {

@@ -49,7 +49,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	app, spec, prepared, digest, err := s.resolve(req.App)
+	app, spec, prepared, digest, err := s.resolve(r.Context(), req.App)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -91,8 +91,9 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	// fail because the first requester disconnected, so a build, once
 	// started, runs to completion (it is fuel-bounded and capped by
 	// MaxSweepConfigs) and warms the registry even if every requester has
-	// gone away. Daemon shutdown cancels it.
-	ms, cached, err := s.models.Get(key, func() (*modelreg.ModelSet, error) {
+	// gone away. Daemon shutdown cancels it. A joiner whose own client goes
+	// away stops waiting at once; only the builder's context is not consulted.
+	ms, cached, err := s.models.GetContext(r.Context(), key, func() (*modelreg.ModelSet, error) {
 		start := time.Now()
 		// The design's points take the daemon's one design-point path,
 		// journaled under the registry key; fitting, measurement synthesis,
@@ -111,6 +112,9 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	})
 	var jerr *journalError
 	switch {
+	case err != nil && r.Context().Err() != nil:
+		// The client went away (a joiner stops waiting right then): nothing
+		// useful can be written to a gone peer.
 	case err != nil && req.Stream:
 		emit(&api.ModelStreamLine{Event: modelreg.Event{Type: "error"}, Error: err.Error()})
 	case err != nil && (s.baseCtx.Err() != nil || errors.As(err, &jerr)):

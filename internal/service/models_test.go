@@ -2,8 +2,10 @@ package service
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
@@ -14,6 +16,7 @@ import (
 	"repro/internal/api"
 	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/leakcheck"
 	"repro/internal/modelreg"
 	"repro/internal/runner"
 )
@@ -291,4 +294,116 @@ func TestEveryPointRunsOnThePool(t *testing.T) {
 	if got := runCount(); got != "12" {
 		t.Fatalf("run-stage histogram counts %s analyses, want 12", got)
 	}
+}
+
+// TestModelsJoinerLeavesWithItsClient: a /v1/models handler waiting on
+// someone else's flight — the Prepared build or the registry build of the
+// same key — returns as soon as its own client disconnects, while that
+// build is still running, and the build is not disturbed by it.
+func TestModelsJoinerLeavesWithItsClient(t *testing.T) {
+	leakcheck.Check(t)
+	srv, err := NewServer(Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every /v1/models handler that returns is reported here.
+	returned := make(chan struct{}, 4)
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		srv.Handler().ServeHTTP(w, r)
+		if r.URL.Path == "/v1/models" {
+			returned <- struct{}{}
+		}
+	}))
+	t.Cleanup(func() {
+		hs.Close()
+		srv.Close()
+	})
+	client := NewClient(hs.URL)
+	req := modelTestRequest()
+
+	// disconnect posts req, waits until the handler has joined a flight
+	// (joiners count as hits before they park), hangs up, and requires the
+	// handler to return although the build it joined is still held open.
+	disconnect := func(t *testing.T, joined func() uint64) {
+		t.Helper()
+		before := joined()
+		ctx, cancel := context.WithCancel(context.Background())
+		gone := make(chan error, 1)
+		go func() {
+			_, err := client.Models(ctx, req)
+			gone <- err
+		}()
+		for deadline := time.Now().Add(10 * time.Second); joined() == before; {
+			if time.Now().After(deadline) {
+				t.Fatal("the second request never joined the flight")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+		if err := <-gone; !errors.Is(err, context.Canceled) {
+			t.Fatalf("disconnected client got err = %v", err)
+		}
+		select {
+		case <-returned:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the joiner's handler is still parked on someone else's build after its client left")
+		}
+	}
+
+	t.Run("prepare", func(t *testing.T) {
+		// The first client's request builds the Prepared artifact; the seam
+		// holds that build open.
+		release := make(chan struct{})
+		building := make(chan struct{})
+		srv.cache.prepare = func(spec *apps.Spec) (*core.Prepared, error) {
+			close(building)
+			<-release
+			return core.Prepare(spec)
+		}
+		first := make(chan error, 1)
+		go func() {
+			_, err := client.Models(context.Background(), req)
+			first <- err
+		}()
+		<-building
+		disconnect(t, func() uint64 { return srv.cache.Stats().Hits })
+		close(release)
+		if err := <-first; err != nil {
+			t.Fatalf("the first client's extraction failed: %v", err)
+		}
+		<-returned
+		srv.cache.prepare = core.Prepare
+	})
+
+	t.Run("registry", func(t *testing.T) {
+		// The registry flight of a fresh key is held open from here, the
+		// way a first client's extraction holds it for as long as it runs.
+		req.Seed++
+		app, spec, _, digest, err := srv.resolve(context.Background(), req.App)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := modelConfig(req, app).Resolve(spec, srv.opts.MaxSweepConfigs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		release := make(chan struct{})
+		building := make(chan struct{})
+		held := errors.New("held build released")
+		built := make(chan error, 1)
+		go func() {
+			_, _, err := srv.models.Get(cfg.Key(digest), func() (*modelreg.ModelSet, error) {
+				close(building)
+				<-release
+				return nil, held
+			})
+			built <- err
+		}()
+		<-building
+		disconnect(t, func() uint64 { return srv.models.Stats().Hits })
+		close(release)
+		if err := <-built; !errors.Is(err, held) {
+			t.Fatalf("the held build returned %v", err)
+		}
+	})
 }

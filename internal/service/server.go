@@ -402,7 +402,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	app, spec, prepared, digest, err := s.resolve(req.App)
+	app, spec, prepared, digest, err := s.resolve(r.Context(), req.App)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -444,7 +444,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	app, spec, prepared, digest, err := s.resolve(req.App)
+	app, spec, prepared, digest, err := s.resolve(r.Context(), req.App)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -531,7 +531,7 @@ func sweepJournalKey(app, digest string, cfgs []apps.Config, params []string, id
 
 // resolve maps an app name to its registry entry and its cached Prepared
 // artifact, building the latter through the content-addressed cache.
-func (s *Server) resolve(name string) (App, *apps.Spec, *core.Prepared, string, error) {
+func (s *Server) resolve(ctx context.Context, name string) (App, *apps.Spec, *core.Prepared, string, error) {
 	app, ok := s.apps[name]
 	if !ok {
 		names := make([]string, 0, len(s.apps))
@@ -542,7 +542,7 @@ func (s *Server) resolve(name string) (App, *apps.Spec, *core.Prepared, string, 
 		return App{}, nil, nil, "", fmt.Errorf("unknown app %q (registered: %v)", name, names)
 	}
 	spec := app.New()
-	p, digest, err := s.cache.Get(spec)
+	p, digest, err := s.cache.Get(ctx, spec)
 	if err != nil {
 		return App{}, nil, nil, "", fmt.Errorf("prepare %q: %w", name, err)
 	}

@@ -133,7 +133,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("shard has no configs"))
 		return
 	}
-	_, _, prepared, digest, err := s.resolve(req.App)
+	_, _, prepared, digest, err := s.resolve(r.Context(), req.App)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
