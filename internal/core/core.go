@@ -132,7 +132,7 @@ func PrepareModule(spec *apps.Spec, mod *ir.Module, db *libdb.DB) *Prepared {
 		DB:      db,
 		Digest:  SpecDigest(spec),
 		Static:  static,
-		Program: interp.PredecodeForests(mod, forests),
+		Program: interp.PredecodeForests(mod, forests, static),
 		plan:    newAnalysisPlan(mod, forests, static, db),
 	}
 }
@@ -156,12 +156,22 @@ func (e *ConfigError) Error() string { return "core: config missing implicit par
 // Analyze is safe to call from multiple goroutines on the same Prepared
 // value.
 func (p *Prepared) Analyze(cfg apps.Config) (*Report, error) {
+	engine, res, err := p.run(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return p.aggregate(engine, res.Instructions), nil
+}
+
+// run is stage 2 of Analyze, the dynamic taint analysis of one
+// configuration: the taint engine it filled and the interpreter's account of
+// the run. The predecoded program is shared read-only across all concurrent
+// runs of this Prepared.
+func (p *Prepared) run(cfg apps.Config) (*taint.Engine, *interp.Result, error) {
 	pVal := int64(cfg["p"])
 	if pVal <= 0 {
-		return nil, &ConfigError{P: cfg["p"]}
+		return nil, nil, &ConfigError{P: cfg["p"]}
 	}
-	// Stage 2: dynamic taint analysis. The predecoded program is shared
-	// read-only across all concurrent runs of this Prepared.
 	engine := taint.NewEngine()
 	mach := interp.NewMachine(p.Module)
 	mach.Taint = engine
@@ -179,7 +189,7 @@ func (p *Prepared) Analyze(cfg apps.Config) (*Report, error) {
 	}
 	res, err := mach.Run("main", apps.TaintArgs(p.Spec, cfg), labels)
 	if err != nil {
-		return nil, fmt.Errorf("core: tainted run: %w", err)
+		return nil, nil, fmt.Errorf("core: tainted run: %w", err)
 	}
-	return p.aggregate(engine, res.Instructions), nil
+	return engine, res, nil
 }

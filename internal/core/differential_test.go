@@ -119,19 +119,22 @@ func TestDifferentialBundledApps(t *testing.T) {
 	}
 }
 
-// TestDifferentialSummariesFire pins the fast engine's call summaries on the
-// paper's two case-study codes: the accessor functions the specs model after
-// C++ getters are where one call in nine goes, so a generator or predecode
-// change that stops them from being summarized (or a summary that charges
-// anything but the callee's instruction count) must fail here, not in a
-// benchmark.
+// TestDifferentialSummariesFire pins the fast engine's call and loop
+// summaries on the paper's two case-study codes: the accessor functions the
+// specs model after C++ getters are where one call in nine goes, and the
+// innermost counted loops around straight-line work are where all but a
+// thousandth of a large configuration's instructions go, so a generator,
+// scev or predecode change that stops either from being summarized (or a
+// summary that charges anything but what dispatching would) must fail here,
+// not in a benchmark.
 func TestDifferentialSummariesFire(t *testing.T) {
+	var lulesh *Prepared
 	for _, tc := range []struct {
-		spec         *apps.Spec
-		funcs, least int
+		spec                *apps.Spec
+		funcs, least, loops int
 	}{
-		{apps.LULESH(), 349, 249},
-		{apps.MILC(), 621, 316},
+		{apps.LULESH(), 349, 249, 268},
+		{apps.MILC(), 621, 316, 863},
 	} {
 		p, err := Prepare(tc.spec)
 		if err != nil {
@@ -143,6 +146,12 @@ func TestDifferentialSummariesFire(t *testing.T) {
 		if got := p.Program.NumSummarized(); got < tc.least {
 			t.Errorf("%s: %d functions summarized, want at least %d", tc.spec.Name, got, tc.least)
 		}
+		if got := p.Program.NumLoopSummaries(); got != tc.loops {
+			t.Errorf("%s: %d loops summarized, want %d", tc.spec.Name, got, tc.loops)
+		}
+		if lulesh == nil {
+			lulesh = p
+		}
 	}
 
 	raw, err := os.ReadFile(goldenPath("lulesh"))
@@ -153,11 +162,33 @@ func TestDifferentialSummariesFire(t *testing.T) {
 	if err := json.Unmarshal(raw, &golden); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Analyze(apps.LULESH(), apps.LULESHTaintConfig())
-	if err != nil {
-		t.Fatal(err)
+	if golden.Instructions != 259170 {
+		t.Fatalf("lulesh golden pins %d instructions: it was regenerated", golden.Instructions)
 	}
-	if rep.Instructions != golden.Instructions {
-		t.Errorf("LULESH charges %d instructions with summaries, golden %d", rep.Instructions, golden.Instructions)
+	// The taint configuration, and the largest design point of the
+	// benchmark's lulesh-large workload.
+	large := apps.Config{}
+	for k, v := range apps.LULESHTaintConfig() {
+		large[k] = v
+	}
+	large["p"], large["size"] = 16, 17
+	for _, tc := range []struct {
+		cfg          apps.Config
+		instructions int64
+		share        float64
+	}{
+		{apps.LULESHTaintConfig(), golden.Instructions, 0.9},
+		{large, 8801602, 0.99},
+	} {
+		_, res, err := lulesh.run(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Instructions != tc.instructions {
+			t.Errorf("LULESH %v charges %d instructions with summaries, want %d", tc.cfg, res.Instructions, tc.instructions)
+		}
+		if share := float64(res.Summarized) / float64(res.Instructions); share < tc.share {
+			t.Errorf("LULESH %v: %d of %d instructions summarized (%.3f), want at least %.2f", tc.cfg, res.Summarized, res.Instructions, share, tc.share)
+		}
 	}
 }

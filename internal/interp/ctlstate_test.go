@@ -1,11 +1,13 @@
 package interp
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/ir"
 	"repro/internal/taint"
 )
 
@@ -166,5 +168,224 @@ func TestCtlStateSummaryMatchesScan(t *testing.T) {
 	}
 	if err := quick.Check(run, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// renderRecords renders the loop and branch records eng holds for main.
+func renderRecords(eng *taint.Engine, main *ir.Function) string {
+	var recs string
+	for _, r := range eng.SortedLoops() {
+		recs += fmt.Sprintf("loop %s@%d %b %d/%d;", r.Key.CallPath, r.Header, r.Labels, r.Iterations, r.Entries)
+	}
+	for blk := range main.Blocks {
+		if r := eng.Branches[taint.BranchKey{Func: main.Name, Block: blk}]; r != nil {
+			recs += fmt.Sprintf("branch @%d %b %d/%d;", blk, r.Labels, r.Taken, r.NotTaken)
+		}
+	}
+	return recs
+}
+
+// genSummarizedLoop builds main(x, y, z) around one loop that carries a loop
+// summary, under up to three control scopes — tainted ifs and, unless
+// retInside, tainted outer loops that enter it again — with registers written
+// before and between the scope openings, so that their births fall on either
+// side of every openSeq. The loop runs 0 to 30 times, up or down, by a step
+// and towards a bound that are constants with or without a label; its body
+// is a random straight line over the induction register, the invariants and
+// its own temporaries, some of them registers born before the scopes opened
+// and written here before they are read. retInside returns from inside the
+// scopes, right after the loop, so that the scope stack outlives the run.
+func genSummarizedLoop(r *rand.Rand, retInside bool) *ir.Module {
+	mod := ir.NewModule("settle")
+	g := ir.NewFunc(mod, "get", 0)
+	g.Ret(g.Const(7))
+	g.Finish()
+
+	b := ir.NewFunc(mod, "main", 3)
+	zero := b.Const(0)
+	// val is the constant c, under the label of a parameter or under none.
+	val := func(c int64) ir.Reg {
+		if r.Intn(2) == 0 {
+			return b.Const(c)
+		}
+		return b.Add(b.Bin(ir.OpAnd, b.Param(r.Intn(3)), zero), b.Const(c))
+	}
+	// inv is what the loop may read but never writes, scratch what its body
+	// may write first and read then.
+	inv := []ir.Reg{b.Param(0), b.Param(1), b.Param(2), zero}
+	var scratch []ir.Reg
+	acc := b.Mov(zero)
+	fill := func() {
+		for range r.Intn(3) {
+			reg := b.Add(inv[r.Intn(len(inv))], val(int64(r.Intn(5))))
+			if r.Intn(2) == 0 {
+				inv = append(inv, reg)
+			} else {
+				scratch = append(scratch, reg)
+			}
+		}
+	}
+	loop := func() {
+		lo, hi, step := int64(r.Intn(9)-4), int64(r.Intn(30)), int64(1+r.Intn(3))
+		cmp, sub := ir.OpCmpLT+ir.Opcode(r.Intn(2)), false
+		if r.Intn(2) == 0 { // downwards
+			lo, hi, cmp = lo+hi, lo, ir.OpCmpGT+ir.Opcode(r.Intn(2))
+			if sub = r.Intn(2) == 0; !sub {
+				step = -step
+			}
+		} else {
+			hi += lo
+		}
+		bound, st := val(hi), val(step)
+		iv := b.Mov(val(lo))
+		header, body, latch, exit := b.NewBlock("header"), b.NewBlock("body"), b.NewBlock("latch"), b.NewBlock("exit")
+		b.Jmp(header)
+		b.SetBlock(header)
+		b.Br(b.Bin(cmp, iv, bound), body, exit)
+		b.SetBlock(body)
+		temps := []ir.Reg{iv}
+		operand := func() ir.Reg {
+			if r.Intn(3) == 0 {
+				return inv[r.Intn(len(inv))]
+			}
+			return temps[r.Intn(len(temps))]
+		}
+		for range 1 + r.Intn(5) {
+			var t ir.Reg
+			switch r.Intn(6) {
+			case 0:
+				t = b.Call("get")
+			case 1:
+				t = val(int64(r.Intn(3)))
+			case 2:
+				t = b.Neg(operand())
+			default:
+				t = b.Bin(ir.OpAdd+ir.Opcode(r.Intn(3)), operand(), operand())
+			}
+			if r.Intn(3) == 0 {
+				b.Work(t)
+			}
+			temps = append(temps, t)
+			if len(scratch) > 0 && r.Intn(3) == 0 {
+				k := r.Intn(len(scratch))
+				b.MovTo(scratch[k], t)
+				temps = append(temps, scratch[k])
+				scratch = slices.Delete(scratch, k, k+1)
+			}
+		}
+		b.Jmp(latch)
+		b.SetBlock(latch)
+		if sub {
+			b.MovTo(iv, b.Sub(iv, st))
+		} else {
+			b.MovTo(iv, b.Add(iv, st))
+		}
+		b.Jmp(header)
+		b.SetBlock(exit)
+		b.MovTo(acc, b.Add(acc, b.Add(temps[len(temps)-1], iv)))
+		if retInside {
+			b.Ret(acc)
+		}
+	}
+	var nest func(depth int)
+	nest = func(depth int) {
+		fill()
+		if depth == 0 {
+			loop()
+			return
+		}
+		// The scopes' conditions hold whatever the arguments are.
+		p := b.Param(r.Intn(3))
+		if retInside || r.Intn(2) == 0 {
+			b.If(b.CmpEQ(b.Bin(ir.OpAnd, p, zero), zero), func() { nest(depth - 1) }, nil)
+		} else {
+			b.For(zero, b.Add(b.Bin(ir.OpAnd, p, b.Const(1)), b.Const(1)), b.Const(1), func(ir.Reg) { nest(depth - 1) })
+		}
+	}
+	nest(r.Intn(4))
+	if b.CurBlock() != nil {
+		b.Ret(acc)
+	}
+	b.Finish()
+	return mod
+}
+
+// TestLoopSummaryMatchesEveryIteration is the label-stability property behind
+// the loop summaries (see settledAt and skipLoop): for random summarized
+// loops under random open scopes, a run that skips the iterations it may and
+// a run kept from skipping through Machine.everyIteration end in the same
+// state — result, instruction count, loop and branch records, and in main's
+// frame every register's value, label and birth, the write sequence and the
+// scope stack with every openSeq, so each register was born on the same side
+// of every open scope.
+func TestLoopSummaryMatchesEveryIteration(t *testing.T) {
+	// How many runs skipped iterations at all, and how many of them returned
+	// with scopes still open.
+	fired, firedInScope := 0, 0
+	run := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		retInside := r.Intn(2) == 0
+		mod := genSummarizedLoop(r, retInside)
+		prog := Predecode(mod)
+		if n := prog.NumLoopSummaries(); n != 1 {
+			t.Errorf("seed %d: %d loop summaries, want the inner loop's", seed, n)
+			return false
+		}
+		args := []Value{Value(r.Intn(16)), Value(r.Intn(16)), Value(r.Intn(16))}
+		labelled := [3]bool{r.Intn(4) != 0, r.Intn(4) != 0, r.Intn(4) != 0}
+		cflow := r.Intn(8) != 0
+
+		type state struct {
+			res    Result
+			recs   string
+			regs   []Value
+			labels []taint.Label
+			born   []int
+			seq    int
+			ctl    []ctlScope
+		}
+		exec := func(everyIteration bool) state {
+			eng := taint.NewEngine()
+			eng.ControlFlow = cflow
+			mach := NewMachine(mod)
+			mach.Prog = prog
+			mach.Taint = eng
+			mach.everyIteration = everyIteration
+			argLabels := make([]taint.Label, 3)
+			for i, name := range []string{"x", "y", "z"} {
+				if labelled[i] {
+					argLabels[i] = eng.Table.Base(name)
+				}
+			}
+			res, err := mach.Run("main", args, argLabels)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			fr := mach.frames[0]
+			return state{*res, renderRecords(eng, mod.Funcs["main"]), fr.regs, fr.labels, fr.cs.born, fr.cs.writeSeq, fr.cs.ctl}
+		}
+		skip, every := exec(false), exec(true)
+		if skip.res.Summarized > every.res.Summarized {
+			fired++
+			if len(skip.ctl) > 0 {
+				firedInScope++
+			}
+		}
+		skip.res.Summarized = every.res.Summarized
+		if skip.res != every.res || skip.recs != every.recs || skip.seq != every.seq ||
+			!slices.Equal(skip.regs, every.regs) || !slices.Equal(skip.labels, every.labels) ||
+			!slices.Equal(skip.born, every.born) || !slices.Equal(skip.ctl, every.ctl) {
+			t.Errorf("seed %d (args %v labelled %v cflow %v): the skipping run diverged\n skipping: %+v\n every iteration: %+v\n%s",
+				seed, args, labelled, cflow, skip, every, mod.Funcs["main"])
+			return false
+		}
+		return true
+	}
+	const count = 1500
+	if err := quick.Check(run, &quick.Config{MaxCount: count}); err != nil {
+		t.Fatal(err)
+	}
+	if fired < count/2 || firedInScope < count/8 {
+		t.Fatalf("a loop summary fired in %d of %d runs, in %d under a scope still open at the return", fired, count, firedInScope)
 	}
 }

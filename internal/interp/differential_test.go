@@ -1,6 +1,7 @@
 package interp_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -35,6 +36,10 @@ type genConfig struct {
 	// (see scopeShapes). No shape draws from the random stream, selected or
 	// not, so the rest of the module stays what it was.
 	scopes uint8
+	// counted selects the counted-loop shapes appended to main, one bit each
+	// (see countedShapes), under the same rule: none draws from the random
+	// stream.
+	counted uint8
 }
 
 type gen struct {
@@ -99,6 +104,7 @@ func (g *gen) buildFunc(name string, params int) {
 	if name == "main" {
 		// First, while the parameters still carry their base labels alone.
 		bd.scopeShapes()
+		bd.countedShapes()
 	}
 	n := 2 + g.r.Intn(g.cfg.stmts)
 	for i := 0; i < n; i++ {
@@ -350,6 +356,194 @@ func (bd *body) twoExit() {
 	b.Jmp(outer)
 	b.SetBlock(exit)
 	bd.push(acc)
+}
+
+// The counted-loop shapes: loops the fast engine may or must not execute
+// through a loop summary (see summarizeLoop). Each names its header block, so
+// the tests can ask whether the loop carries one, reads what the loop wrote
+// after it, and pushes that into the pool the random statements draw from.
+const (
+	// countedTrips: the canonical loop, x&15 iterations (0, 1, 2, 3 and the
+	// counts around the warm-up), its induction register and a body
+	// temporary read after the loop.
+	countedTrips uint8 = 1 << iota
+	// countedBound: the bound shrinks inside the body — not a counted loop.
+	countedBound
+	// countedSteps: a subtracting latch, a negative constant step, a step
+	// labelled y, and last a step of z&1 — 0 for an even z, a loop only the
+	// fuel ends.
+	countedSteps
+	// countedCompares: <=, >= and > tests, the bound on the left of the
+	// compare, and a header that leaves on its true edge (counted, but not
+	// summarized).
+	countedCompares
+	// countedCarried: the body accumulates into a register that predates the
+	// loop, and a second loop reads a temporary before writing it.
+	countedCarried
+	// countedNested: a counted loop inside a counted loop; the inner one is
+	// entered (x&3)+1 times, from the second time on with every register it
+	// writes already born, and only its step carries z: the label reaches
+	// the body's temporary through the induction register, an iteration
+	// late, so one settled-looking header test is not enough to skip on.
+	countedNested
+	// countedUnderIf: a counted loop inside an if on x < y, both tainted.
+	countedUnderIf
+	// countedLate: constant bounds and a step labelled y — the exit test is
+	// unlabelled until the second iteration.
+	countedLate
+)
+
+// countedSummaries lists, per shape, the header blocks of the loops it adds
+// and whether predecode must give each a summary.
+var countedSummaries = map[uint8]map[string]bool{
+	countedTrips:    {"trips": true},
+	countedBound:    {"bound": false},
+	countedSteps:    {"steps.sub": true, "steps.neg": true, "steps.tainted": true, "steps.zero": true},
+	countedCompares: {"cmp.le": true, "cmp.ge": true, "cmp.swapped": true, "cmp.inverted": false},
+	countedCarried:  {"carried.acc": false, "carried.temp": false},
+	countedNested:   {"nested.outer": false, "nested.inner": true},
+	countedUnderIf:  {"underif": true},
+	countedLate:     {"late": true},
+}
+
+// cloop is one hand-laid counted loop: `for iv := lo; iv cmp hi; iv ±= step`.
+type cloop struct {
+	name         string
+	lo, hi, step ir.Reg
+	cmp          ir.Opcode
+	sub          bool // the latch subtracts step
+	swap         bool // the compare is written `hi cmp iv`
+	invert       bool // the header leaves on the true edge of cmp
+}
+
+// emit lays the loop out block by block, the header called c.name, and
+// returns the induction register; body runs with the insertion point inside
+// the loop.
+func (c cloop) emit(b *ir.Builder, body func(iv ir.Reg)) ir.Reg {
+	iv := b.Mov(c.lo)
+	header, bodyBlk, latch, exit := b.NewBlock(c.name), b.NewBlock(c.name+".body"), b.NewBlock(c.name+".latch"), b.NewBlock(c.name+".exit")
+	b.Jmp(header)
+	b.SetBlock(header)
+	x, y := iv, c.hi
+	if c.swap {
+		x, y = c.hi, iv
+	}
+	if c.invert {
+		b.Br(b.Bin(c.cmp, x, y), exit, bodyBlk)
+	} else {
+		b.Br(b.Bin(c.cmp, x, y), bodyBlk, exit)
+	}
+	b.SetBlock(bodyBlk)
+	body(iv)
+	b.Jmp(latch)
+	b.SetBlock(latch)
+	if c.sub {
+		b.MovTo(iv, b.Sub(iv, c.step))
+	} else {
+		b.MovTo(iv, b.Add(iv, c.step))
+	}
+	b.Jmp(header)
+	b.SetBlock(exit)
+	return iv
+}
+
+func (bd *body) countedShapes() {
+	sel := bd.g.cfg.counted
+	if sel == 0 {
+		return
+	}
+	b := bd.b
+	x, y, z := b.Param(0), b.Param(1), b.Param(2)
+	zero, one, three := b.Const(0), b.Const(1), b.Const(3)
+	n := b.Bin(ir.OpAnd, x, b.Const(15))
+	// pure is a loop body without a carried register: a temporary derived
+	// from the induction register and y, some work, a call-free constant.
+	pure := func(t *ir.Reg) func(ir.Reg) {
+		return func(iv ir.Reg) {
+			*t = b.Add(b.Mul(iv, three), y)
+			b.Work(*t)
+			b.Work(b.Const(2))
+		}
+	}
+	// after reads what a loop left behind: into the pool and into a probe
+	// loop whose record shows the temporary's label.
+	after := func(name string, iv, t ir.Reg) {
+		bd.push(iv)
+		bd.push(t)
+		bd.probe(name+".probe", t)
+	}
+	var t ir.Reg
+
+	if sel&countedTrips != 0 {
+		iv := cloop{name: "trips", lo: zero, hi: n, step: one, cmp: ir.OpCmpLT}.emit(b, pure(&t))
+		after("trips", iv, t)
+	}
+	if sel&countedBound != 0 {
+		hi := b.Mov(n)
+		iv := cloop{name: "bound", lo: zero, hi: hi, step: one, cmp: ir.OpCmpLT}.emit(b, func(iv ir.Reg) {
+			pure(&t)(iv)
+			b.MovTo(hi, b.Sub(hi, one))
+		})
+		after("bound", iv, t)
+	}
+	if sel&countedCompares != 0 {
+		iv := cloop{name: "cmp.le", lo: one, hi: n, step: one, cmp: ir.OpCmpLE}.emit(b, pure(&t))
+		after("cmp.le", iv, t)
+		iv = cloop{name: "cmp.ge", lo: n, hi: three, step: one, cmp: ir.OpCmpGE, sub: true}.emit(b, pure(&t))
+		after("cmp.ge", iv, t)
+		iv = cloop{name: "cmp.swapped", lo: zero, hi: n, step: three, cmp: ir.OpCmpGT, swap: true}.emit(b, pure(&t))
+		after("cmp.swapped", iv, t)
+		iv = cloop{name: "cmp.inverted", lo: zero, hi: n, step: one, cmp: ir.OpCmpGE, invert: true}.emit(b, pure(&t))
+		after("cmp.inverted", iv, t)
+	}
+	if sel&countedCarried != 0 {
+		acc := b.Mov(y)
+		iv := cloop{name: "carried.acc", lo: zero, hi: n, step: one, cmp: ir.OpCmpLT}.emit(b, func(iv ir.Reg) {
+			b.MovTo(acc, b.Add(acc, iv))
+		})
+		after("carried.acc", iv, acc)
+		prev := b.Mov(zero)
+		iv = cloop{name: "carried.temp", lo: zero, hi: n, step: one, cmp: ir.OpCmpLT}.emit(b, func(iv ir.Reg) {
+			t = b.Add(prev, one)
+			b.MovTo(prev, b.Mul(iv, iv))
+		})
+		after("carried.temp", iv, t)
+	}
+	if sel&countedNested != 0 {
+		outer := cloop{name: "nested.outer", lo: zero, hi: b.Add(b.Bin(ir.OpAnd, x, three), one), step: one, cmp: ir.OpCmpLT}
+		var inner ir.Reg
+		iv := outer.emit(b, func(i ir.Reg) {
+			step := b.Add(b.Bin(ir.OpAnd, z, zero), one)
+			inner = cloop{name: "nested.inner", lo: i, hi: b.Bin(ir.OpAnd, y, b.Const(15)), step: step, cmp: ir.OpCmpLT}.emit(b, func(j ir.Reg) {
+				t = b.Mul(i, j)
+				b.Work(t)
+			})
+		})
+		bd.push(inner)
+		after("nested", iv, t)
+	}
+	if sel&countedUnderIf != 0 {
+		var iv ir.Reg
+		b.If(b.CmpLT(x, y), func() {
+			iv = cloop{name: "underif", lo: zero, hi: n, step: one, cmp: ir.OpCmpLT}.emit(b, pure(&t))
+		}, nil)
+		after("underif", iv, t)
+	}
+	if sel&countedLate != 0 {
+		step := b.Add(b.Bin(ir.OpAnd, y, zero), one)
+		iv := cloop{name: "late", lo: zero, hi: b.Const(9), step: step, cmp: ir.OpCmpLT}.emit(b, pure(&t))
+		after("late", iv, t)
+	}
+	if sel&countedSteps != 0 {
+		iv := cloop{name: "steps.sub", lo: n, hi: zero, step: one, cmp: ir.OpCmpGT, sub: true}.emit(b, pure(&t))
+		after("steps.sub", iv, t)
+		iv = cloop{name: "steps.neg", lo: n, hi: one, step: b.Const(-2), cmp: ir.OpCmpGE}.emit(b, pure(&t))
+		after("steps.neg", iv, t)
+		iv = cloop{name: "steps.tainted", lo: zero, hi: n, step: b.Add(b.Bin(ir.OpAnd, y, zero), b.Const(2)), cmp: ir.OpCmpLT}.emit(b, pure(&t))
+		after("steps.tainted", iv, t)
+		iv = cloop{name: "steps.zero", lo: zero, hi: n, step: b.Bin(ir.OpAnd, z, one), cmp: ir.OpCmpLT}.emit(b, pure(&t))
+		after("steps.zero", iv, t)
+	}
 }
 
 // buildRecursive adds rec(d, n), which calls recb before it branches and
@@ -643,6 +837,26 @@ func instructionsOf(t *testing.T, mod *ir.Module, args []int64) int64 {
 	return res.Instructions
 }
 
+// summarizedBy runs main on the fast engine and returns how many instructions
+// it charged without dispatching them.
+func summarizedBy(t *testing.T, mod *ir.Module, args []int64, tainted bool) int64 {
+	t.Helper()
+	mach := interp.NewMachine(mod)
+	var eng *taint.Engine
+	var labels []taint.Label
+	if tainted {
+		eng = taint.NewEngine()
+		mach.Taint = eng
+		labels = []taint.Label{eng.Table.Base("x"), eng.Table.Base("y"), eng.Table.Base("z")}
+	}
+	libdb.DefaultMPI().Bind(mach, eng, libdb.RunConfig{CommSize: 8})
+	res, err := mach.Run("main", args, labels)
+	if err != nil {
+		t.Fatalf("fast run: %v", err)
+	}
+	return res.Summarized
+}
+
 // verifyGenerated fails the test unless mod verifies against the MPI
 // library database.
 func verifyGenerated(t *testing.T, mod *ir.Module) {
@@ -761,6 +975,9 @@ func TestDifferentialScopeShapes(t *testing.T) {
 // the module's structure where it does not.
 func requireScopePaths(t *testing.T, mod *ir.Module, sel uint8) {
 	t.Helper()
+	if sel == 0 {
+		return
+	}
 	main := mod.Funcs["main"]
 	blockOf := func(name string) int {
 		for _, blk := range main.Blocks {
@@ -777,7 +994,10 @@ func requireScopePaths(t *testing.T, mod *ir.Module, sel uint8) {
 	mach.Taint = eng
 	libdb.DefaultMPI().Bind(mach, eng, libdb.RunConfig{CommSize: 8})
 	labels := []taint.Label{eng.Table.Base("x"), eng.Table.Base("y"), eng.Table.Base("z")}
-	if _, err := mach.Run("main", []int64{5, 3, 2}, labels); err != nil {
+	// The scope shapes open main; whether the rest of it finishes within the
+	// budget (a counted shape may spin) does not matter to their records.
+	mach.Fuel = 20_000
+	if _, err := mach.Run("main", []int64{5, 3, 2}, labels); err != nil && !errors.Is(err, interp.ErrFuel) {
 		t.Fatalf("reference run: %v", err)
 	}
 	probeLabel := func(header string) string {
@@ -812,6 +1032,129 @@ func requireScopePaths(t *testing.T, mod *ir.Module, sel uint8) {
 	}
 	if sel&scopeRecurse != 0 && !eng.RecursionWarnings["rec"] {
 		t.Fatal("rec never ran recursively")
+	}
+}
+
+// requireCountedSummaries fails the test unless the loops of the counted
+// shapes selected in mod carry a loop summary exactly where
+// countedSummaries says.
+func requireCountedSummaries(t *testing.T, mod *ir.Module, sel uint8) {
+	t.Helper()
+	prog := interp.Predecode(mod)
+	for bit, loops := range countedSummaries {
+		if sel&bit == 0 {
+			continue
+		}
+		for name, want := range loops {
+			header := -1
+			for _, blk := range mod.Funcs["main"].Blocks {
+				if blk.Name == name {
+					header = blk.Index
+				}
+			}
+			if header < 0 {
+				t.Fatalf("main has no block %q", name)
+			}
+			if got := prog.LoopSummarized("main", header); got != want {
+				t.Fatalf("loop %q: summarized = %v, want %v", name, got, want)
+			}
+		}
+	}
+}
+
+// TestDifferentialCountedLoops runs every counted-loop shape, alone and all
+// together, on top of seeded random modules: predecode must summarize exactly
+// the loops the shapes say it may, and the engines must agree whether a
+// summary fires (trip counts past the warm-up), cannot (0 to 3 iterations, a
+// zero step), or would cross the budget (fuel values that end inside the
+// skipped iterations, in the last one and at the exit test).
+func TestDifferentialCountedLoops(t *testing.T) {
+	sels := []uint8{0xff}
+	for bit := uint8(1); bit != 0; bit <<= 1 {
+		sels = append(sels, bit)
+	}
+	for _, sel := range sels {
+		for seed := int64(0); seed < 2; seed++ {
+			t.Run(fmt.Sprintf("shapes%02x/seed%d", sel, seed), func(t *testing.T) {
+				cfg := genConfig{funcs: int(seed) * 2, stmts: 2 + int(seed), maxDepth: 2, leaves: int(seed) * 2, counted: sel}
+				mod := genModule(seed*7451+int64(sel), cfg)
+				verifyGenerated(t, mod)
+				requireCountedSummaries(t, mod, sel)
+				if seed == 0 && sel&(countedBound|countedCarried) == 0 {
+					// No leaves, no helpers: whatever the fast engine charges
+					// without dispatching, a loop summary charged.
+					for _, tainted := range []bool{true, false} {
+						if got := summarizedBy(t, mod, []int64{12, 14, 1}, tainted); got == 0 {
+							t.Fatalf("tainted=%v: no loop summary fired", tainted)
+						}
+					}
+				}
+				// x sets the trip counts; an even z makes steps.zero spin
+				// until the fuel ends it.
+				for _, args := range [][]int64{{0, 3, 1}, {1, -2, 3}, {2, 5, 1}, {3, 0, 5}, {5, 9, 1}, {6, -7, 7}, {12, 4, 1}, {-1, 11, 3}, {9, 6, 2}} {
+					fuel := int64(1_000_000)
+					if sel&countedSteps != 0 && args[2]%2 == 0 {
+						fuel = 30_000
+					}
+					diffModes(t, mod, args, fuel, true)
+					diffModes(t, mod, args, fuel, false)
+					if fuel != 1_000_000 {
+						continue
+					}
+					n := instructionsOf(t, mod, args)
+					for _, cut := range []int64{n - 1, n - 2, n - 5, n - 9, n - 14, n - 23, n / 2, n/2 + 3, n / 3, n / 5} {
+						if cut > 0 {
+							diffModes(t, mod, args, cut, true)
+							diffModes(t, mod, args, cut, false)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestDifferentialSnapshotPerActivation pins that the label snapshot behind
+// the loop summaries (see Machine.settledAt) belongs to one activation. main
+// runs a summarized loop for exactly two iterations, which leaves a snapshot
+// nobody consumed, and then calls f, whose own first loop has the same index,
+// the same register shape and — at the right amount of padding in front of it
+// — a first header test exactly one iteration's writes after that snapshot,
+// on labels that equal it. Taking main's snapshot for f's would skip f's
+// iterations before the body's temporary was ever born, and the temporary
+// would miss the exit test's label it returns with.
+func TestDifferentialSnapshotPerActivation(t *testing.T) {
+	for pad := 0; pad < 24; pad++ {
+		mod := ir.NewModule("alias")
+		loop := func(b *ir.Builder, lo, hi ir.Reg) ir.Reg {
+			one := b.Const(1)
+			var tmp ir.Reg
+			cloop{name: "loop", lo: lo, hi: hi, step: one, cmp: ir.OpCmpLT}.emit(b, func(ir.Reg) {
+				tmp = b.Add(one, one)
+				b.Work(tmp)
+			})
+			return tmp
+		}
+		// labelled is the constant c under the label of p.
+		labelled := func(b *ir.Builder, p ir.Reg, c int64) ir.Reg {
+			return b.Add(b.Bin(ir.OpAnd, p, b.Const(0)), b.Const(c))
+		}
+		f := ir.NewFunc(mod, "f", 1)
+		for range pad {
+			f.Const(0)
+		}
+		f.Ret(loop(f, labelled(f, f.Param(0), 0), labelled(f, f.Param(0), 9)))
+		f.Finish()
+		b := ir.NewFunc(mod, "main", 3)
+		loop(b, b.Const(0), labelled(b, b.Param(0), 2))
+		b.Ret(b.Call("f", b.Param(0)))
+		b.Finish()
+		verifyGenerated(t, mod)
+		if prog := interp.Predecode(mod); prog.NumLoopSummaries() != 2 {
+			t.Fatalf("%d loop summaries, want main's and f's", prog.NumLoopSummaries())
+		}
+		diffModes(t, mod, []int64{5, 3, 2}, 1_000_000, true)
+		diffModes(t, mod, []int64{5, 3, 2}, 1_000_000, false)
 	}
 }
 

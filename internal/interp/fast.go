@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/ir"
+	"repro/internal/scev"
 	"repro/internal/taint"
 )
 
@@ -231,6 +232,112 @@ func (cs *ctlState) summarize() {
 	}
 }
 
+// settledScratch is the machine's one snapshot of a summarized loop's labels
+// (see settledAt): those the header test of loop li of the activation on cs
+// found on the registers the loop writes, when cs's write sequence was seq.
+// One per machine is enough: between two consecutive header tests of a
+// summarized loop no other activation runs, and a snapshot another loop
+// overwrote is only a warm-up iteration lost. A run starts without one.
+type settledScratch struct {
+	labels []taint.Label
+	cs     *ctlState
+	seq    int
+	li     int32
+}
+
+// settledAt reports, at a passing header test of the summarized loop li of
+// the activation on cs, whether the label state of the loop has settled: the
+// registers the loop writes (regs) were all born when the previous header
+// test of this loop entry ran, and carry the labels they carried then. The
+// previous test is the one exactly one iteration's writes ago on this frame;
+// a later entry of the loop, or a later activation on the frame, is further
+// away, because re-entering takes a write to the induction register or the
+// bound and a frame's write sequence only grows within a run. From a settled
+// test on every iteration repeats the last one label for label: it reads the
+// same labels (the invariant registers', the induction register's, and what
+// it wrote itself), its exit test merges into the scope the previous test
+// left (same join, same condition label), and every written register was
+// born before that scope last opened, so each write is carried by the same
+// scopes. One equal test is not enough — a register first written in the
+// iteration between the two tests was not yet carried by the loop's own exit
+// scope, and a label the step carries reaches the loop's temporaries only
+// through the induction register, an iteration late — which is why the
+// snapshot waits for every register to be born and the skip for a second,
+// equal test.
+func (m *Machine) settledAt(cs *ctlState, li int32, writes int32, labels []taint.Label, regs []int32) bool {
+	sn := &m.settled
+	if sn.cs == cs && sn.li == li && sn.seq+int(writes) == cs.writeSeq {
+		same := true
+		for i, r := range regs {
+			if sn.labels[i] != labels[r] {
+				same = false
+				break
+			}
+		}
+		if same {
+			sn.seq = cs.writeSeq
+			return true
+		}
+	}
+	sn.cs = nil
+	if cap(sn.labels) < len(regs) {
+		sn.labels = make([]taint.Label, len(regs))
+	}
+	sn.labels = sn.labels[:len(regs)]
+	for i, r := range regs {
+		if cs.born[r] < cs.seqBase {
+			return false
+		}
+		sn.labels[i] = labels[r]
+	}
+	sn.cs, sn.li, sn.seq = cs, li, cs.writeSeq
+	return false
+}
+
+// skipLoop runs at a passing header test of a loop that carries a summary
+// (see summarizeLoop), before the test's own bookkeeping. With r >= 3
+// iterations left, the label state settled (or no engine attached, when no
+// dispatch arm touches a label) and fuel for r-1 of them, it accounts for
+// those r-1 in one step — the induction register, the write sequence, the
+// loop's iteration count and the test's taken count advance by exactly what
+// dispatching them would have — and returns the instructions they charge, 0
+// when it skipped nothing. The caller then runs the test it was at as the
+// last passing one, and the last iteration and the failing test after it go
+// through the ordinary arms: final register values and labels, born stamps,
+// the scope push and close and an abort past this point need no second
+// implementation. Nothing else of a skipped iteration is observable: its
+// writes land on registers the last iteration writes again before reading,
+// with the labels they already carry; its exit test sinks the label the
+// records already hold and re-opens a scope the last test re-opens anyway.
+//
+//go:noinline
+func (m *Machine) skipLoop(prog *Program, df *dfunc, fr *fastFrame, path *pathNode, t *dterm, ls *loopSum, fuel int64, eng *taint.Engine) int64 {
+	if m.everyIteration {
+		return 0
+	}
+	cs := &fr.cs
+	if eng != nil && !m.settledAt(cs, t.exit, ls.writes, fr.labels, prog.sumRegs[ls.regs:ls.regs+ls.nregs]) {
+		return 0
+	}
+	step := fr.regs[ls.step]
+	if ls.sub {
+		step = -step
+	}
+	r, ok := scev.Trips(ls.cmp, fr.regs[ls.iv], fr.regs[ls.bound], step)
+	if !ok || r < 3 || r-1 > fuel/ls.charge {
+		return 0
+	}
+	n := r - 1
+	fr.regs[ls.iv] += n * step
+	if eng != nil {
+		cs.writeSeq += int(n) * int(ls.writes)
+		m.loopRec(df, path, t.exit, eng).Iterations += n
+		m.branchRecSlow(df, t, eng).Taken += n
+	}
+	m.summarized += n * ls.charge
+	return n * ls.charge
+}
+
 // resetFast prepares the per-run fast-engine state against prog.
 func (m *Machine) resetFast(prog *Program) {
 	if len(m.globalBase) != len(prog.Mod.Globals) {
@@ -445,12 +552,12 @@ func (m *Machine) runFast(entry string, args []Value, argLabels []taint.Label) (
 	prog.noteArenas(len(m.heap), len(m.shadow))
 	if err != nil {
 		m.scrubEpochs()
-		return &Result{Instructions: startFuel - m.fuel}, err
+		return &Result{Instructions: startFuel - m.fuel, Summarized: m.summarized}, err
 	}
 	if !m.labeling {
 		l = taint.None
 	}
-	return &Result{Value: v, Label: l, Instructions: startFuel - m.fuel}, nil
+	return &Result{Value: v, Label: l, Instructions: startFuel - m.fuel, Summarized: m.summarized}, nil
 }
 
 // scrubEpochs ends an aborted run: its activations did not advance their
@@ -655,6 +762,7 @@ func (m *Machine) execLoop(prog *Program, df *dfunc, fr *fastFrame, pathIdx int3
 				// that the activation runs below, so the abort lands on the
 				// oracle's instruction.
 				fuel -= site.sumN
+				m.summarized += site.sumN
 				regs[in.dst] = site.sumVal
 				if tainting {
 					labels[in.dst] = cs.write(in.dst, taint.None)
@@ -765,9 +873,14 @@ func (m *Machine) execLoop(prog *Program, df *dfunc, fr *fastFrame, pathIdx int3
 			pc = in.tgt0
 		case ir.OpBr:
 			cond := regs[in.a] != 0
+			bm := &df.branches[in.aux]
+			if cond && bm.exit != noExit {
+				if ls := &df.loopSums[bm.exit]; ls.charge > 0 {
+					fuel -= m.skipLoop(prog, df, fr, path, bm, ls, fuel, eng)
+				}
+			}
 			if tainting {
 				condLabel := labels[in.a]
-				bm := &df.branches[in.aux]
 				if bm.more != noExit {
 					m.sinkExits(df, path, bm, condLabel, eng)
 				} else if li := bm.exit; li != noExit {

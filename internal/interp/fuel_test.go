@@ -116,7 +116,56 @@ func buildSpinLeaf(m *ir.Module) {
 	b.Finish()
 }
 
-// TestFuelBoundarySweep runs three spin programs at EVERY fuel value from 1
+// buildSpinCounted creates main(n): a counted loop whose body carries nothing
+// from one iteration to the next — a temporary derived from the induction
+// register, work, a constant getter — which the fast engine executes through
+// a loop summary: a few warm-up iterations, the rest but one in a single
+// step when the remaining fuel covers them, the last one dispatched. Fuel
+// sweeps over this program end inside the warm-up, at every instruction of
+// the iterations a larger budget skips, in the last iteration and at the
+// failing exit test. The temporary and the induction register are read after
+// the loop.
+func buildSpinCounted(m *ir.Module) {
+	g := ir.NewFunc(m, "get", 0)
+	g.Ret(g.Const(3))
+	g.Finish()
+
+	b := ir.NewFunc(m, "main", 1)
+	var last, iv ir.Reg
+	b.For(b.Const(0), b.Param(0), b.Const(1), func(i ir.Reg) {
+		last = b.Add(b.Mul(i, b.Call("get")), b.Param(0))
+		b.Work(last)
+		iv = i
+	})
+	b.Ret(b.Add(last, iv))
+	b.Finish()
+}
+
+// summarizedAtFullFuel runs main(9) of mod on the fast engine at full fuel
+// and returns how many instructions its loop summaries charged — what the run
+// summarized beyond a run that dispatches every iteration — and how many the
+// call summaries of that second run did.
+func summarizedAtFullFuel(t *testing.T, mod *ir.Module, tainted bool) (loops, calls int64) {
+	t.Helper()
+	var summarized [2]int64
+	for i := range summarized {
+		mach := NewMachine(mod)
+		mach.everyIteration = i == 1
+		var labels []taint.Label
+		if tainted {
+			mach.Taint = taint.NewEngine()
+			labels = []taint.Label{mach.Taint.Table.Base("n")}
+		}
+		res, err := mach.Run("main", []Value{9}, labels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		summarized[i] = res.Summarized
+	}
+	return summarized[0] - summarized[1], summarized[1]
+}
+
+// TestFuelBoundarySweep runs four spin programs at EVERY fuel value from 1
 // through full completion, untainted and tainted, and requires the three
 // engines to agree exactly on the (error, partial instruction count, value,
 // label) observables at each budget. The compiled engine pre-charges fuel
@@ -127,16 +176,22 @@ func TestFuelBoundarySweep(t *testing.T) {
 	builders := []struct {
 		name  string
 		build func(*ir.Module)
+		// loopSums is how many loops of the program carry a loop summary;
+		// one that does must fire it at full fuel.
+		loopSums int
 	}{
-		{"spin", buildSpin},
-		{"spinmem", buildSpinMem},
-		{"spinleaf", buildSpinLeaf},
+		{"spin", buildSpin, 0},
+		{"spinmem", buildSpinMem, 0},
+		{"spinleaf", buildSpinLeaf, 0},
+		{"spincounted", buildSpinCounted, 1},
 	}
 	type obs struct {
 		ins    int64
 		val    Value
 		label  taint.Label
 		isFuel bool
+		// recs renders the loop and branch records of a tainted run.
+		recs string
 	}
 	run := func(t *testing.T, mod *ir.Module, mode Mode, fuel int64, tainted bool) obs {
 		t.Helper()
@@ -144,8 +199,9 @@ func TestFuelBoundarySweep(t *testing.T) {
 		mach.Mode = mode
 		mach.Fuel = fuel
 		var labels []taint.Label
+		var eng *taint.Engine
 		if tainted {
-			eng := taint.NewEngine()
+			eng = taint.NewEngine()
 			mach.Taint = eng
 			labels = []taint.Label{eng.Table.Base("n")}
 		}
@@ -156,7 +212,11 @@ func TestFuelBoundarySweep(t *testing.T) {
 		if res == nil {
 			t.Fatalf("mode %v fuel %d: nil result", mode, fuel)
 		}
-		return obs{res.Instructions, res.Value, res.Label, err != nil}
+		o := obs{ins: res.Instructions, val: res.Value, label: res.Label, isFuel: err != nil}
+		if tainted {
+			o.recs = renderRecords(eng, mod.Funcs["main"])
+		}
+		return o
 	}
 	for _, bc := range builders {
 		for _, tainted := range []bool{false, true} {
@@ -170,6 +230,16 @@ func TestFuelBoundarySweep(t *testing.T) {
 				total := run(t, mod, ModeFast, 1<<40, tainted).ins
 				if total < 20 {
 					t.Fatalf("implausibly short program: %d instructions", total)
+				}
+				if n := Predecode(mod).NumLoopSummaries(); n != bc.loopSums {
+					t.Fatalf("%d loop summaries, want %d", n, bc.loopSums)
+				}
+				loops, calls := summarizedAtFullFuel(t, mod, tainted)
+				if (loops > 0) != (bc.loopSums > 0) {
+					t.Fatalf("loop summaries charged %d of %d instructions at full fuel", loops, total)
+				}
+				if (calls > 0) != (Predecode(mod).NumSummarized() > 0) {
+					t.Fatalf("call summaries charged %d of %d instructions at full fuel", calls, total)
 				}
 				for fuel := int64(1); fuel <= total+1; fuel++ {
 					ref := run(t, mod, ModeReference, fuel, tainted)

@@ -22,7 +22,10 @@ import (
 // leaf functions (see fuzzShape), the callees the fast engine executes as
 // call summaries, so the same sweep lands budgets before, inside and after
 // summarized calls. Bits 8-11 of a positive third argument add the
-// control-scope shapes (see scopeShapes).
+// control-scope shapes (see scopeShapes), bits 8-15 of a positive second
+// argument the counted-loop shapes (see countedShapes), whose loops the fast
+// engine executes through loop summaries: there the budget and the sweep end
+// runs inside the skipped iterations, in the last one and at the exit test.
 //
 // Run it as a fuzzer with:
 //
@@ -42,8 +45,11 @@ func FuzzDifferentialEngines(f *testing.F) {
 	// Bits 8-11 of the third argument set: modules with scope shapes.
 	f.Add(int64(13), int64(3), int64(-1), int64(0xf02), uint16(0))
 	f.Add(int64(7919), int64(8), int64(2), int64(0x501), uint16(0x6107))
+	// Bits 8-15 of the second argument set: modules with counted-loop shapes.
+	f.Add(int64(13), int64(12), int64(0xff05), int64(1), uint16(40))
+	f.Add(int64(7919), int64(9), int64(0x8d0e), int64(0x102), uint16(0x6107))
 	f.Fuzz(func(t *testing.T, seed, a0, a1, a2 int64, fuelSel uint16) {
-		mod := genModule(seed, fuzzShape(seed, a2, fuelSel))
+		mod := genModule(seed, fuzzShape(seed, a1, a2, fuelSel))
 		verifyGenerated(t, mod)
 		args := []int64{a0 % 16, a1 % 16, a2 % 16}
 		// The budget bounds runaway generated modules (they terminate, but
@@ -81,8 +87,9 @@ func FuzzDifferentialEngines(f *testing.F) {
 // those inputs keep generating the modules they were committed for. The
 // scope shapes likewise come from bits 8-11 of the third argument when it is
 // positive — main only sees that argument modulo 16, and every input
-// committed before the shapes existed keeps it below 256.
-func fuzzShape(seed, a2 int64, fuelSel uint16) genConfig {
+// committed before the shapes existed keeps it below 256 — and the counted
+// shapes, under the same rule, from bits 8-15 of the second argument.
+func fuzzShape(seed, a1, a2 int64, fuelSel uint16) genConfig {
 	cfg := genConfig{
 		funcs:    int(uint64(seed) % 5),
 		stmts:    2 + int(uint64(seed)>>3%7),
@@ -92,6 +99,9 @@ func fuzzShape(seed, a2 int64, fuelSel uint16) genConfig {
 	if a2 > 0 {
 		cfg.scopes = uint8(a2>>8) & 15
 	}
+	if a1 > 0 {
+		cfg.counted = uint8(a1 >> 8)
+	}
 	return cfg
 }
 
@@ -99,21 +109,26 @@ func fuzzShape(seed, a2 int64, fuelSel uint16) genConfig {
 // shape: if the mapping above changes, the committed corpus under
 // testdata/fuzz no longer exercises the intended shapes and should be
 // re-seeded. Inputs that ask for leaves must generate modules the fast
-// engine summarizes calls in, and inputs that ask for scope shapes modules
-// that reach the scope-stack paths the shapes are named for, or the fuzzer
-// never reaches those paths.
+// engine summarizes calls in, inputs that ask for scope shapes modules that
+// reach the scope-stack paths the shapes are named for, and inputs that ask
+// for counted shapes modules whose loops carry the loop summaries the shapes
+// say, or the fuzzer never reaches those paths.
 func TestFuzzCorpusShapes(t *testing.T) {
 	for _, in := range []struct {
-		seed, a2 int64
-		fuelSel  uint16
+		seed, a1, a2 int64
+		fuelSel      uint16
 	}{
-		{13, 2, 0}, {7919, 1, 7}, {31337, 0, 255}, {-4, 7, 31},
-		{13, 2, 0xe005}, {7919, 1, 0x6107}, {-777, 5, 0xa040}, {424243, 1, 0xc081}, {88001, 3, 0x2011}, {31152, -21, 0x80cb}, {999331, 6, 0xe05a},
-		{13, 0xf02, 0}, {7919, 0x501, 0x6107}, {101, 0x102, 3}, {-31, 0x20b, 250}, {424243, 0x401, 0xc081}, {88001, 0x803, 17},
+		{13, -1, 2, 0}, {7919, 2, 1, 7}, {31337, 0, 0, 255}, {-4, -3, 7, 31},
+		{13, -1, 2, 0xe005}, {7919, 2, 1, 0x6107}, {-777, 0, 5, 0xa040}, {424243, 1, 1, 0xc081}, {88001, -8, 3, 0x2011}, {31152, -94, -21, 0x80cb}, {999331, 6, 6, 0xe05a},
+		{13, -1, 0xf02, 0}, {7919, 2, 0x501, 0x6107}, {101, 9, 0x102, 3}, {-31, 7, 0x20b, 250}, {424243, 1, 0x401, 0xc081}, {88001, -8, 0x803, 17},
+		{13, 0xff05, 1, 40}, {7919, 0x8d0e, 0x102, 0x6107}, {101, 0x010c, 2, 3}, {-31, 0x8409, 11, 250}, {424243, 0x6083, 1, 0xc081}, {88001, 0x1806, 3, 17}, {999331, 0xff0d, 6, 90}, {13, 0x0402, 2, 40},
 	} {
-		cfg := fuzzShape(in.seed, in.a2, in.fuelSel)
+		cfg := fuzzShape(in.seed, in.a1, in.a2, in.fuelSel)
 		if cfg.funcs < 0 || cfg.funcs > 4 || cfg.stmts < 2 || cfg.stmts > 8 || cfg.maxDepth < 1 || cfg.maxDepth > 3 || cfg.leaves > 7 || cfg.scopes > 15 {
 			t.Fatalf("seed %d derives out-of-bounds shape %+v", in.seed, cfg)
+		}
+		if want := uint8(max(in.a1, 0) >> 8); cfg.counted != want {
+			t.Fatalf("seed %d second argument %#x derives counted shapes %#x, want %#x", in.seed, in.a1, cfg.counted, want)
 		}
 		if (cfg.leaves > 0) != (in.fuelSel >= 1<<13) {
 			t.Fatalf("seed %d selector %#x derives %d leaves", in.seed, in.fuelSel, cfg.leaves)
@@ -129,5 +144,6 @@ func TestFuzzCorpusShapes(t *testing.T) {
 			t.Fatalf("seed %d selector %#x (%d leaves): %d functions summarized", in.seed, in.fuelSel, cfg.leaves, n)
 		}
 		requireScopePaths(t, mod, cfg.scopes)
+		requireCountedSummaries(t, mod, cfg.counted)
 	}
 }

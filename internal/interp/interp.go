@@ -22,6 +22,24 @@
 // otherwise the activation runs, so an abort lands on the oracle's
 // instruction.
 //
+// A loop summary is the same bargain for iterations. Predecode gives one to
+// every counted innermost loop (scev.Counted: the header's compare of a basic
+// induction register against an invariant bound is the only exit) whose body
+// is a straight line of register arithmetic, work and summarized calls that
+// reads nothing an earlier iteration wrote except the induction register. At
+// a passing header test with r >= 3 iterations left (scev.Trips on the three
+// live registers), the fast engine skips r-1 of them in one step — the
+// induction register, the fuel, the write sequence, the loop record's
+// iteration count and the branch record's taken count advance by exactly
+// what dispatching them would have — and runs the last iteration and the
+// failing test through the ordinary arms. A loop summary is unobservable: it
+// fires only once the labels of every register the loop writes were equal at
+// two consecutive header tests of the entry, all of them born (from there on
+// an iteration repeats the previous one label for label), or when no engine
+// is attached and no label moves at all; and, like a call summary, only when
+// the remaining fuel covers every skipped instruction. Result.Summarized
+// counts the instructions both kinds of summary charged without dispatching.
+//
 // Control-flow taint costs the fast and compiled engines O(1) per register
 // write, store and taken edge. The activation's scope stack (ctlState,
 // fast.go) carries a summary: the union of the non-loop scopes' labels, the
@@ -192,6 +210,13 @@ type Machine struct {
 	paths         []*pathNode
 	branchRecs    [][]*taint.BranchRecord
 	labeling      bool
+	// summarized accumulates Result.Summarized over the run, in the two
+	// summary arms of the dispatch loop only; settled is the loop
+	// summaries' label snapshot. everyIteration is the tests' hook that
+	// keeps loop summaries from firing.
+	summarized     int64
+	settled        settledScratch
+	everyIteration bool
 	// siteCache memoizes, per module-unique call site, the last
 	// (parent path, child path) resolution packed as parent<<32|child;
 	// child indices are never 0 (the root is index 0), so 0 means empty.
@@ -365,6 +390,8 @@ func (m *Machine) reset() error {
 	if m.fuel == 0 {
 		m.fuel = 500_000_000
 	}
+	m.summarized = 0
+	m.settled.cs = nil
 	for _, g := range m.Mod.Globals {
 		base, err := m.alloc(g.Size)
 		if err != nil {
@@ -406,6 +433,11 @@ type Result struct {
 	Label taint.Label
 	// Instructions executed (fuel consumed).
 	Instructions int64
+	// Summarized is the part of Instructions the fast engine charged without
+	// dispatching: the bodies of summarized callees and the skipped
+	// iterations of summarized loops. The reference engine dispatches
+	// everything; the compiled one summarizes only after it de-optimized.
+	Summarized int64
 }
 
 // Run executes entry with the given arguments; argLabels taints the formal

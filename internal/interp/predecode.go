@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cfg"
 	"repro/internal/ir"
+	"repro/internal/scev"
 )
 
 // Program is the predecoded, execution-ready form of an ir.Module: every
@@ -32,6 +33,12 @@ type Program struct {
 	// sums holds, per function, the call summary the bottom-up pass proved
 	// (see summarize); the zero value means "run the activation".
 	sums []summary
+	// loopSums holds one loop summary per natural loop of the module (see
+	// summarizeLoop), each function's in loop-ID order behind its
+	// dfunc.loopSums; the zero value means "dispatch every iteration".
+	// sumRegs is the backing store of the summaries' written-register lists.
+	loopSums []loopSum
+	sumRegs  []int32
 
 	// heapHint / shadowHint are the high-water heap and shadow sizes (in
 	// cells) observed across completed runs of this program. Machines use
@@ -73,6 +80,19 @@ func (p *Program) NumSummarized() int {
 	n := 0
 	for _, s := range p.sums {
 		if s.n > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// NumLoopSummaries returns how many loops carry a loop summary: the fast
+// engine dispatches a few of their iterations per entry and accounts for the
+// rest in one step.
+func (p *Program) NumLoopSummaries() int {
+	n := 0
+	for i := range p.loopSums {
+		if p.loopSums[i].charge > 0 {
 			n++
 		}
 	}
@@ -176,6 +196,8 @@ type dfunc struct {
 	switches  []dswitch
 	moreExits [][]int32
 	loops     []loopMeta
+	// loopSums is indexed like loops, and by the dterm.exit of a header test.
+	loopSums []loopSum
 	// unknownGlob names the unresolved global referenced at a pc (error
 	// reporting only; resolved globals carry their ordinal in aux).
 	unknownGlob map[int32]string
@@ -189,15 +211,18 @@ type dfunc struct {
 
 // Predecode flattens every function of mod for the fast engine. It is pure
 // analysis — building CFGs, loop forests, and post-dominators exactly as the
-// reference interpreter does per call — performed once per module.
+// reference interpreter does per call, and classifying the loops — performed
+// once per module.
 func Predecode(mod *ir.Module) *Program {
-	return PredecodeForests(mod, cfg.ModuleForests(mod))
+	forests := cfg.ModuleForests(mod)
+	return PredecodeForests(mod, forests, scev.AnalyzeForests(forests, nil))
 }
 
 // PredecodeForests is Predecode over loop forests the caller already built
-// (cfg.ModuleForests, one per function in FuncList order); the forests are
-// only read.
-func PredecodeForests(mod *ir.Module, forests []*cfg.Forest) *Program {
+// (cfg.ModuleForests, one per function in FuncList order) and their static
+// classification (scev.AnalyzeForests), whose counted loops are the
+// candidates for loop summaries; both are only read.
+func PredecodeForests(mod *ir.Module, forests []*cfg.Forest, static map[string]*scev.FuncClass) *Program {
 	p := &Program{
 		Mod:       mod,
 		byName:    make(map[string]int32, len(mod.FuncList)),
@@ -207,12 +232,29 @@ func PredecodeForests(mod *ir.Module, forests []*cfg.Forest) *Program {
 	for i, g := range mod.Globals {
 		p.globalOrd[g.Name] = int32(i)
 	}
+	numLoops, maxRegs := 0, 0
 	for i, fn := range mod.FuncList {
 		p.byName[fn.Name] = int32(i)
+		numLoops += len(forests[i].Loops)
+		maxRegs = max(maxRegs, fn.NumRegs)
 	}
 	p.sums = summarize(mod, p.byName)
+	p.loopSums = make([]loopSum, numLoops)
+	// Scratch of summarizeLoop, one mark per register of the widest function.
+	marks := make([]uint8, maxRegs)
+	base := 0
 	for i, fn := range mod.FuncList {
-		p.funcs = append(p.funcs, p.decodeFunc(fn, int32(i), forests[i]))
+		df := p.decodeFunc(fn, int32(i), forests[i])
+		df.loopSums = p.loopSums[base : base+len(df.loops)]
+		base += len(df.loops)
+		if fc := static[fn.Name]; fc != nil {
+			for _, l := range forests[i].Loops {
+				if c := fc.Loops[l.ID].Counted; c != nil {
+					df.loopSums[l.ID] = p.summarizeLoop(df, l, c, marks)
+				}
+			}
+		}
+		p.funcs = append(p.funcs, df)
 	}
 	return p
 }
@@ -494,6 +536,135 @@ func summarizeFunc(mod *ir.Module, fn *ir.Function, byName map[string]int32, sum
 		}
 	}
 	return summary{}
+}
+
+// loopSum is what the iterations of one counted innermost loop can be observed
+// to do once the label state has settled (see Machine.skipLoop): charge
+// instructions each (nested call summaries included), write registers
+// writes times — the registers sumRegs[regs:regs+nregs] of the Program, each
+// listed once — and step iv by ±step while `iv cmp bound` holds. charge == 0
+// means the loop has no summary.
+type loopSum struct {
+	charge          int64
+	iv, bound, step int32
+	writes          int32
+	regs, nregs     int32
+	cmp             ir.Opcode
+	sub             bool
+}
+
+// summarizeLoop gives the counted loop l of df, closed form c, a summary when
+// an iteration is a fixed straight line whose effects depend on the iteration
+// only through the induction register:
+//
+//   - the header is the compare and the branch on it, continuing on the true
+//     edge, leaving no other loop on the false one, with a join outside l (so
+//     no test closes a scope an earlier test opened);
+//   - every other block ends in a jump and holds only register arithmetic,
+//     constants, work and calls whose site carries a call summary — nothing
+//     that touches memory, calls out, or can fail — so the blocks form one
+//     cycle through the latch and each iteration charges and writes the same;
+//   - every register an iteration reads is loop-invariant, the induction
+//     register, or written earlier in the same iteration: no value or label
+//     but the induction register's is carried from one iteration to the next.
+//
+// marks is caller-owned scratch, all zero between calls: 1 marks a register
+// some iteration writes, 2 one the iteration walked so far has written.
+func (p *Program) summarizeLoop(df *dfunc, l *cfg.Loop, c *scev.Counted, marks []uint8) loopSum {
+	if len(df.fn.Blocks[l.Header].Instrs) != 2 {
+		return loopSum{}
+	}
+	hpc := df.blockPC[l.Header]
+	cmp, br := &df.code[hpc], &df.code[hpc+1]
+	if br.op != ir.OpBr || br.a != cmp.dst || !l.Contains(int(br.blk0)) {
+		return loopSum{}
+	}
+	if t := &df.branches[br.aux]; t.exit != int32(l.ID) || t.more != noExit || l.Contains(int(t.joinBlk)) {
+		return loopSum{}
+	}
+	ls := loopSum{
+		charge: 2,
+		iv:     int32(c.IV), bound: int32(c.Bound), step: int32(c.Step),
+		regs: int32(len(p.sumRegs)),
+		cmp:  c.Cmp, sub: c.Sub,
+	}
+	note := func(r int32) bool {
+		if r < 0 {
+			return false
+		}
+		if marks[r] == 0 {
+			marks[r] = 1
+			p.sumRegs = append(p.sumRegs, r)
+		}
+		ls.writes++
+		return true
+	}
+	// First walk: the shape of an iteration, its charge and its writes.
+	ok := note(cmp.dst)
+	blocks := 1
+	for b := br.blk0; ok && b != int32(l.Header); {
+		if blocks++; blocks > len(l.Blocks) || !l.Contains(int(b)) {
+			ok = false
+			break
+		}
+		pc := df.blockPC[b]
+		for ; ok && !df.code[pc].op.IsTerm(); pc++ {
+			switch in := &df.code[pc]; {
+			case in.op == ir.OpWork:
+			case in.op <= ir.OpMax: // constants, moves and register arithmetic
+				ok = note(in.dst)
+			case in.op == ir.OpCall && df.calls[in.aux].sumN > 0:
+				ls.charge += df.calls[in.aux].sumN
+				ok = note(in.dst)
+			default:
+				ok = false
+			}
+		}
+		ls.charge += int64(pc - df.blockPC[b] + 1)
+		ok = ok && df.code[pc].op == ir.OpJmp && ls.charge <= maxSummaryN
+		b = df.code[pc].blk0
+	}
+	ls.nregs = int32(len(p.sumRegs)) - ls.regs
+	ok = ok && blocks == len(l.Blocks) && marks[ls.iv] != 0 && marks[ls.bound] == 0 && marks[ls.step] == 0
+
+	// Second walk: what an iteration reads, in execution order.
+	reads := func(rs ...int32) bool {
+		for _, r := range rs {
+			if r >= 0 && r != ls.iv && marks[r] == 1 {
+				return false // written by an earlier iteration: loop-carried
+			}
+		}
+		return true
+	}
+	if ok {
+		ok = reads(cmp.a, cmp.b)
+		marks[cmp.dst] = 2
+	}
+	for b := br.blk0; ok && b != int32(l.Header); {
+		pc := df.blockPC[b]
+		for ; ok && !df.code[pc].op.IsTerm(); pc++ {
+			in := &df.code[pc]
+			switch in.op {
+			case ir.OpConst:
+			case ir.OpCall:
+				ok = reads(df.calls[in.aux].args...)
+			default:
+				ok = reads(in.a, in.b)
+			}
+			if in.op != ir.OpWork {
+				marks[in.dst] = 2
+			}
+		}
+		b = df.code[pc].blk0
+	}
+	for _, r := range p.sumRegs[ls.regs:] {
+		marks[r] = 0
+	}
+	if !ok {
+		p.sumRegs = p.sumRegs[:ls.regs]
+		return loopSum{}
+	}
+	return ls
 }
 
 // computeZeroRegs returns the registers of fn that may be read before being

@@ -88,12 +88,12 @@ func (m *Machine) runCompiled(entry string, args []Value, argLabels []taint.Labe
 	prog.noteArenas(len(m.heap), len(m.shadow))
 	if err != nil {
 		m.scrubEpochs()
-		return &Result{Instructions: startFuel - m.fuel}, err
+		return &Result{Instructions: startFuel - m.fuel, Summarized: m.summarized}, err
 	}
 	if !m.labeling {
 		l = taint.None
 	}
-	return &Result{Value: v, Label: l, Instructions: startFuel - m.fuel}, nil
+	return &Result{Value: v, Label: l, Instructions: startFuel - m.fuel, Summarized: m.summarized}, nil
 }
 
 // execCompiled is one activation of the compiled engine: thread block to

@@ -1,10 +1,17 @@
-// Package scev is a miniature ScalarEvolution stand-in (Section 5.1): it
-// classifies natural loops whose trip counts are constant and statically
-// resolvable, so that functions containing only such loops can be pruned
-// from instrumentation before any dynamic analysis runs.
+// Package scev is a miniature ScalarEvolution stand-in (Section 5.1). Its one
+// classification is the counted loop: a natural loop whose single exit is the
+// header's ordered compare of a basic induction register against a
+// loop-invariant bound, so that its trip count is a closed form (Trips) of
+// three registers live at the preheader. The fast interpreter evaluates that
+// closed form at run time to skip provably identical iterations; when all
+// three registers are compile-time constants the closed form is a number, and
+// functions containing only such loops can be pruned from instrumentation
+// before any dynamic analysis runs.
 package scev
 
 import (
+	"math"
+
 	"repro/internal/cfg"
 	"repro/internal/ir"
 )
@@ -12,12 +19,73 @@ import (
 // TripCount classifies a loop's statically derived iteration count.
 type TripCount struct {
 	// Constant is true when every exit condition compares a basic induction
-	// variable (constant init, constant step) against a constant bound, or
+	// register (constant init, constant step) against a constant bound, or
 	// constants against constants.
 	Constant bool
-	// Count is the resolved iteration count when Constant and the exit is
-	// the canonical i < bound form; -1 when constant but unresolved.
+	// Count is the resolved iteration count when the loop is Constant and
+	// Counted and Trips can tell; -1 otherwise.
 	Count int64
+	// Counted is the loop's closed form, nil when the loop is not counted.
+	Counted *Counted
+}
+
+// Counted is the closed form of a counted loop. The header tests
+// `IV Cmp Bound` before every iteration and is the loop's only exit; the
+// loop's only latch adds Step to IV (subtracts it, when Sub) and nothing else
+// in the loop writes IV, Bound or Step. Entered with values iv, bound and
+// step in the three registers the loop therefore runs exactly
+// Trips(Cmp, iv, bound, ±step) iterations, when Trips can tell.
+type Counted struct {
+	IV, Bound, Step ir.Reg
+	// Cmp is one of the four ordered compares, normalised so that the loop
+	// continues while it holds with IV on the left.
+	Cmp ir.Opcode
+	Sub bool
+}
+
+// Trips returns how many iterations `for i := init; i cmp bound; i += step`
+// runs under the interpreter's wrapping 64-bit arithmetic, for cmp one of the
+// four ordered compares and a step of either sign. ok is false when no number
+// is right: the loop leaves only after i wraps around (a zero step, a step
+// pointing away from the bound, an exit value beyond the end of the range), or
+// the count itself exceeds an int64.
+func Trips(cmp ir.Opcode, init, bound, step int64) (n int64, ok bool) {
+	// mag is how far i moves toward the bound per iteration. The descending
+	// compares are mirrored onto the ascending ones by complement, which
+	// reverses the order of int64 without overflowing.
+	var mag uint64
+	toward := step > 0
+	switch cmp {
+	case ir.OpCmpLT, ir.OpCmpLE:
+		mag = uint64(step)
+	case ir.OpCmpGT, ir.OpCmpGE:
+		init, bound, mag, toward = ^init, ^bound, -uint64(step), step < 0
+	default:
+		return 0, false
+	}
+	strict := cmp == ir.OpCmpLT || cmp == ir.OpCmpGT
+	if init > bound || strict && init == bound {
+		return 0, true
+	}
+	if !toward {
+		return 0, false
+	}
+	// d is the distance the test tolerates: it holds at init + k*mag for
+	// every k with k*mag <= d.
+	d := uint64(bound) - uint64(init)
+	if strict {
+		d--
+	}
+	q := d / mag
+	if q >= math.MaxInt64 {
+		return 0, false
+	}
+	// The exit test must see a value past the bound, not one wrapped around.
+	last := init + int64(q*mag)
+	if mag > uint64(math.MaxInt64)-uint64(last) {
+		return 0, false
+	}
+	return int64(q) + 1, true
 }
 
 // FuncClass is the static classification of one function.
@@ -181,130 +249,206 @@ func evalBinary(op ir.Opcode, a, b int64) int64 {
 	return 0
 }
 
-// inductionInfo describes a basic induction variable of a loop: constant
-// initial value outside the loop and constant additive step inside it.
-type inductionInfo struct {
-	init int64
-	step int64
-	ok   bool
+// induction describes a basic induction register of a loop: the register a
+// single instruction of the loop's only latch steps by ±step, once per
+// iteration, with no other write to it or to step anywhere in the loop.
+type induction struct {
+	step ir.Reg
+	sub  bool
 }
 
-func classifyInduction(f *ir.Function, l *cfg.Loop, rf *regFacts, r ir.Reg) inductionInfo {
-	var info inductionInfo
-	var sawInit, sawStep bool
+// writtenIn reports whether any instruction of l writes r.
+func (rf *regFacts) writtenIn(l *cfg.Loop, r ir.Reg) bool {
 	for _, d := range rf.defs[r] {
-		blk, ii := d[0], d[1]
-		in := &f.Blocks[blk].Instrs[ii]
-		inside := l.Contains(blk)
-		if !inside {
-			// Initialization: Mov from constant or a Const.
-			switch in.Op {
-			case ir.OpConst:
-				info.init = in.Imm
-			case ir.OpMov:
-				v, ok := rf.constVal[in.A]
-				if !ok {
-					return inductionInfo{}
-				}
-				info.init = v
-			default:
-				return inductionInfo{}
-			}
-			if sawInit {
-				return inductionInfo{} // multiple inits: give up
-			}
-			sawInit = true
+		if l.Contains(d[0]) {
+			return true
+		}
+	}
+	return false
+}
+
+// basicInduction recognises r as a basic induction register of l. The update
+// is `r = r ± step` or the builder's `t = r ± step; r = t` (t written nowhere
+// else), in the one latch of l, which must run once per iteration: it is not
+// the header (whose test would then see the stepped value first) and belongs
+// to no nested loop.
+func basicInduction(f *ir.Function, l *cfg.Loop, rf *regFacts, r ir.Reg) (induction, bool) {
+	if len(l.Latches) != 1 || l.Latches[0] == l.Header {
+		return induction{}, false
+	}
+	latch := l.Latches[0]
+	for _, c := range l.Children {
+		if c.Contains(latch) {
+			return induction{}, false
+		}
+	}
+	upd := -1
+	for _, d := range rf.defs[r] {
+		if !l.Contains(d[0]) {
 			continue
 		}
-		// Inside the loop only the canonical update is allowed:
-		// Mov r, t where t = Add/Sub(r, constStep).
-		if in.Op != ir.OpMov {
-			return inductionInfo{}
+		if upd >= 0 || d[0] != latch {
+			return induction{}, false
 		}
-		src := in.A
-		if len(rf.defs[src]) != 1 {
-			return inductionInfo{}
-		}
-		sd := rf.defs[src][0]
-		sin := &f.Blocks[sd[0]].Instrs[sd[1]]
-		if sin.Op != ir.OpAdd && sin.Op != ir.OpSub {
-			return inductionInfo{}
-		}
-		var stepReg ir.Reg
-		switch {
-		case sin.A == r:
-			stepReg = sin.B
-		case sin.B == r && sin.Op == ir.OpAdd:
-			stepReg = sin.A
-		default:
-			return inductionInfo{}
-		}
-		sv, ok := rf.constVal[stepReg]
-		if !ok {
-			return inductionInfo{}
-		}
-		if sin.Op == ir.OpSub {
-			sv = -sv
-		}
-		if sawStep && sv != info.step {
-			return inductionInfo{}
-		}
-		info.step = sv
-		sawStep = true
+		upd = d[1]
 	}
-	info.ok = sawInit && sawStep && info.step != 0
-	return info
+	if upd < 0 {
+		return induction{}, false
+	}
+	in := &f.Blocks[latch].Instrs[upd]
+	if in.Op == ir.OpMov {
+		ds := rf.defs[in.A]
+		if len(ds) != 1 || ds[0][0] != latch || ds[0][1] >= upd {
+			return induction{}, false
+		}
+		in = &f.Blocks[latch].Instrs[ds[0][1]]
+	}
+	var ind induction
+	switch {
+	case in.Op == ir.OpAdd && in.A == r:
+		ind.step = in.B
+	case in.Op == ir.OpAdd && in.B == r:
+		ind.step = in.A
+	case in.Op == ir.OpSub && in.A == r:
+		ind.step, ind.sub = in.B, true
+	default:
+		return induction{}, false
+	}
+	if ind.step == r || rf.writtenIn(l, ind.step) {
+		return induction{}, false
+	}
+	return ind, true
+}
+
+// initOf returns the constant r holds on entry to l: its one definition
+// outside the loop is a constant or a copy of one.
+func (rf *regFacts) initOf(f *ir.Function, l *cfg.Loop, r ir.Reg) (int64, bool) {
+	var init int64
+	seen := false
+	for _, d := range rf.defs[r] {
+		if l.Contains(d[0]) {
+			continue
+		}
+		if seen {
+			return 0, false
+		}
+		seen = true
+		switch in := &f.Blocks[d[0]].Instrs[d[1]]; in.Op {
+		case ir.OpConst:
+			init = in.Imm
+		case ir.OpMov:
+			v, ok := rf.constVal[in.A]
+			if !ok {
+				return 0, false
+			}
+			init = v
+		default:
+			return 0, false
+		}
+	}
+	return init, seen
+}
+
+// constInduction reports whether r is a basic induction register of l with a
+// constant initial value and a constant non-zero step, and returns both.
+func constInduction(f *ir.Function, l *cfg.Loop, rf *regFacts, r ir.Reg) (init, step int64, ok bool) {
+	ind, ok := basicInduction(f, l, rf, r)
+	if !ok {
+		return 0, 0, false
+	}
+	step, ok = rf.constVal[ind.step]
+	if !ok || step == 0 {
+		return 0, 0, false
+	}
+	if ind.sub {
+		step = -step
+	}
+	init, ok = rf.initOf(f, l, r)
+	return init, step, ok
+}
+
+// orderedCompare reports whether op is one of the four ordered compares.
+func orderedCompare(op ir.Opcode) bool { return op >= ir.OpCmpLT && op <= ir.OpCmpGE }
+
+// negated and swapped give, indexed by op - ir.OpCmpLT, the ordered compare
+// that holds exactly when op does not, and the one that holds with the
+// operands exchanged.
+var (
+	negated = [4]ir.Opcode{ir.OpCmpGE, ir.OpCmpGT, ir.OpCmpLE, ir.OpCmpLT}
+	swapped = [4]ir.Opcode{ir.OpCmpGT, ir.OpCmpGE, ir.OpCmpLT, ir.OpCmpLE}
+)
+
+// countedForm returns the closed form of l, nil when l is not counted.
+func countedForm(f *ir.Function, l *cfg.Loop, rf *regFacts) *Counted {
+	if len(l.ExitBranches) != 1 || l.ExitBranches[0].Block != l.Header {
+		return nil
+	}
+	t := f.Blocks[l.Header].Term()
+	if t.Op != ir.OpBr {
+		return nil
+	}
+	cond := findDef(f, l.Header, t.A)
+	if cond == nil || !orderedCompare(cond.Op) {
+		return nil
+	}
+	op := cond.Op
+	if !l.Contains(t.Blk0) {
+		op = negated[op-ir.OpCmpLT] // the loop continues on the false edge
+	}
+	// The induction register may stand on either side of the compare.
+	iv, bound := cond.A, cond.B
+	ind, ok := basicInduction(f, l, rf, iv)
+	if !ok {
+		iv, bound, op = bound, iv, swapped[op-ir.OpCmpLT]
+		ind, ok = basicInduction(f, l, rf, iv)
+	}
+	if !ok || bound == iv || rf.writtenIn(l, bound) {
+		return nil
+	}
+	return &Counted{IV: iv, Bound: bound, Step: ind.step, Cmp: op, Sub: ind.sub}
 }
 
 // AnalyzeLoop derives the trip-count classification for one loop.
 func AnalyzeLoop(f *ir.Function, l *cfg.Loop, rf *regFacts) TripCount {
+	tc := TripCount{Counted: countedForm(f, l, rf)}
 	if len(l.ExitBranches) == 0 {
-		return TripCount{}
+		return tc
 	}
-	resolved := int64(-1)
 	for _, e := range l.ExitBranches {
 		t := f.Blocks[e.Block].Term()
 		if t.Op != ir.OpBr {
-			return TripCount{}
+			return tc
 		}
 		// The condition must be a comparison defined in the same block.
 		cond := findDef(f, e.Block, t.A)
-		if cond == nil {
-			return TripCount{}
-		}
-		switch cond.Op {
-		case ir.OpCmpLT, ir.OpCmpLE, ir.OpCmpGT, ir.OpCmpGE, ir.OpCmpNE, ir.OpCmpEQ:
-		default:
-			return TripCount{}
+		if cond == nil || !orderedCompare(cond.Op) && cond.Op != ir.OpCmpNE && cond.Op != ir.OpCmpEQ {
+			return tc
 		}
 		_, aConst := rf.constVal[cond.A]
 		_, bConst := rf.constVal[cond.B]
-		switch {
-		case aConst && bConst:
-			// Degenerate but constant.
-		case bConst:
-			ind := classifyInduction(f, l, rf, cond.A)
-			if !ind.ok {
-				return TripCount{}
+		ok := aConst && bConst // degenerate but constant
+		if aConst != bConst {
+			r := cond.A
+			if aConst {
+				r = cond.B
 			}
-			if cond.Op == ir.OpCmpLT && ind.step > 0 {
-				hi := rf.constVal[cond.B]
-				n := (hi - ind.init + ind.step - 1) / ind.step
-				if n < 0 {
-					n = 0
-				}
-				resolved = n
-			}
-		case aConst:
-			ind := classifyInduction(f, l, rf, cond.B)
-			if !ind.ok {
-				return TripCount{}
-			}
-		default:
-			return TripCount{}
+			_, _, ok = constInduction(f, l, rf, r)
+		}
+		if !ok {
+			return tc
 		}
 	}
-	return TripCount{Constant: true, Count: resolved}
+	tc.Constant, tc.Count = true, -1
+	if c := tc.Counted; c != nil {
+		init, step, okI := constInduction(f, l, rf, c.IV)
+		bound, okB := rf.constVal[c.Bound]
+		if okI && okB {
+			if n, ok := Trips(c.Cmp, init, bound, step); ok {
+				tc.Count = n
+			}
+		}
+	}
+	return tc
 }
 
 func findDef(f *ir.Function, block int, r ir.Reg) *ir.Instr {

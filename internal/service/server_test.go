@@ -328,9 +328,11 @@ func TestServeStartTTLCancelsQueuedWork(t *testing.T) {
 	}
 }
 
-// slowApp is a registered application whose taint run interprets ~10M
+// slowApp is a registered application whose taint run interprets ~20M
 // instructions (hundreds of milliseconds): enough to hold a worker busy
-// deterministically while a test manipulates the queue behind it.
+// deterministically while a test manipulates the queue behind it. The branch
+// in the loop body keeps the fast engine from summarizing the loop, which
+// would otherwise cost a handful of iterations whatever n is.
 func slowApp() App {
 	spec := &apps.Spec{
 		Name:   "slow",
@@ -338,7 +340,7 @@ func slowApp() App {
 		Funcs: []*apps.FuncSpec{
 			{Name: "main", Kind: apps.KindMain, Body: []apps.Stmt{
 				apps.Loop{Kind: apps.ParamBound, Bound: apps.QP(1, "n", 1), Body: []apps.Stmt{
-					apps.Work{Units: 1},
+					apps.Branch{Param: "n", Less: 0, Then: []apps.Stmt{apps.Work{Units: 1}}},
 				}},
 			}},
 		},
