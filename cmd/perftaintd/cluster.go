@@ -20,10 +20,6 @@ func registerClusterFlags(fs *flag.FlagSet, opts *service.Options) (validate fun
 		"coordinator base URL to register with and heartbeat (implies -worker)")
 	fs.StringVar(&opts.AdvertiseURL, "advertise", "",
 		"base URL the coordinator should dial this worker back on (empty derives it from the bound listen address)")
-	fs.IntVar(&opts.ShardSize, "shard-size", 0,
-		"design points per dispatched shard (0 = auto, about three shards per live worker)")
-	fs.IntVar(&opts.ShardRetries, "shard-retries", 0,
-		"remote dispatch attempts per shard before the coordinator runs it locally (0 = 3)")
 	fs.DurationVar(&opts.ShardTimeout, "shard-timeout", 0,
 		"deadline for one shard dispatch round-trip (0 = 2m)")
 	fs.DurationVar(&opts.HeartbeatInterval, "heartbeat-interval", 0,

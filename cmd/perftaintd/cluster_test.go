@@ -58,12 +58,12 @@ func TestClusterFlagsRejectsBadCombinations(t *testing.T) {
 
 func TestClusterFlagsTuning(t *testing.T) {
 	opts, err := parse(t, "-coordinator",
-		"-shard-size", "4", "-shard-retries", "5", "-shard-timeout", "30s",
+		"-shard-timeout", "30s",
 		"-heartbeat-interval", "2s", "-heartbeat-timeout", "9s")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.ShardSize != 4 || opts.ShardRetries != 5 || opts.ShardTimeout != 30*time.Second ||
+	if opts.ShardTimeout != 30*time.Second ||
 		opts.HeartbeatInterval != 2*time.Second || opts.HeartbeatTimeout != 9*time.Second {
 		t.Fatalf("tuning flags did not land in Options: %+v", opts)
 	}

@@ -1,6 +1,6 @@
 // Command perftaintd is the Perf-Taint analysis daemon: a long-running
 // HTTP service that prepares each application spec once (content-addressed
-// PreparedCache) and fans analysis jobs out over a bounded worker pool.
+// PreparedCache) and runs at most -workers analyses at once.
 //
 //	perftaintd -addr :7070 -workers 8 -cache-entries 16
 //
@@ -45,14 +45,11 @@ func main() {
 	flag.IntVar(&opts.Workers, "workers", 0, "concurrent analysis jobs (0 = GOMAXPROCS)")
 	flag.IntVar(&opts.CacheEntries, "cache-entries", 16, "PreparedCache capacity (distinct spec contents)")
 	flag.DurationVar(&opts.JobTimeout, "job-timeout", 60*time.Second, "default per-job deadline")
-	flag.IntVar(&opts.QueueDepth, "queue-depth", 1024, "maximum queued jobs")
 	flag.IntVar(&opts.ModelEntries, "model-entries", 16, "model registry capacity (distinct spec+design contents)")
-	flag.StringVar(&opts.CacheDir, "cache-dir", "", "persistent root for finished model sets and the job journal; restarts serve stored sets warm (empty = memory only)")
-	flag.Float64Var(&opts.Rate, "rate", 0, "per-client admission rate in tokens/second (1 analysis = 1 token, sweeps cost design size); 0 disables rate limiting")
-	flag.Float64Var(&opts.Burst, "burst", 0, "per-client token-bucket capacity (0 = max(1, 2*rate))")
+	flag.StringVar(&opts.CacheDir, "cache-dir", "", "persistent root for finished model sets and the job journal; restarts serve stored sets warm and resume interrupted sweeps and model extractions (empty = memory only)")
+	flag.Float64Var(&opts.Rate, "rate", 0, "per-client admission rate in tokens/second, bucket capacity max(1, 2*rate) (1 analysis = 1 token, sweeps cost design size); 0 disables rate limiting")
 	flag.Int64Var(&opts.MaxBodyBytes, "max-body", 0, "maximum JSON request body in bytes (0 = 4 MiB)")
 	pprofAddr := flag.String("pprof", "", "optional debug listen address for net/http/pprof (e.g. 127.0.0.1:6060); disabled when empty")
-	journalOn := flag.Bool("journal", true, "journal sweep/model progress under <cache-dir>/journal so a restarted daemon resumes interrupted work; requires -cache-dir, ignored without it")
 	validateCluster := registerClusterFlags(flag.CommandLine, &opts)
 	flag.Parse()
 
@@ -78,7 +75,6 @@ func main() {
 	if err := validateCluster(); err != nil {
 		log.Fatal(err)
 	}
-	opts.DisableJournal = !*journalOn
 	srv, err := service.NewServer(opts)
 	if err != nil {
 		log.Fatal(err)

@@ -213,7 +213,7 @@ type StatsResponse struct {
 	// daemon, so single-node stats responses are unchanged.
 	Cluster *ClusterStats `json:"cluster,omitempty"`
 	// Journal reports the durable job journal's counters; nil when the
-	// daemon runs without one (no cache dir, or -journal=false).
+	// daemon runs without one (no cache dir).
 	Journal *journal.Stats `json:"journal,omitempty"`
 }
 

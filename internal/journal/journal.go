@@ -41,7 +41,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/faultinject"
 )
@@ -132,8 +131,10 @@ type Stats struct {
 type Store struct {
 	dir string
 
-	mu     sync.Mutex
-	locked map[string]bool
+	mu sync.Mutex
+	// locked holds one channel per acquired journal file name, closed
+	// when its holder lets go: what a duplicate submission waits on.
+	locked map[string]chan struct{}
 
 	statMu         sync.Mutex
 	appends        uint64
@@ -150,29 +151,37 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: create dir: %w", err)
 	}
-	s := &Store{dir: dir, locked: make(map[string]bool)}
+	s := &Store{dir: dir, locked: make(map[string]chan struct{})}
 	names, err := s.files()
 	if err != nil {
 		return nil, err
 	}
 	for _, name := range names {
 		path := filepath.Join(dir, name)
-		recs, torn, err := recoverFile(path)
-		if err != nil {
+		if _, _, err := s.load(path); err != nil {
 			return nil, err
-		}
-		if torn > 0 {
-			s.statMu.Lock()
-			s.recoveredTails += uint64(torn)
-			s.statMu.Unlock()
-		}
-		if n := len(recs); n > 0 && recs[n-1].Type == TypeDone {
-			if err := s.compact(path); err != nil {
-				return nil, err
-			}
 		}
 	}
 	return s, nil
+}
+
+// load is recoverFile plus the store's bookkeeping: it counts a
+// discarded tail and compacts a journal that already reached its
+// terminal record, which then reads as empty.
+func (s *Store) load(path string) ([]Record, []int64, error) {
+	recs, ends, torn, err := recoverFile(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	if torn {
+		s.statMu.Lock()
+		s.recoveredTails++
+		s.statMu.Unlock()
+	}
+	if n := len(recs); n > 0 && recs[n-1].Type == TypeDone {
+		return nil, nil, s.compact(path)
+	}
+	return recs, ends, nil
 }
 
 // Stats snapshots journal counters and walks the directory for open-job
@@ -201,12 +210,13 @@ func (s *Store) Stats() Stats {
 }
 
 // Acquire opens the journal for (kind, key) with an exclusive per-key
-// lock, waiting (polling) while another goroutine holds the same job —
-// the idempotent-submission rendezvous: a duplicate submission blocks
-// until the first finishes, then resumes or replays from whatever the
-// first left journaled. The returned Job is positioned after recovery:
-// Accept/Points/Samples expose the durable prefix. A nil store returns
-// a nil Job (journaling disabled), which every Job method tolerates.
+// lock, waiting while another goroutine holds the same job — the
+// idempotent-submission rendezvous: a duplicate submission blocks until
+// the first lets go (or ctx dies), then resumes or replays from whatever
+// the first left journaled. The returned Job is positioned after
+// recovery: Accept/Points/Samples expose the durable prefix. A nil store
+// returns a nil Job (journaling disabled), which every Job method
+// tolerates.
 func (s *Store) Acquire(ctx context.Context, kind, key string) (*Job, error) {
 	if s == nil {
 		return nil, nil
@@ -214,16 +224,18 @@ func (s *Store) Acquire(ctx context.Context, kind, key string) (*Job, error) {
 	name := fileName(kind, key)
 	for {
 		s.mu.Lock()
-		if !s.locked[name] {
-			s.locked[name] = true
-			s.mu.Unlock()
-			break
+		held, ok := s.locked[name]
+		if !ok {
+			s.locked[name] = make(chan struct{})
 		}
 		s.mu.Unlock()
+		if !ok {
+			break
+		}
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
-		case <-time.After(25 * time.Millisecond):
+		case <-held:
 		}
 	}
 	j, err := s.openLocked(kind, key, name)
@@ -234,47 +246,40 @@ func (s *Store) Acquire(ctx context.Context, kind, key string) (*Job, error) {
 	return j, nil
 }
 
+// openLocked recovers the journal and opens it for appending. A valid
+// journal's bytes are left exactly as they are: only a torn tail or a
+// semantically invalid suffix (e.g. an out-of-order point) is cut, at
+// its offset, and only an empty file is given the header.
 func (s *Store) openLocked(kind, key, name string) (*Job, error) {
 	path := filepath.Join(s.dir, name)
-	recs, torn, err := recoverFile(path)
+	// A journal that already reached terminal state belongs to a finished
+	// job whose results live in the caches; load compacts it, so a
+	// re-submission after compaction-miss starts fresh and reruns cleanly.
+	recs, ends, err := s.load(path)
 	if err != nil {
 		return nil, err
 	}
-	if torn > 0 {
-		s.statMu.Lock()
-		s.recoveredTails += uint64(torn)
-		s.statMu.Unlock()
-	}
-	// A journal that already reached terminal state belongs to a finished
-	// job whose results live in the caches; compact it and start fresh so
-	// a re-submission after compaction-miss reruns cleanly.
-	if n := len(recs); n > 0 && recs[n-1].Type == TypeDone {
-		if err := s.compact(path); err != nil {
+	if keep := validPrefix(kind, key, recs); len(keep) < len(recs) {
+		cut := int64(len(header))
+		if len(keep) > 0 {
+			cut = ends[len(keep)-1]
+		}
+		if err := truncateFile(path, cut); err != nil {
 			return nil, err
 		}
-		recs = nil
+		recs = keep
 	}
-	recs = validPrefix(kind, key, recs)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("journal: open %s: %w", name, err)
 	}
-	// Rewrite the file to exactly the recovered prefix: recovery already
-	// truncates torn frames, but a semantically-invalid suffix (e.g. an
-	// out-of-order point) must also be dropped before appending resumes.
-	var buf bytes.Buffer
-	buf.WriteString(header)
-	for _, r := range recs {
-		payload, err := json.Marshal(r)
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("journal: re-encode: %w", err)
-		}
-		buf.Write(frame(payload))
+	fi, err := f.Stat()
+	if err == nil && fi.Size() == 0 {
+		_, err = f.WriteString(header)
 	}
-	if err := rewrite(f, buf.Bytes()); err != nil {
+	if err != nil {
 		f.Close()
-		return nil, err
+		return nil, fmt.Errorf("journal: open %s: %w", name, err)
 	}
 	if len(recs) > 0 {
 		s.statMu.Lock()
@@ -313,8 +318,10 @@ func (s *Store) compact(path string) error {
 	return nil
 }
 
+// unlock lets go of name and wakes whoever waits for it.
 func (s *Store) unlock(name string) {
 	s.mu.Lock()
+	close(s.locked[name])
 	delete(s.locked, name)
 	s.mu.Unlock()
 }
@@ -463,49 +470,51 @@ func frame(payload []byte) []byte {
 const maxPayload = 16 << 20
 
 // recoverFile reads a journal file and returns the durable record
-// prefix, discarding (and truncating away) everything at and after the
-// first torn or corrupt frame. A missing file is an empty journal. The
-// second return is the number of discarded tails (0 or 1 per file, in
-// practice).
-func recoverFile(path string) ([]Record, int, error) {
+// prefix with the file offset each record's frame ends at, discarding
+// (and truncating away) everything at and after the first torn or
+// corrupt frame; torn reports that there was such a tail. A missing
+// file is an empty journal; a file that does not start with the header
+// is all tail.
+func recoverFile(path string) (recs []Record, ends []int64, torn bool, err error) {
 	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, 0, nil
+	if errors.Is(err, os.ErrNotExist) || (err == nil && len(data) == 0) {
+		return nil, nil, false, nil
 	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("journal: read %s: %w", filepath.Base(path), err)
+		return nil, nil, false, fmt.Errorf("journal: read %s: %w", filepath.Base(path), err)
 	}
 	if !bytes.HasPrefix(data, []byte(header)) {
-		// Unrecognized content: treat the whole file as a torn tail.
-		if len(data) == 0 {
-			return nil, 0, nil
-		}
-		return nil, 1, truncateFile(path, 0)
+		return nil, nil, true, truncateFile(path, 0)
 	}
-	body := data[len(header):]
-	var recs []Record
-	off := 0
-	for off < len(body) {
-		if len(body)-off < 8 {
-			return recs, 1, truncateFile(path, int64(len(header)+off))
+	off := len(header)
+	for off < len(data) {
+		rec, n, ok := readFrame(data[off:])
+		if !ok {
+			return recs, ends, true, truncateFile(path, int64(off))
 		}
-		n := binary.LittleEndian.Uint32(body[off : off+4])
-		sum := binary.LittleEndian.Uint32(body[off+4 : off+8])
-		if n > maxPayload || len(body)-off-8 < int(n) {
-			return recs, 1, truncateFile(path, int64(len(header)+off))
-		}
-		payload := body[off+8 : off+8+int(n)]
-		if crc32.ChecksumIEEE(payload) != sum {
-			return recs, 1, truncateFile(path, int64(len(header)+off))
-		}
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return recs, 1, truncateFile(path, int64(len(header)+off))
-		}
+		off += n
 		recs = append(recs, rec)
-		off += 8 + int(n)
+		ends = append(ends, int64(off))
 	}
-	return recs, 0, nil
+	return recs, ends, false, nil
+}
+
+// readFrame decodes the frame at the start of b and returns its record
+// and length; ok is false for a short, oversized, corrupt or undecodable
+// frame.
+func readFrame(b []byte) (rec Record, n int, ok bool) {
+	if len(b) < 8 {
+		return rec, 0, false
+	}
+	size := binary.LittleEndian.Uint32(b[0:4])
+	if size > maxPayload || len(b)-8 < int(size) {
+		return rec, 0, false
+	}
+	payload := b[8 : 8+int(size)]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(b[4:8]) {
+		return rec, 0, false
+	}
+	return rec, 8 + int(size), json.Unmarshal(payload, &rec) == nil
 }
 
 // validPrefix drops records that violate the journal's semantic shape:
@@ -547,21 +556,6 @@ func truncateFile(path string, off int64) error {
 	defer f.Close()
 	if err := f.Truncate(off); err != nil {
 		return fmt.Errorf("journal: truncate %s: %w", filepath.Base(path), err)
-	}
-	return f.Sync()
-}
-
-// rewrite replaces f's content with data, fsyncs, and leaves the write
-// offset at the end for subsequent appends.
-func rewrite(f *os.File, data []byte) error {
-	if err := f.Truncate(0); err != nil {
-		return fmt.Errorf("journal: rewrite: %w", err)
-	}
-	if _, err := f.WriteAt(data, 0); err != nil {
-		return fmt.Errorf("journal: rewrite: %w", err)
-	}
-	if _, err := f.Seek(int64(len(data)), 0); err != nil {
-		return fmt.Errorf("journal: rewrite: %w", err)
 	}
 	return f.Sync()
 }

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
@@ -146,6 +147,104 @@ func TestSemanticPrefixValidation(t *testing.T) {
 		t.Fatal("accept for a different key must not be visible")
 	}
 	j3.Release()
+}
+
+// TestAcquireLeavesValidJournalUntouched pins invariant 1 at open: a
+// journal whose every record is valid is not rewritten, so a crash
+// during Acquire cannot lose a durable record, and a field this build
+// does not know survives (re-encoding through Record would drop it).
+func TestAcquireLeavesValidJournalUntouched(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, fileName(KindSweep, "k8"))
+	before := []byte(header)
+	before = append(before, frame([]byte(`{"type":"accept","kind":"sweep","key":"k8","n":2,"request_id":"r-1"}`))...)
+	before = append(before, frame([]byte(`{"type":"point","line":{"seq":1},"extra":[1,2]}`))...)
+	if err := os.WriteFile(path, before, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j := acquire(t, open(t, dir), KindSweep, "k8")
+	if got := len(j.Points()); got != 1 {
+		t.Fatalf("points = %d, want 1", got)
+	}
+	j.Release()
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("Acquire + Release changed a valid journal:\n%q\n%q", before, after)
+	}
+}
+
+// TestSemanticCutIsDurable: the invalid suffix is cut from the file, at
+// its offset, not merely hidden — the next open sees nothing to cut and
+// an append lands right after the kept prefix.
+func TestSemanticCutIsDurable(t *testing.T) {
+	dir := t.TempDir()
+	j := acquire(t, open(t, dir), KindSweep, "k9")
+	appendAll(t, j,
+		Record{Type: TypeAccept, Kind: KindSweep, Key: "k9", N: 5},
+		Record{Type: TypePoint, Index: 0},
+	)
+	path := filepath.Join(dir, fileName(KindSweep, "k9"))
+	kept, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, j, Record{Type: TypePoint, Index: 3}, Record{Type: TypePoint, Index: 1})
+	j.Release()
+
+	j2 := acquire(t, open(t, dir), KindSweep, "k9")
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, kept) {
+		t.Fatalf("file is %d bytes after the cut, want the %d-byte valid prefix", len(got), len(kept))
+	}
+	appendAll(t, j2, Record{Type: TypePoint, Index: 1})
+	j2.Release()
+
+	s3 := open(t, dir)
+	j3 := acquire(t, s3, KindSweep, "k9")
+	defer j3.Release()
+	if pts := j3.Points(); len(pts) != 2 || pts[1].Index != 1 {
+		t.Fatalf("points after cut + append + reopen = %+v, want indices 0, 1", pts)
+	}
+	if st := s3.Stats(); st.RecoveredTails != 0 {
+		t.Fatalf("reopen found %d torn tail(s) after a clean cut", st.RecoveredTails)
+	}
+}
+
+// TestAcquireWakesOnRelease: a duplicate submission is handed the key
+// when its holder lets go (Release or Done), not at the next poll tick.
+func TestAcquireWakesOnRelease(t *testing.T) {
+	s := open(t, t.TempDir())
+	for _, finish := range []func(*Job){(*Job).Release, func(j *Job) { _ = j.Done() }} {
+		j := acquire(t, s, KindModel, "k10")
+		appendAll(t, j, Record{Type: TypeAccept, Kind: KindModel, Key: "k10", N: 1})
+		got := make(chan *Job)
+		for i := 0; i < 3; i++ {
+			go func() {
+				j, err := s.Acquire(context.Background(), KindModel, "k10")
+				if err != nil {
+					t.Error(err)
+				}
+				got <- j
+			}()
+		}
+		select {
+		case <-got:
+			t.Fatal("a held key was acquired twice")
+		case <-time.After(20 * time.Millisecond):
+		}
+		finish(j)
+		// The waiters take the key one after another.
+		for i := 0; i < 3; i++ {
+			select {
+			case w := <-got:
+				w.Release()
+			case <-time.After(5 * time.Second):
+				t.Fatal("a waiter was not woken")
+			}
+		}
+	}
 }
 
 func TestOpenCompactsTerminalJournals(t *testing.T) {

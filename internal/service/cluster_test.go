@@ -44,7 +44,6 @@ func startClusterApps(t *testing.T, n int, wrap func(i int, h http.Handler) http
 		Coordinator:       true,
 		HeartbeatInterval: 25 * time.Millisecond,
 		HeartbeatTimeout:  250 * time.Millisecond,
-		ShardRetries:      3,
 	})
 	if err != nil {
 		t.Fatal(err)

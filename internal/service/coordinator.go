@@ -206,23 +206,16 @@ type shardState struct {
 	err   error
 }
 
-// shardSize resolves the shard length for an n-point design: the
-// configured Options.ShardSize, or roughly three shards per live worker
-// so the balancer has slack to route around a mid-sweep death without
-// losing more than a sliver of work.
+// shardAttempts bounds remote dispatch attempts per shard before the
+// coordinator runs the shard locally.
+const shardAttempts = 3
+
+// shardSize resolves the shard length for an n-point design: roughly
+// three shards per live worker, so the balancer has slack to route
+// around a mid-sweep death without losing more than a sliver of work.
 func (co *coordinator) shardSize(n int) int {
-	if sz := co.s.opts.ShardSize; sz > 0 {
-		return sz
-	}
-	live := co.liveCount()
-	if live < 1 {
-		live = 1
-	}
-	sz := (n + 3*live - 1) / (3 * live)
-	if sz < 1 {
-		sz = 1
-	}
-	return sz
+	shards := 3 * max(1, co.liveCount())
+	return max(1, (n+shards-1)/shards)
 }
 
 // runSharded is the cluster point source: it partitions d.cfgs into
@@ -287,7 +280,7 @@ func (co *coordinator) runShard(ctx context.Context, sh *shardState) {
 			return
 		}
 		var ref *workerRef
-		if attempt < co.s.opts.ShardRetries {
+		if attempt < shardAttempts {
 			ref = co.pickWorker(lastFailed)
 		}
 		if ref == nil {

@@ -35,7 +35,7 @@ func postJSON(t *testing.T, base, path, body string, hdr map[string]string) *htt
 }
 
 func TestRateLimiterTokenBucket(t *testing.T) {
-	l := newRateLimiter(1, 2)
+	l := newRateLimiter(1)
 	now := time.Unix(0, 0)
 	l.now = func() time.Time { return now }
 
@@ -70,7 +70,7 @@ func TestRateLimiterTokenBucket(t *testing.T) {
 	if l.clients() != 2 {
 		t.Fatalf("clients = %d, want 2", l.clients())
 	}
-	if newRateLimiter(0, 0) != nil {
+	if newRateLimiter(0) != nil {
 		t.Fatal("rate 0 should disable the limiter")
 	}
 	var nilL *rateLimiter
@@ -80,7 +80,7 @@ func TestRateLimiterTokenBucket(t *testing.T) {
 }
 
 func TestRateLimiterSweepsBucketMap(t *testing.T) {
-	l := newRateLimiter(1000, 1000)
+	l := newRateLimiter(1000)
 	now := time.Unix(0, 0)
 	l.now = func() time.Time { return now }
 	for i := 0; i < maxTrackedClients; i++ {
@@ -98,7 +98,7 @@ func TestRateLimiterSweepsBucketMap(t *testing.T) {
 func TestServeRateLimits429(t *testing.T) {
 	// One token per ~17 minutes with burst 1: the second request inside
 	// the test window is deterministically rejected.
-	_, client := testServer(t, Options{Workers: 1, Rate: 0.001, Burst: 1})
+	_, client := testServer(t, Options{Workers: 1, Rate: 0.001})
 	ctx := context.Background()
 
 	if _, err := client.Analyze(ctx, api.AnalyzeRequest{App: "lulesh"}); err != nil {
@@ -175,7 +175,7 @@ func TestServeCapsRequestBodies(t *testing.T) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	_, client := testServer(t, Options{Workers: 1, Rate: 0.001, Burst: 1})
+	_, client := testServer(t, Options{Workers: 1, Rate: 0.001})
 	ctx := context.Background()
 	if _, err := client.Analyze(ctx, api.AnalyzeRequest{App: "lulesh"}); err != nil {
 		t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -232,15 +231,8 @@ func TestServeModelsRejectsBadDesigns(t *testing.T) {
 func TestEveryPointRunsOnThePool(t *testing.T) {
 	srv, client := testServer(t, Options{Workers: 1})
 	ctx := context.Background()
-	var inFlight, peak atomic.Int64
-	srv.sched.analyze = func(p *core.Prepared, cfg apps.Config) (*core.Report, error) {
-		n := inFlight.Add(1)
-		defer inFlight.Add(-1)
-		for m := peak.Load(); n > m && !peak.CompareAndSwap(m, n); m = peak.Load() {
-		}
-		time.Sleep(time.Millisecond) // widen any overlap
-		return p.Analyze(cfg)
-	}
+	var load occupancy
+	srv.sched.analyze = load.of((*core.Prepared).Analyze)
 	runCount := func() string {
 		t.Helper()
 		resp, err := http.Get(client.BaseURL + "/metrics")
@@ -288,7 +280,7 @@ func TestEveryPointRunsOnThePool(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	if got := peak.Load(); got != 1 {
+	if got := load.peak.Load(); got != 1 {
 		t.Fatalf("%d analyses were in flight at once on a Workers: 1 daemon", got)
 	}
 	if got := runCount(); got != "12" {

@@ -14,9 +14,10 @@ import (
 // bound.
 const maxTrackedClients = 4096
 
-// rateLimiter is per-client token-bucket admission control over the job
-// queue. Each client key (X-Client-ID header, else the remote host) owns
-// a bucket holding up to burst tokens refilled at rate tokens/second;
+// rateLimiter is per-client token-bucket admission control in front of
+// the scheduler. Each client key (X-Client-ID header, else the remote
+// host) owns a bucket holding up to burst tokens refilled at rate
+// tokens/second;
 // submitting one analysis costs one token and a sweep costs one token
 // per design point (capped at burst so a legal large design drains the
 // bucket instead of being unreachable forever). An exhausted bucket
@@ -38,17 +39,15 @@ type tokenBucket struct {
 }
 
 // newRateLimiter returns a limiter admitting rate tokens/second with
-// capacity burst per client, or nil (admit everything) when rate <= 0.
-func newRateLimiter(rate, burst float64) *rateLimiter {
+// capacity max(1, 2*rate) per client, or nil (admit everything) when
+// rate <= 0.
+func newRateLimiter(rate float64) *rateLimiter {
 	if rate <= 0 {
 		return nil
 	}
-	if burst < 1 {
-		burst = math.Max(1, 2*rate)
-	}
 	return &rateLimiter{
 		rate:    rate,
-		burst:   burst,
+		burst:   math.Max(1, 2*rate),
 		buckets: make(map[string]*tokenBucket),
 		now:     time.Now,
 	}

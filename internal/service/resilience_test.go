@@ -526,7 +526,6 @@ func startJournaledCluster(t *testing.T, dir string) *Client {
 		CacheDir:          dir,
 		HeartbeatInterval: 25 * time.Millisecond,
 		HeartbeatTimeout:  250 * time.Millisecond,
-		ShardRetries:      3,
 		ShardTimeout:      5 * time.Second,
 	})
 	if err != nil {

@@ -17,26 +17,17 @@ import (
 // Queued and running jobs are never evicted.
 const maxRetainedJobs = 4096
 
-// unit is one analysis on the pool's queue. Every analysis the daemon
-// performs — a /v1/analyze job, a sweep or model-extraction point, a
-// shard a coordinator sent — is one, so Options.Workers bounds them all.
-type unit struct {
-	ctx      context.Context // can stop the unit until it starts
-	prepared *core.Prepared
-	cfg      apps.Config
-	// claim, when set, must agree before the unit runs; jobs make their
-	// queued → running transition in it.
-	claim func() bool
-	// settle receives the outcome exactly once, on a worker goroutine: a
-	// report, an analysis failure, or — for a unit that never ran — an
-	// error wrapping the context's.
-	settle func(rep *core.Report, err error)
-}
+// maxWaitingAsync bounds the async /v1/analyze jobs waiting for a slot;
+// nothing else bounds them, since no connection stays open behind one.
+const maxWaitingAsync = 1024
 
-// errShutDown refuses units that reach a closed scheduler. It wraps
+// errShutDown refuses work that reaches a closed scheduler. It wraps
 // context.Canceled so it classifies as "never ran", like any other
 // cancellation.
 var errShutDown = fmt.Errorf("service: scheduler shut down: %w", context.Canceled)
+
+// errBusy refuses an async job past maxWaitingAsync.
+var errBusy = fmt.Errorf("service: %d async jobs are already waiting for a worker", maxWaitingAsync)
 
 // isCtxErr reports whether err is a context's own error: the point it
 // belongs to never ran, so it is neither a result nor a failure.
@@ -44,104 +35,110 @@ func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// scheduler is the daemon's one executor: a fixed pool of workers
-// draining a FIFO queue of units. A unit whose context is dead when a
-// worker reaches it is skipped, never run; a unit already running always
-// finishes — the dynamic stage is fuel-bounded, so stragglers cannot run
-// away. Two entry points feed the queue: runOrdered streams a design's
-// outcomes in input order, and submit runs one /v1/analyze job with an
-// ID, a status record and retention.
+// scheduler is the daemon's one executor: a counting semaphore of
+// Options.Workers slots. Every analysis the daemon performs — a
+// /v1/analyze job, a sweep or model-extraction point, a shard a
+// coordinator sent — takes a slot (acquire), runs, and frees it (exec),
+// so Workers bounds them all. Slots are granted in arrival order, and a
+// design stands in line once, not once per point, so a long design
+// delays a later request by one analysis rather than by its length. A
+// waiter whose context dies leaves the line without running; an analysis
+// already running always finishes — the dynamic stage is fuel-bounded,
+// so stragglers cannot run away. Two entry points: runOrdered streams a
+// design's outcomes in input order, and submit runs one /v1/analyze job
+// with an ID, a status record and retention.
 type scheduler struct {
-	queue   chan *unit
-	wg      sync.WaitGroup
+	// slots holds one token per running analysis: a send takes a slot, a
+	// receive frees it. Blocked senders are woken in arrival order.
+	slots chan struct{}
+	// closing is closed by close and wakes every waiter.
+	closing chan struct{}
+	// runs counts what close waits for: analyses holding a slot and job
+	// goroutines. It only grows under mu while closed is false.
+	runs    sync.WaitGroup
 	analyze func(*core.Prepared, apps.Config) (*core.Report, error)
-	// runHist observes the latency of every analysis the pool executes.
+	// runHist observes the latency of every analysis executed.
 	runHist *Histogram
 
-	// sendMu serializes queue sends against close: submitters hold the
-	// read side while sending, close takes the write side before closing
-	// the channel, so a send can never race a close.
-	sendMu sync.RWMutex
-
-	mu        sync.Mutex
-	closed    bool
-	nextID    uint64
-	jobs      map[string]*job
-	retention []string // finished job ids, oldest first
-	stats     api.JobStats
+	mu           sync.Mutex
+	closed       bool
+	waitingAsync int
+	nextID       uint64
+	jobs         map[string]*job
+	retention    []string     // finished job ids, oldest first
+	stats        api.JobStats // Queued counts the analyses waiting for a slot
 }
 
-func newScheduler(workers, queueDepth int, runHist *Histogram) *scheduler {
-	s := &scheduler{
-		queue:   make(chan *unit, queueDepth),
+func newScheduler(workers int, runHist *Histogram) *scheduler {
+	return &scheduler{
+		slots:   make(chan struct{}, workers),
+		closing: make(chan struct{}),
 		analyze: (*core.Prepared).Analyze,
 		runHist: runHist,
 		jobs:    make(map[string]*job),
 	}
-	s.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go func() {
-			defer s.wg.Done()
-			for u := range s.queue {
-				s.run(u)
-			}
-		}()
-	}
-	return s
 }
 
-// enqueue puts u on the queue, blocking while it is full; ctx aborts the
-// wait. A unit that could not be queued is not settled — the caller
-// still owns it.
-func (s *scheduler) enqueue(ctx context.Context, u *unit) error {
-	s.account(func(st *api.JobStats) { st.Submitted++ })
-	s.sendMu.RLock()
-	defer s.sendMu.RUnlock()
-	err := errShutDown
-	if !s.isClosed() {
-		select {
-		case s.queue <- u:
-			return nil
-		case <-ctx.Done():
-			err = fmt.Errorf("service: submission aborted: %w", ctx.Err())
-		}
+// acquire waits in line for a slot. It fails, with an error wrapping the
+// context's, when ctx dies or the scheduler closes first; the caller of
+// a successful acquire owes one exec.
+func (s *scheduler) acquire(ctx context.Context) error {
+	s.mu.Lock()
+	s.stats.Submitted++
+	s.stats.Queued++
+	s.mu.Unlock()
+	won := false
+	select {
+	case s.slots <- struct{}{}:
+		won = true
+	case <-ctx.Done():
+	case <-s.closing:
 	}
-	s.account(func(st *api.JobStats) { st.Canceled++ })
-	return err
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.stats.Queued--
+	// select picks among ready cases at random, so a slot can be won with
+	// a dead context or after close: check both again.
+	if won && !s.closed && ctx.Err() == nil {
+		s.stats.Running++
+		s.runs.Add(1)
+		return nil
+	}
+	if won {
+		<-s.slots
+	}
+	s.stats.Canceled++
+	if cause := context.Cause(ctx); cause != nil {
+		return fmt.Errorf("service: canceled before start: %w", cause)
+	}
+	return errShutDown
 }
 
-func (s *scheduler) run(u *unit) {
-	if s.isClosed() || u.ctx.Err() != nil || (u.claim != nil && !u.claim()) {
-		err := errShutDown
-		if cause := context.Cause(u.ctx); cause != nil {
-			err = fmt.Errorf("service: canceled before start: %w", cause)
-		}
-		s.account(func(st *api.JobStats) { st.Canceled++ })
-		u.settle(nil, err)
-		return
-	}
-	s.account(func(st *api.JobStats) { st.Running++ })
+// exec runs one analysis in the slot acquire granted and frees the slot.
+func (s *scheduler) exec(p *core.Prepared, cfg apps.Config) (*core.Report, error) {
 	start := time.Now()
-	rep, err := s.analyze(u.prepared, u.cfg)
+	rep, err := s.analyze(p, cfg)
 	s.runHist.ObserveSince(start)
-	s.account(func(st *api.JobStats) {
-		st.Running--
-		if err != nil {
-			st.Failed++
-		} else {
-			st.Completed++
-		}
-	})
-	u.settle(rep, err)
+	s.mu.Lock()
+	s.stats.Running--
+	if err != nil {
+		s.stats.Failed++
+	} else {
+		s.stats.Completed++
+	}
+	s.mu.Unlock()
+	<-s.slots
+	s.runs.Done()
+	return rep, err
 }
 
-// runOrdered executes p at every configuration in cfgs on the pool and
-// hands each outcome — a report or an analysis failure — to emit in input
-// order, as soon as it and all its predecessors have finished. emit runs
-// on the caller's goroutine. Cancellation is never an outcome: once ctx
-// dies, points that have not started are skipped and runOrdered returns
-// the context's error without emitting them, so a caller that records
-// what emit sees can never record a point that did not run. An emit error
+// runOrdered executes p at every configuration in cfgs and hands each
+// outcome — a report or an analysis failure — to emit in input order, as
+// soon as it and all its predecessors have finished. emit runs on the
+// caller's goroutine. Cancellation is never an outcome: once ctx dies,
+// points that have not started are skipped and runOrdered returns the
+// context's error without emitting them, so a caller that records what
+// emit sees can never record a point that did not run. An emit error
 // stops the stream the same way and is returned. Points already running
 // finish on their own (they are fuel-bounded); nothing waits for them.
 func (s *scheduler) runOrdered(ctx context.Context, p *core.Prepared, cfgs []apps.Config, emit func(i int, rep *core.Report, err error) error) error {
@@ -155,21 +152,22 @@ func (s *scheduler) runOrdered(ctx context.Context, p *core.Prepared, cfgs []app
 	for i := range points {
 		points[i].done = make(chan struct{})
 	}
-	// The queue is bounded, so feeding it can block behind other work
-	// while earlier points are already being consumed.
+	// The feeder is the design's one place in line: it takes slots in
+	// design order and starts a point in each, while earlier points are
+	// already being consumed.
 	fed := make(chan struct{})
 	go func() {
 		defer close(fed)
 		for i := range points {
 			pt := &points[i]
-			u := &unit{ctx: ctx, prepared: p, cfg: cfgs[i], settle: func(rep *core.Report, err error) {
-				pt.rep, pt.err = rep, err
+			if pt.err = s.acquire(ctx); pt.err != nil {
 				close(pt.done)
-			}}
-			if err := s.enqueue(ctx, u); err != nil {
-				u.settle(nil, err)
 				return
 			}
+			go func() {
+				pt.rep, pt.err = s.exec(p, cfgs[i])
+				close(pt.done)
+			}()
 		}
 	}()
 	defer func() {
@@ -193,21 +191,14 @@ func (s *scheduler) runOrdered(ctx context.Context, p *core.Prepared, cfgs []app
 	return nil
 }
 
-// job is the /v1/analyze wrapper around one unit: an ID, a lifecycle
-// record, and a place in the retention window. ctx carries everything
-// that can stop the job before it starts — client disconnect (inline
-// jobs), daemon shutdown, and start-TTL expiry; a per-job watcher
-// goroutine turns ctx expiry into a prompt terminal transition even
-// while the unit sits in the queue.
+// job is the /v1/analyze wrapper around one analysis: an ID, a lifecycle
+// record, and a place in the retention window.
 type job struct {
-	id           string
-	app          string
-	cfg          apps.Config
-	censusParams []string
-	digest       string
+	id     string
+	app    string
+	cfg    apps.Config
+	digest string
 
-	ctx    context.Context
-	cancel context.CancelFunc
 	// done closes when the job reaches a terminal status.
 	done chan struct{}
 
@@ -242,90 +233,80 @@ func (j *job) Info() *api.JobInfo {
 	return info
 }
 
-// claimRun transitions queued → running, refusing jobs already finished
-// (by the TTL watcher or a failed submission) or whose context is spent.
-// Exactly one of claimRun / finishJob wins any race: both transitions
-// are serialized by j.mu.
-func (j *job) claimRun() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.status != api.StatusQueued || j.ctx.Err() != nil {
-		return false
-	}
-	j.status = api.StatusRunning
-	j.started = time.Now()
-	return true
-}
-
-// newJob registers a queued job. base carries cancellation: the request
-// context for inline jobs (client disconnect cancels queued work),
-// context.Background for async ones. startTTL bounds how long the job
-// may wait to start — a job still queued past it is canceled, never run.
-func (s *scheduler) newJob(base context.Context, startTTL time.Duration, app, digest string, cfg apps.Config, censusParams []string) *job {
-	ctx, cancel := context.WithTimeout(base, startTTL)
+// newJob registers a queued job, refusing it when the scheduler is
+// closed or, for an async job, when maxWaitingAsync are already waiting.
+// The caller owes the job's goroutine one s.runs.Done.
+func (s *scheduler) newJob(async bool, app, digest string, cfg apps.Config) (*job, error) {
 	j := &job{
-		app:          app,
-		cfg:          cfg,
-		censusParams: censusParams,
-		digest:       digest,
-		ctx:          ctx,
-		cancel:       cancel,
-		done:         make(chan struct{}),
-		status:       api.StatusQueued,
-		submitted:    time.Now(),
+		app:       app,
+		cfg:       cfg,
+		digest:    digest,
+		done:      make(chan struct{}),
+		status:    api.StatusQueued,
+		submitted: time.Now(),
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case s.closed:
+		return nil, errShutDown
+	case async && s.waitingAsync >= maxWaitingAsync:
+		return nil, errBusy
+	case async:
+		s.waitingAsync++
+	}
+	s.runs.Add(1)
 	s.nextID++
 	j.id = jobID(s.nextID)
 	s.jobs[j.id] = j
-	s.mu.Unlock()
-	// TTL watcher: a queued job whose context dies (deadline, client
-	// disconnect) finishes immediately rather than when a worker happens
-	// to reach it. Running jobs refuse the transition.
-	go func() {
-		select {
-		case <-j.ctx.Done():
-			s.finishJob(j, false, api.StatusCanceled, nil,
-				fmt.Errorf("service: job %s canceled before start: %w", j.id, context.Cause(j.ctx)))
-		case <-j.done:
-		}
-	}()
-	return j
+	return j, nil
 }
 
-// submit hands the job's unit — p at the job's configuration — to the
-// pool, blocking while the queue is full; ctx (the submitting request's
-// context) aborts the wait. Only the unit holds p, so a finished job in
-// the retention window never pins a cache-evicted artifact.
-func (s *scheduler) submit(ctx context.Context, j *job, p *core.Prepared) error {
-	err := s.enqueue(ctx, &unit{ctx: j.ctx, prepared: p, cfg: j.cfg, claim: j.claimRun,
-		settle: func(rep *core.Report, err error) {
-			switch {
-			case isCtxErr(err):
-				s.finishJob(j, true, api.StatusCanceled, nil, err)
-			case err != nil:
-				s.finishJob(j, true, api.StatusFailed, nil, err)
-			default:
-				s.finishJob(j, true, api.StatusDone, api.NewAnalysisResult(j.app, j.digest, rep, j.censusParams), nil)
-			}
-		}})
+// submit runs p at cfg as a job: it waits for a slot, runs and finishes
+// on a goroutine of its own. base carries cancellation — the request
+// context for inline jobs (client disconnect cancels waiting work),
+// context.Background for async ones — and startTTL bounds how long the
+// job may wait to start: a job still waiting past it is canceled at
+// once, never run; a job that started in time is never stopped by it.
+// Only the goroutine holds p, so a finished job in the retention window
+// never pins a cache-evicted artifact.
+func (s *scheduler) submit(base context.Context, startTTL time.Duration, async bool, app, digest string, cfg apps.Config, censusParams []string, p *core.Prepared) (*job, error) {
+	j, err := s.newJob(async, app, digest, cfg)
 	if err != nil {
-		s.finishJob(j, false, api.StatusCanceled, nil, err)
+		return nil, err
 	}
-	return err
+	go func() {
+		defer s.runs.Done()
+		ctx, cancel := context.WithTimeout(base, startTTL)
+		err := s.acquire(ctx)
+		cancel()
+		if async {
+			s.mu.Lock()
+			s.waitingAsync--
+			s.mu.Unlock()
+		}
+		if err != nil {
+			s.finishJob(j, api.StatusCanceled, nil, err)
+			return
+		}
+		j.mu.Lock()
+		j.status = api.StatusRunning
+		j.started = time.Now()
+		j.mu.Unlock()
+		rep, err := s.exec(p, cfg)
+		if err != nil {
+			s.finishJob(j, api.StatusFailed, nil, err)
+			return
+		}
+		s.finishJob(j, api.StatusDone, api.NewAnalysisResult(app, digest, rep, censusParams), nil)
+	}()
+	return j, nil
 }
 
-// finishJob moves the job to a terminal status exactly once — only a
-// queued job, or a running one the pool reports on, can finish (the
-// watcher's cancel of a running job is refused) — and files it into the
-// bounded retention window. Safe to call from the watcher, submit's
-// error path, and the pool concurrently.
-func (s *scheduler) finishJob(j *job, fromPool bool, status string, result *api.AnalysisResult, err error) {
+// finishJob moves the job to its terminal status and files it into the
+// bounded retention window. Only the job's own goroutine calls it, once.
+func (s *scheduler) finishJob(j *job, status string, result *api.AnalysisResult, err error) {
 	j.mu.Lock()
-	if j.status != api.StatusQueued && !(j.status == api.StatusRunning && fromPool) {
-		j.mu.Unlock()
-		return
-	}
 	j.status = status
 	j.finished = time.Now()
 	j.result = result
@@ -333,7 +314,6 @@ func (s *scheduler) finishJob(j *job, fromPool bool, status string, result *api.
 		j.errMsg = err.Error()
 	}
 	j.mu.Unlock()
-	j.cancel()
 	close(j.done)
 
 	s.mu.Lock()
@@ -372,18 +352,6 @@ func (s *scheduler) ensureJobCounter(min uint64) {
 	s.mu.Unlock()
 }
 
-func (s *scheduler) account(f func(*api.JobStats)) {
-	s.mu.Lock()
-	f(&s.stats)
-	s.mu.Unlock()
-}
-
-func (s *scheduler) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
 func (s *scheduler) get(id string) (*job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -394,28 +362,19 @@ func (s *scheduler) get(id string) (*job, bool) {
 func (s *scheduler) jobStats() api.JobStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.stats
-	st.Queued = len(s.queue)
-	return st
+	return s.stats
 }
 
-// close stops the scheduler: new submissions are rejected, units that
-// have not started are refused as workers reach them, and units already
-// running finish. Returns once the pool is idle and every queued unit is
-// settled, so shutdown latency is bounded by the runs in flight, not by
-// the queue depth.
+// close stops the scheduler: new work is refused, every waiter leaves
+// the line with errShutDown, and analyses already running finish.
+// Returns once they have and every job is terminal, so shutdown latency
+// is bounded by the runs in flight, not by the length of the line.
 func (s *scheduler) close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
+	if !s.closed {
+		s.closed = true
+		close(s.closing)
 	}
-	s.closed = true
 	s.mu.Unlock()
-	// Wait out in-flight submitters (workers keep draining, so a blocked
-	// send completes), then close the queue to stop the pool.
-	s.sendMu.Lock()
-	close(s.queue)
-	s.sendMu.Unlock()
-	s.wg.Wait()
+	s.runs.Wait()
 }

@@ -30,12 +30,12 @@
 // Architecture: every submission resolves its spec through the
 // PreparedCache (canonical SHA-256 of the spec content; singleflight
 // deduplication of concurrent misses; LRU bound). Every analysis then
-// runs on the one bounded worker pool (scheduler.go). A /v1/analyze
-// request is a job: one pool unit with an ID, a status record and a
+// takes one of Options.Workers slots (scheduler.go). A /v1/analyze
+// request is a job: one analysis with an ID, a status record and a
 // start deadline. Sweeps and model extractions are designs: they take
 // the one design-point path (pipeline.go) — journal acceptance, replay
-// of the durable prefix, the remaining points from the pool or from the
-// cluster, append-then-deliver in deterministic design order — and
+// of the durable prefix, the remaining points from the local slots or
+// from the cluster, append-then-deliver in deterministic design order — and
 // differ only in the sink that consumes the points, so results are
 // reproducible and large designs never buffer in memory.
 package service
@@ -73,10 +73,8 @@ type Options struct {
 	Workers int
 	// CacheEntries bounds the PreparedCache LRU; <= 0 means 16.
 	CacheEntries int
-	// QueueDepth bounds queued-but-unstarted jobs; <= 0 means 1024.
-	QueueDepth int
-	// JobTimeout is the default per-job deadline (queue wait + run);
-	// <= 0 means 60s.
+	// JobTimeout is the default and the ceiling of a job's start-TTL, how
+	// long it may wait for a slot; <= 0 means 60s.
 	JobTimeout time.Duration
 	// MaxSweepConfigs rejects designs larger than this; <= 0 means 4096.
 	MaxSweepConfigs int
@@ -85,24 +83,19 @@ type Options struct {
 	ModelEntries int
 	// CacheDir, when non-empty, roots the model registry's persistent
 	// tier (a restarted daemon serves finished model sets without
-	// re-paying the sweep-and-fit) and the job journal. Empty keeps the
-	// daemon memory-only.
+	// re-paying the sweep-and-fit) and the durable job journal: sweeps and
+	// model extractions then survive daemon restarts, resuming from the
+	// last journaled design point. Empty keeps the daemon memory-only.
 	CacheDir string
 	// MaxBodyBytes caps every JSON request body; oversized bodies are
 	// rejected with 413. <= 0 means 4 MiB.
 	MaxBodyBytes int64
-	// DisableJournal turns the durable job journal off even when CacheDir
-	// is set. The zero value journals whenever a cache dir exists: sweeps
-	// and model extractions then survive daemon restarts, resuming from
-	// the last journaled design point.
-	DisableJournal bool
 	// Rate enables per-client token-bucket admission control: each
 	// client (X-Client-ID header, else remote host) accrues Rate tokens
-	// per second, one analysis costs one token, a sweep one per design
-	// point. Exhausted clients get 429 + Retry-After. <= 0 disables it.
+	// per second up to max(1, 2*Rate), one analysis costs one token, a
+	// sweep one per design point. Exhausted clients get 429 +
+	// Retry-After. <= 0 disables it.
 	Rate float64
-	// Burst is the per-client bucket capacity; <= 0 means max(1, 2*Rate).
-	Burst float64
 	// Apps extends or overrides the bundled application registry.
 	Apps map[string]App
 
@@ -116,12 +109,6 @@ type Options struct {
 	// AdvertiseURL is the base URL the coordinator should dial this
 	// worker back on; empty derives it from the bound listen address.
 	AdvertiseURL string
-	// ShardSize fixes the design points per dispatched shard; <= 0 sizes
-	// shards automatically (about three shards per live worker).
-	ShardSize int
-	// ShardRetries bounds remote dispatch attempts per shard before the
-	// coordinator runs the shard locally; <= 0 means 3.
-	ShardRetries int
 	// ShardTimeout bounds one shard dispatch round-trip; <= 0 means 2m.
 	ShardTimeout time.Duration
 	// HeartbeatInterval paces worker heartbeats and the coordinator's
@@ -139,9 +126,6 @@ func (o Options) withDefaults() Options {
 	if o.CacheEntries <= 0 {
 		o.CacheEntries = 16
 	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 1024
-	}
 	if o.JobTimeout <= 0 {
 		o.JobTimeout = 60 * time.Second
 	}
@@ -153,9 +137,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxBodyBytes <= 0 {
 		o.MaxBodyBytes = 4 << 20
-	}
-	if o.ShardRetries <= 0 {
-		o.ShardRetries = 3
 	}
 	if o.ShardTimeout <= 0 {
 		o.ShardTimeout = 2 * time.Minute
@@ -187,7 +168,7 @@ type Server struct {
 	baseCtx context.Context
 	stop    context.CancelFunc
 
-	// journal is the durable job journal (nil when disabled); the source
+	// journal is the durable job journal (nil without a cache dir); the source
 	// of truth for open sweep/model jobs across restarts.
 	journal *journal.Store
 
@@ -212,7 +193,7 @@ func NewServer(opts Options) (*Server, error) {
 		cache:   NewPreparedCache(opts.CacheEntries, metrics.Stage(StagePrepare)),
 		models:  modelreg.NewRegistry(opts.ModelEntries),
 		metrics: metrics,
-		limiter: newRateLimiter(opts.Rate, opts.Burst),
+		limiter: newRateLimiter(opts.Rate),
 		apps:    reg,
 		mux:     http.NewServeMux(),
 		start:   time.Now(),
@@ -223,21 +204,17 @@ func NewServer(opts Options) (*Server, error) {
 			return nil, fmt.Errorf("service: open cache dir: %w", err)
 		}
 		s.models.SetDisk(models)
-		if !opts.DisableJournal {
-			// Opening the store is also recovery: torn journal tails are
-			// truncated and already-terminal journals compacted, so every
-			// remaining file is an open job awaiting resubmission.
-			jst, err := journal.Open(filepath.Join(opts.CacheDir, "journal"))
-			if err != nil {
-				return nil, fmt.Errorf("service: open journal: %w", err)
-			}
-			s.journal = jst
+		// Opening the store is also recovery: torn journal tails are
+		// truncated and already-terminal journals compacted, so every
+		// remaining file is an open job awaiting resubmission.
+		if s.journal, err = journal.Open(filepath.Join(opts.CacheDir, "journal")); err != nil {
+			return nil, fmt.Errorf("service: open journal: %w", err)
 		}
 	}
 	if opts.Coordinator && opts.JoinURL != "" {
 		return nil, fmt.Errorf("service: a daemon is a coordinator or a worker, not both")
 	}
-	s.sched = newScheduler(opts.Workers, opts.QueueDepth, s.metrics.Stage(StageRun))
+	s.sched = newScheduler(opts.Workers, s.metrics.Stage(StageRun))
 	s.baseCtx, s.stop = context.WithCancel(context.Background())
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
@@ -312,7 +289,7 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string, ready chan<- s
 	go func() { errc <- hs.Serve(ln) }()
 	select {
 	case <-ctx.Done():
-		// Drain the scheduler FIRST: queued jobs cancel immediately and
+		// Drain the scheduler FIRST: waiting jobs cancel immediately and
 		// running ones finish, so handlers blocked on job completion
 		// unblock quickly and Shutdown only has to wait out response
 		// writing. The grace still allows one full job in case a worker
@@ -421,8 +398,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		// Async jobs outlive the submitting request.
 		base = context.Background()
 	}
-	j := s.sched.newJob(base, s.timeout(req.TimeoutMS), req.App, digest, cfg, censusParams(req.CensusParams))
-	if err := s.sched.submit(r.Context(), j, prepared); err != nil {
+	j, err := s.sched.submit(base, s.timeout(req.TimeoutMS), req.Async, req.App, digest, cfg, censusParams(req.CensusParams), prepared)
+	if err != nil {
 		httpError(w, http.StatusServiceUnavailable, err)
 		return
 	}
@@ -434,8 +411,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	case <-j.done:
 		writeJSON(w, http.StatusOK, j.Info())
 	case <-r.Context().Done():
-		// The job context derives from the request, so queued work is
-		// already canceled; nothing useful can be written to a gone peer.
+		// The job waits on the request's context, so it has already left
+		// the line; nothing useful can be written to a gone peer.
 	}
 }
 
@@ -470,8 +447,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	// Admission control charges a sweep by what it costs: one token per
-	// job the design puts on the queue (clamped to the bucket capacity
-	// inside the limiter so a legal design is throttled, not starved).
+	// design point (clamped to the bucket capacity inside the limiter so
+	// a legal design is throttled, not starved).
 	if !s.admit(w, r, float64(len(cfgs))) {
 		return
 	}
