@@ -96,7 +96,7 @@ func maxConfig(c modelreg.Config) apps.Config {
 
 // TestMeasureMatchesEvaluate pins the property tying the two ground-truth
 // layers together: a noise-free, uninstrumented cluster measurement at
-// one rank per node must reproduce the analytic apps.Evaluate ground
+// one rank per node must reproduce the analytic apps.Plan.Evaluate ground
 // exactly — per function, exclusive seconds scaled by the imbalance
 // factor plus attributed communication; per MPI routine, the simulated
 // communication total; and for skew-free apps the end-to-end runtime.
@@ -110,7 +110,11 @@ func TestMeasureMatchesEvaluate(t *testing.T) {
 			for _, cfg := range []apps.Config{BaseConfig(app.Design), ProbeConfig(app.Design)} {
 				run := cluster.NewRunner(app.Spec)
 				run.RanksPerNodeOverride = 1 // contention factor pinned to 1
-				g, err := apps.Evaluate(app.Spec, cfg, run.Cost)
+				pl, err := apps.Compile(app.Spec)
+				if err != nil {
+					t.Fatalf("%s: compile: %v", app.Spec.Name, err)
+				}
+				g, err := pl.Evaluate(cfg, run.Cost)
 				if err != nil {
 					t.Fatalf("%s: evaluate: %v", app.Spec.Name, err)
 				}
@@ -121,12 +125,12 @@ func TestMeasureMatchesEvaluate(t *testing.T) {
 
 				skewFree := true
 				p := int(cfg["p"])
-				for _, f := range app.Spec.Funcs {
+				for i, f := range app.Spec.Funcs {
 					if f.ImbalanceSkew != 0 {
 						skewFree = false
 					}
 					imb := run.Machine.ImbalanceFactor(f.ImbalanceSkew, p)
-					want := g.ExclSeconds[f.Name]*imb + g.CommByCaller[f.Name]
+					want := g.ExclSeconds[i]*imb + g.CommByCaller[i]
 					got := prof.FuncSeconds[f.Name][0]
 					if !approxEq(got, want) {
 						t.Errorf("%s @ %v: %s seconds: measure %g, evaluate %g",
@@ -134,10 +138,10 @@ func TestMeasureMatchesEvaluate(t *testing.T) {
 					}
 				}
 				for _, m := range app.Spec.MPIUsed {
-					if g.Calls[m] == 0 {
+					if g.Calls[pl.Index(m)] == 0 {
 						continue
 					}
-					if got, want := prof.FuncSeconds[m][0], g.CommSeconds[m]; !approxEq(got, want) {
+					if got, want := prof.FuncSeconds[m][0], g.CommSeconds[pl.Index(m)]; !approxEq(got, want) {
 						t.Errorf("%s @ %v: %s comm seconds: measure %g, evaluate %g",
 							app.Spec.Name, cfg, m, got, want)
 					}

@@ -356,22 +356,22 @@ func TestMILCGatherBranchIsTaintedSelection(t *testing.T) {
 func TestGroundTruthEvaluation(t *testing.T) {
 	s := LULESH()
 	cfgv := Config{"size": 30, "p": 64, "regions": 11, "balance": 1, "cost": 1, "iters": 500}
-	g, err := Evaluate(s, cfgv, mpisim.DefaultCost())
+	g, err := evaluate(s, cfgv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Calls["main"] != 1 {
-		t.Fatalf("main calls = %g", g.Calls["main"])
+	if callsOf(g, "main") != 1 {
+		t.Fatalf("main calls = %g", callsOf(g, "main"))
 	}
 	// Every kernel runs once per timestep.
-	if got := g.Calls["CalcForceForNodes"]; got != 500 {
+	if got := callsOf(g, "CalcForceForNodes"); got != 500 {
 		t.Fatalf("kernel calls = %g, want 500", got)
 	}
 	// Getter call volume must dwarf kernel calls (the C++ accessor storm
 	// behind Figure 3).
 	getters := 0.0
 	for i := 0; i < 249; i++ {
-		getters += g.Calls[getter249(i)]
+		getters += callsOf(g, getter249(i))
 	}
 	if getters < 1e8 {
 		t.Fatalf("getter calls = %g, want > 1e8", getters)
@@ -382,10 +382,22 @@ func TestGroundTruthEvaluation(t *testing.T) {
 		t.Fatalf("total runtime = %gs, want order 1e2", total)
 	}
 	// Inclusive main covers everything.
-	if g.InclSeconds["main"] < g.ExclSeconds["CalcQForElems"] {
+	if g.TotalSeconds() < exclOf(g, "CalcQForElems") {
 		t.Fatal("main inclusive < kernel exclusive")
 	}
 }
+
+// evaluate compiles s and evaluates it at cfg under the default cost model.
+func evaluate(s *Spec, cfg Config) (*Ground, error) {
+	pl, err := Compile(s)
+	if err != nil {
+		return nil, err
+	}
+	return pl.Evaluate(cfg, mpisim.DefaultCost())
+}
+
+func callsOf(g *Ground, name string) float64 { return g.Calls[g.Plan.Index(name)] }
+func exclOf(g *Ground, name string) float64  { return g.ExclSeconds[g.Plan.Index(name)] }
 
 func getter249(i int) string { return "Domain_get" + pad3(i) }
 
@@ -417,15 +429,15 @@ func TestGroundTruthScalesWithSize(t *testing.T) {
 	base := Config{"size": 20, "p": 27, "regions": 11, "balance": 1, "cost": 1, "iters": 100}
 	big := base.Clone()
 	big["size"] = 40
-	g1, err := Evaluate(s, base, mpisim.DefaultCost())
+	g1, err := evaluate(s, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := Evaluate(s, big, mpisim.DefaultCost())
+	g2, err := evaluate(s, big)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio := g2.ExclSeconds["CalcForceForNodes"] / g1.ExclSeconds["CalcForceForNodes"]
+	ratio := exclOf(g2, "CalcForceForNodes") / exclOf(g1, "CalcForceForNodes")
 	if math.Abs(ratio-8) > 0.5 {
 		t.Fatalf("size^3 scaling: 2x size gave %gx time, want ~8x", ratio)
 	}
@@ -436,15 +448,15 @@ func TestGroundTruthQForElemsHWFactor(t *testing.T) {
 	base := Config{"size": 30, "p": 27, "regions": 11, "balance": 1, "cost": 1, "iters": 100}
 	big := base.Clone()
 	big["p"] = 432 // 16x ranks
-	g1, err := Evaluate(s, base, mpisim.DefaultCost())
+	g1, err := evaluate(s, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := Evaluate(s, big, mpisim.DefaultCost())
+	g2, err := evaluate(s, big)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio := g2.ExclSeconds["CalcQForElems"] / g1.ExclSeconds["CalcQForElems"]
+	ratio := exclOf(g2, "CalcQForElems") / exclOf(g1, "CalcQForElems")
 	// p^0.25: 16^0.25 = 2.
 	if math.Abs(ratio-2) > 0.2 {
 		t.Fatalf("QForElems p^0.25 factor: got %gx, want ~2x", ratio)
@@ -458,21 +470,21 @@ func TestMILCGatherPiecewiseGroundTruth(t *testing.T) {
 	small["p"] = 4
 	large := small.Clone()
 	large["p"] = 32
-	g1, err := Evaluate(s, small, mpisim.DefaultCost())
+	g1, err := evaluate(s, small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := Evaluate(s, large, mpisim.DefaultCost())
+	g2, err := evaluate(s, large)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Both sides execute the gather; the work shape differs across the
 	// threshold (linear vs constant-depth tree).
-	if g1.Calls["g_gather_field"] == 0 || g2.Calls["g_gather_field"] == 0 {
+	if callsOf(g1, "g_gather_field") == 0 || callsOf(g2, "g_gather_field") == 0 {
 		t.Fatal("gather not called")
 	}
-	perCall1 := g1.ExclSeconds["g_gather_field"] / g1.Calls["g_gather_field"]
-	perCall2 := g2.ExclSeconds["g_gather_field"] / g2.Calls["g_gather_field"]
+	perCall1 := exclOf(g1, "g_gather_field") / callsOf(g1, "g_gather_field")
+	perCall2 := exclOf(g2, "g_gather_field") / callsOf(g2, "g_gather_field")
 	if perCall1 == perCall2 {
 		t.Fatal("piecewise gather has identical per-call cost on both sides")
 	}
@@ -480,7 +492,7 @@ func TestMILCGatherPiecewiseGroundTruth(t *testing.T) {
 
 func TestEvaluateRejectsMissingParams(t *testing.T) {
 	s := LULESH()
-	if _, err := Evaluate(s, Config{"size": 10}, mpisim.DefaultCost()); err == nil {
+	if _, err := evaluate(s, Config{"size": 10}); err == nil {
 		t.Fatal("expected missing-parameter error")
 	}
 }

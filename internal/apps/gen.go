@@ -41,7 +41,10 @@ func BuildModule(s *Spec) (*ir.Module, error) {
 		rtcIndex[v] = int64(i)
 	}
 
-	g := &generator{spec: s, mod: m, rtcIndex: rtcIndex}
+	g := &generator{spec: s, mod: m, rtcIndex: rtcIndex, funcs: make(map[string]bool, len(s.Funcs))}
+	for _, f := range s.Funcs {
+		g.funcs[f.Name] = true
+	}
 
 	// Non-main functions first (bodies may call each other in any order;
 	// calls are by name so emission order is irrelevant).
@@ -99,6 +102,7 @@ type generator struct {
 	spec     *Spec
 	mod      *ir.Module
 	rtcIndex map[float64]int64
+	funcs    map[string]bool // names of the spec's functions
 }
 
 func (g *generator) emitFunc(f *FuncSpec, prologue func(b *ir.Builder)) error {
@@ -222,7 +226,7 @@ func (g *generator) emitBody(b *ir.Builder, body []Stmt) error {
 }
 
 func (g *generator) emitCall(b *ir.Builder, c Call) error {
-	if g.spec.FuncByName(c.Callee) != nil {
+	if g.funcs[c.Callee] {
 		b.Call(c.Callee)
 		return nil
 	}

@@ -12,6 +12,7 @@ package cluster
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/apps"
 	"repro/internal/mpisim"
@@ -93,7 +94,10 @@ func DefaultIntrusion() Intrusion {
 	}
 }
 
-// Runner synthesizes measurements for one application on one machine.
+// Runner synthesizes measurements for one application on one machine. Its
+// Spec is compiled once, by NewRunner or by the first Measure, and must
+// not change afterwards; the other fields may be set freely between calls.
+// One Runner may serve any number of goroutines.
 type Runner struct {
 	Spec      *apps.Spec
 	Cost      mpisim.CostModel
@@ -102,16 +106,29 @@ type Runner struct {
 	// RanksPerNodeOverride, when > 0, pins the co-location degree (the C1
 	// experiment varies it at fixed p).
 	RanksPerNodeOverride int
+
+	compile sync.Once
+	plan    *apps.Plan
+	planErr error
 }
 
-// NewRunner assembles a runner with evaluation defaults.
+// NewRunner assembles a runner with evaluation defaults. An invalid spec
+// is reported by Measure, on every call.
 func NewRunner(spec *apps.Spec) *Runner {
-	return &Runner{
+	r := &Runner{
 		Spec:      spec,
 		Cost:      mpisim.DefaultCost(),
 		Machine:   Skylake(),
 		Intrusion: DefaultIntrusion(),
 	}
+	r.compiled()
+	return r
+}
+
+// compiled returns the plan of r.Spec, building it on first use.
+func (r *Runner) compiled() (*apps.Plan, error) {
+	r.compile.Do(func() { r.plan, r.planErr = apps.Compile(r.Spec) })
+	return r.plan, r.planErr
 }
 
 // Profile is one synthetic measurement of an application configuration.
@@ -128,15 +145,22 @@ type Profile struct {
 	// OverheadSeconds is the instrumentation cost added to the run.
 	OverheadSeconds float64
 	// Calls carries the ground-truth call counts (visit counts in Score-P
-	// terms).
+	// terms) of every function and MPI routine the configuration reaches.
 	Calls map[string]float64
 }
 
 // Measure synthesizes reps repeated measurements of cfg. instrumented
 // selects the functions carrying measurement probes (nil = none); src
-// provides the noise stream.
+// provides the noise stream, drawn from in a fixed order — the spec
+// functions in declaration order, then the Spec.MPIUsed entries that were
+// called, then the application total, reps draws each — so a seed yields
+// the same profile wherever and whenever it is measured.
 func (r *Runner) Measure(cfg apps.Config, instrumented map[string]bool, reps int, src *noise.Source) (*Profile, error) {
-	g, err := apps.Evaluate(r.Spec, cfg, r.Cost)
+	pl, err := r.compiled()
+	if err != nil {
+		return nil, err
+	}
+	g, err := pl.Evaluate(cfg, r.Cost)
 	if err != nil {
 		return nil, err
 	}
@@ -145,133 +169,86 @@ func (r *Runner) Measure(cfg apps.Config, instrumented map[string]bool, reps int
 	if r.RanksPerNodeOverride > 0 {
 		rpn = r.RanksPerNodeOverride
 	}
-
-	prof := &Profile{
-		Cfg:         cfg.Clone(),
-		FuncSeconds: make(map[string][]float64),
-		Calls:       g.Calls,
-		BaseSeconds: g.TotalSeconds(),
-	}
+	nf := len(r.Spec.Funcs)
 
 	// Instrumented event volume per function: own events plus events of
 	// instrumented direct callees (the getter storm lands on its callers).
-	eventsOf := func(name string) float64 {
-		ev := 0.0
-		if instrumented[name] {
-			ev += g.Calls[name]
+	probed := make([]bool, len(pl.Targets))
+	for name, on := range instrumented {
+		if t := pl.Index(name); on && t >= 0 {
+			probed[t] = true
 		}
-		for callee, n := range g.CallsFrom[name] {
-			if instrumented[callee] {
-				ev += n
+	}
+	events := make([]float64, nf)
+	totalEvents := 0.0
+	for t, on := range probed {
+		if on {
+			totalEvents += g.Calls[t]
+			if t < nf {
+				events[t] = g.Calls[t]
 			}
 		}
-		return ev
 	}
-	reaches := reachesMPI(r.Spec)
+	for e, callee := range pl.EdgeTo {
+		if probed[callee] {
+			events[pl.EdgeFrom[e]] += g.CallsFrom[e]
+		}
+	}
 	sqrtP := math.Sqrt(float64(p))
-	ovhOf := func(name string) float64 {
-		ev := eventsOf(name)
-		ovh := r.Intrusion.PerEventSeconds * ev
-		ovh += r.Intrusion.FlushSeconds * ev / 1e6 * sqrtP
-		if ev > r.Intrusion.BufferCapacity && reaches[name] {
-			ovh += r.Intrusion.SkewSeconds * sqrtP
-		}
-		return ovh
-	}
-	totalEvents := 0.0
-	for name, on := range instrumented {
-		if on {
-			totalEvents += g.Calls[name]
-		}
-	}
 	totalOvh := r.Intrusion.PerEventSeconds*totalEvents +
 		r.Intrusion.FlushSeconds*totalEvents/1e6*sqrtP
-	prof.OverheadSeconds = totalOvh
 
-	for _, f := range r.Spec.Funcs {
+	prof := &Profile{
+		Cfg:             cfg.Clone(),
+		FuncSeconds:     make(map[string][]float64, len(pl.Targets)),
+		Calls:           make(map[string]float64, len(pl.Targets)),
+		BaseSeconds:     g.TotalSeconds(),
+		OverheadSeconds: totalOvh,
+	}
+	for t, name := range pl.Targets {
+		if g.Reached[t] {
+			prof.Calls[name] = g.Calls[t]
+		}
+	}
+
+	// Every series of repeats is a slice of one array.
+	series := make([]float64, (nf+len(pl.MPIUsed)+1)*reps)
+	observe := func(trueTime float64) []float64 {
+		out := series[:reps:reps]
+		series = series[reps:]
+		src.Fill(out, trueTime)
+		return out
+	}
+	// The whole-application slowdown is the per-function contention and
+	// imbalance stretch averaged by exclusive time.
+	exclTotal, exclStretched := 0.0, 0.0
+	for i, f := range r.Spec.Funcs {
 		cont := r.Machine.ContentionFactor(f.MemIntensity, rpn)
 		imb := r.Machine.ImbalanceFactor(f.ImbalanceSkew, p)
-		trueTime := g.ExclSeconds[f.Name]*cont*imb + g.CommByCaller[f.Name] + ovhOf(f.Name)
-		prof.FuncSeconds[f.Name] = src.Repeat(trueTime, reps)
+		stretched := g.ExclSeconds[i] * cont * imb
+		exclTotal += g.ExclSeconds[i]
+		exclStretched += stretched
+
+		ev := events[i]
+		ovh := r.Intrusion.PerEventSeconds * ev
+		ovh += r.Intrusion.FlushSeconds * ev / 1e6 * sqrtP
+		if ev > r.Intrusion.BufferCapacity && pl.ReachesMPI[i] {
+			ovh += r.Intrusion.SkewSeconds * sqrtP
+		}
+		prof.FuncSeconds[f.Name] = observe(stretched + g.CommByCaller[i] + ovh)
 	}
-	for _, mname := range r.Spec.MPIUsed {
-		if g.Calls[mname] == 0 {
+	for _, t := range pl.MPIUsed {
+		if g.Calls[t] == 0 {
 			continue
 		}
-		prof.FuncSeconds[mname] = src.Repeat(g.CommSeconds[mname], reps)
+		prof.FuncSeconds[pl.Targets[t]] = observe(g.CommSeconds[t])
 	}
-	appTrue := g.TotalSeconds()*r.appFactor(g, rpn, p) + totalOvh
-	prof.AppSeconds = src.Repeat(appTrue, reps)
+	appFactor := 1.0
+	if exclTotal != 0 {
+		appFactor = exclStretched / exclTotal
+	}
+	prof.AppSeconds = observe(g.TotalSeconds()*appFactor + totalOvh)
 	return prof, nil
-}
-
-// reachesMPI marks spec functions whose call subtree contains an MPI call.
-func reachesMPI(s *apps.Spec) map[string]bool {
-	mpi := make(map[string]bool, len(s.MPIUsed))
-	for _, m := range s.MPIUsed {
-		mpi[m] = true
-	}
-	memo := make(map[string]int) // 0 unknown, 1 no, 2 yes
-	var scan func(body []apps.Stmt) bool
-	var visit func(name string) bool
-	scan = func(body []apps.Stmt) bool {
-		for _, st := range body {
-			switch v := st.(type) {
-			case apps.Loop:
-				if scan(v.Body) {
-					return true
-				}
-			case apps.Branch:
-				if scan(v.Then) || scan(v.Else) {
-					return true
-				}
-			case apps.Call:
-				if mpi[v.Callee] || visit(v.Callee) {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	visit = func(name string) bool {
-		switch memo[name] {
-		case 1:
-			return false
-		case 2:
-			return true
-		}
-		memo[name] = 1 // break cycles conservatively
-		f := s.FuncByName(name)
-		if f == nil {
-			return false
-		}
-		if scan(f.Body) {
-			memo[name] = 2
-			return true
-		}
-		return false
-	}
-	out := make(map[string]bool, len(s.Funcs))
-	for _, f := range s.Funcs {
-		out[f.Name] = visit(f.Name)
-	}
-	return out
-}
-
-// appFactor averages the per-function contention and imbalance stretch
-// weighted by exclusive time, giving the whole-application slowdown.
-func (r *Runner) appFactor(g *apps.Ground, rpn, p int) float64 {
-	total, weighted := 0.0, 0.0
-	for _, f := range r.Spec.Funcs {
-		t := g.ExclSeconds[f.Name]
-		total += t
-		weighted += t * r.Machine.ContentionFactor(f.MemIntensity, rpn) *
-			r.Machine.ImbalanceFactor(f.ImbalanceSkew, p)
-	}
-	if total == 0 {
-		return 1
-	}
-	return weighted / total
 }
 
 // CoreHours returns the cost of one run at cfg in core-hours, including

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/mpisim"
 	"repro/internal/noise"
 )
 
@@ -184,19 +185,19 @@ func TestCoreHours(t *testing.T) {
 }
 
 func TestReachesMPI(t *testing.T) {
-	spec := apps.LULESH()
-	m := reachesMPI(spec)
-	if !m["CalcQForElems"] {
+	pl, err := NewRunner(apps.LULESH()).compiled()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reaches := func(name string) bool { return pl.ReachesMPI[pl.Index(name)] }
+	if !reaches("CalcQForElems") {
 		t.Error("CalcQForElems reaches MPI via CommSBN")
 	}
-	if !m["main"] {
+	if !reaches("main") {
 		t.Error("main reaches MPI")
 	}
-	if m["Domain_get000"] {
+	if reaches("Domain_get000") {
 		t.Error("getter does not reach MPI")
-	}
-	if math.MaxInt32 < len(m) {
-		t.Fatal("unreachable")
 	}
 }
 
@@ -241,7 +242,11 @@ func TestImbalanceStretchesMeasurement(t *testing.T) {
 	r := NewRunner(s)
 	r.RanksPerNodeOverride = 1 // no contention, isolate the imbalance term
 	cfg := apps.Config{"n": 50, "p": 16}
-	g, err := apps.Evaluate(s, cfg, r.Cost)
+	pl, err := r.compiled()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := pl.Evaluate(cfg, r.Cost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,14 +254,72 @@ func TestImbalanceStretchesMeasurement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantWorker := g.ExclSeconds["worker"] * r.Machine.ImbalanceFactor(0.4, 16)
+	worker, steady := g.ExclSeconds[pl.Index("worker")], g.ExclSeconds[pl.Index("steady")]
+	wantWorker := worker * r.Machine.ImbalanceFactor(0.4, 16)
 	if got := prof.FuncSeconds["worker"][0]; math.Abs(got-wantWorker) > 1e-12*wantWorker {
-		t.Errorf("worker measured %g, want %g (ground %g stretched)", got, wantWorker, g.ExclSeconds["worker"])
+		t.Errorf("worker measured %g, want %g (ground %g stretched)", got, wantWorker, worker)
 	}
-	if got, want := prof.FuncSeconds["steady"][0], g.ExclSeconds["steady"]; math.Abs(got-want) > 1e-12*want {
+	if got, want := prof.FuncSeconds["steady"][0], steady; math.Abs(got-want) > 1e-12*want {
 		t.Errorf("steady measured %g, want ground truth %g", got, want)
 	}
-	if g.ExclSeconds["worker"] != g.ExclSeconds["steady"] {
+	if worker != steady {
 		t.Error("ground truth must stay rank-symmetric: skew is a measurement effect")
+	}
+}
+
+// TestMeasureReportsSpecAndConfigErrors: a Runner on a spec that does not
+// validate, or asked for a configuration that lacks a parameter, answers
+// every Measure with the error ground-truth evaluation has always given —
+// the plan is compiled once, its error is not spent by the first call —
+// whether NewRunner built it or a literal did.
+func TestMeasureReportsSpecAndConfigErrors(t *testing.T) {
+	fn := func(name string, kind apps.Kind, callees ...string) *apps.FuncSpec {
+		f := &apps.FuncSpec{Name: name, Kind: kind, WorkNanos: 1, Body: []apps.Stmt{apps.Work{Units: 1}}}
+		for _, c := range callees {
+			f.Body = append(f.Body, apps.Call{Callee: c})
+		}
+		return f
+	}
+	spec := func(name string, funcs ...*apps.FuncSpec) *apps.Spec {
+		return &apps.Spec{Name: name, Params: []string{"n"}, Funcs: funcs, MPIUsed: []string{"MPI_Barrier"}}
+	}
+	full := apps.Config{"n": 4, "p": 2}
+	for _, c := range []struct {
+		name string
+		spec *apps.Spec
+		cfg  apps.Config
+		want string
+	}{
+		{"unknown callee", spec("u", fn("main", apps.KindMain, "ghost")), full,
+			`apps: main calls unknown "ghost"`},
+		{"duplicate function", spec("d", fn("main", apps.KindMain, "k"), fn("k", apps.KindKernel), fn("k", apps.KindKernel)), full,
+			`apps: duplicate function "k"`},
+		{"call cycle", spec("c", fn("main", apps.KindMain, "a"), fn("a", apps.KindKernel, "b"), fn("b", apps.KindKernel, "a")), full,
+			`apps: spec "c": call cycle a -> b -> a`},
+		{"missing parameter", spec("m", fn("main", apps.KindMain, "MPI_Barrier")), apps.Config{"p": 2},
+			`apps: config missing parameter "n"`},
+		{"missing p", spec("p", fn("main", apps.KindMain, "MPI_Barrier")), apps.Config{"n": 4},
+			`apps: config missing implicit parameter p`},
+	} {
+		for how, r := range map[string]*Runner{
+			"NewRunner": NewRunner(c.spec),
+			"literal":   {Spec: c.spec, Cost: mpisim.DefaultCost(), Machine: Skylake(), Intrusion: DefaultIntrusion()},
+		} {
+			for call := 1; call <= 3; call++ {
+				prof, err := r.Measure(c.cfg, nil, 2, noise.Quiet())
+				if err == nil || err.Error() != c.want || prof != nil {
+					t.Errorf("%s, %s, call %d: profile %v, error %v; want error %q", c.name, how, call, prof, err, c.want)
+				}
+			}
+			if _, err := r.CoreHours(c.cfg, nil); err == nil || err.Error() != c.want {
+				t.Errorf("%s, %s: CoreHours error %v, want %q", c.name, how, err, c.want)
+			}
+			// A configuration error says nothing about the runner.
+			if len(c.cfg) < len(full) {
+				if _, err := r.Measure(full, nil, 2, noise.Quiet()); err != nil {
+					t.Errorf("%s, %s: complete configuration after a failed one: %v", c.name, how, err)
+				}
+			}
+		}
 	}
 }

@@ -295,11 +295,23 @@ func (pl *Pipeline) Finish() (*ModelSet, error) {
 	}
 	fits := extrap.FitAll(reqs, opt, pl.workers)
 
+	// The census classification of each function; library routines are not
+	// spec functions and read "mpi".
+	kinds := make(map[string]string, len(pl.prep.Spec.Funcs))
+	for _, f := range pl.prep.Spec.Funcs {
+		kinds[f.Name] = f.Kind.String()
+	}
+	primary := pl.cfg.Metrics[0]
+	ranked := make(map[string]*extrap.Model, len(funcs)) // each function's primary-metric hybrid model
 	byFn := make(map[string]*FunctionModels, len(funcs))
 	for _, s := range slots {
 		fm := byFn[s.fn]
 		if fm == nil {
-			fm = &FunctionModels{Function: s.fn, Kind: pl.kind(s.fn), Deps: pl.taint.FuncDeps[s.fn]}
+			kind, ok := kinds[s.fn]
+			if !ok {
+				kind = "mpi"
+			}
+			fm = &FunctionModels{Function: s.fn, Kind: kind, Deps: pl.taint.FuncDeps[s.fn]}
 			if len(fm.Deps) > 0 && pl.taint.Volumes.ByFunc[s.fn] != nil {
 				fm.Volume = pl.taint.Volumes.ByFunc[s.fn].String()
 			}
@@ -316,6 +328,9 @@ func (pl *Pipeline) Finish() (*ModelSet, error) {
 			mm.HybridErr = f.Err.Error()
 		} else {
 			mm.Hybrid = newModelFit(d, f.Model)
+			if s.metric == primary {
+				ranked[s.fn] = f.Model
+			}
 		}
 		if f := fits[s.blackBox]; f.Err != nil {
 			mm.BlackBoxErr = f.Err.Error()
@@ -346,18 +361,13 @@ func (pl *Pipeline) Finish() (*ModelSet, error) {
 	for _, prm := range ms.Params {
 		rankAt[prm] = ms.RankConfig[prm]
 	}
-	primary := pl.cfg.Metrics[0]
 	total := 0.0
 	pred := make(map[string]float64, len(byFn))
 	// Sum in sorted function order: float addition is order-sensitive
 	// and shares must not depend on map iteration.
 	for _, fn := range funcs {
-		fm := byFn[fn]
-		if fm == nil {
-			continue
-		}
-		if mm := fm.Metric(primary); mm != nil && mm.Hybrid != nil {
-			if v := pl.evalHybrid(fits, slots, fn, primary, rankAt); v > 0 {
+		if m := ranked[fn]; m != nil {
+			if v := m.Eval(rankAt); v > 0 {
 				pred[fn] = v
 				total += v
 			}
@@ -383,28 +393,6 @@ type fitSlot struct {
 	fn, metric string
 	hybrid     int
 	blackBox   int
-}
-
-// evalHybrid evaluates the hybrid model of (fn, metric) at params.
-func (pl *Pipeline) evalHybrid(fits []extrap.Fit, slots []fitSlot, fn, metric string, params map[string]float64) float64 {
-	for _, s := range slots {
-		if s.fn == fn && s.metric == metric {
-			if f := fits[s.hybrid]; f.Err == nil && f.Model != nil {
-				return f.Model.Eval(params)
-			}
-			return 0
-		}
-	}
-	return 0
-}
-
-// kind names the census classification of fn ("mpi" for library
-// routines, which are not spec functions).
-func (pl *Pipeline) kind(fn string) string {
-	if f := pl.prep.Spec.FuncByName(fn); f != nil {
-		return f.Kind.String()
-	}
-	return "mpi"
 }
 
 // SweepFunc executes a modeling design and feeds one Sample per

@@ -43,8 +43,13 @@ func (s *Source) Perturb(trueValue float64) float64 {
 // Repeat returns n observations of the true value.
 func (s *Source) Repeat(trueValue float64, n int) []float64 {
 	out := make([]float64, n)
+	s.Fill(out, trueValue)
+	return out
+}
+
+// Fill overwrites out with observations of the true value, in order.
+func (s *Source) Fill(out []float64, trueValue float64) {
 	for i := range out {
 		out[i] = s.Perturb(trueValue)
 	}
-	return out
 }
