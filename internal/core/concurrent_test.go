@@ -91,3 +91,61 @@ func TestConcurrentAnalyzeSharesNothingMutable(t *testing.T) {
 		t.Fatal("concurrent analysis of the first configuration differs from the serial one")
 	}
 }
+
+// TestDifferentialRecycledConcurrent sweeps the lulesh-large design from 8
+// goroutines at once on one Prepared, each in an order of its own, so arenas
+// change hands between runs of different sizes while other runs are in
+// flight (under -race in CI). Every report must equal the one a sequential
+// sweep on a Prepared of its own gives for that point.
+func TestDifferentialRecycledConcurrent(t *testing.T) {
+	var design []apps.Config
+	for _, p := range []float64{2, 4, 8, 16} {
+		for _, size := range []float64{11, 13, 15, 17} {
+			cfg := apps.LULESHTaintConfig().Clone()
+			cfg["p"], cfg["size"] = p, size
+			design = append(design, cfg)
+		}
+	}
+	seq, err := Prepare(apps.LULESH())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]string, len(design))
+	for i, cfg := range design {
+		r, err := seq.Analyze(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = ReportView(r)
+	}
+
+	prep, err := Prepare(apps.LULESH())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines = 8
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			// Odd goroutines descend, and each starts somewhere else.
+			for n := range design {
+				i := (n*(1+g%3*2) + g*5) % len(design)
+				if g%2 == 1 {
+					i = len(design) - 1 - i
+				}
+				r, err := prep.Analyze(design[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := ReportView(r); got != want[i] {
+					t.Errorf("goroutine %d, point %v: the concurrent report differs from the sequential one", g, design[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}

@@ -23,10 +23,15 @@ import (
 // A Prepared value is safe for concurrent use: every Analyze call creates
 // its own interpreter machine and taint engine, and only reads the shared
 // module, database, static maps, predecoded program and analysis plan, all
-// immutable after construction. The one thing that grows is the table of
-// interned aggregation results: dependency maps, relevance set and volumes
-// are a pure function of a run's per-loop label masks, so runs with equal
-// masks — nearly every point of a sweep — share one immutable result.
+// immutable after construction. The memory a run works in is not created per
+// call: the machine borrows it from the arena pool of the shared Program and
+// returns it, zeroed, when the run ends (see interp.Program), so consecutive
+// and concurrent Analyze calls recycle one arena per worker and a report
+// never aliases it — the taint engine and its records are the call's own.
+// The one thing that grows is the table of interned aggregation results:
+// dependency maps, relevance set and volumes are a pure function of a run's
+// per-loop label masks, so runs with equal masks — nearly every point of a
+// sweep — share one immutable result.
 // Reports therefore share FuncDeps, LoopDeps, LibDeps, Relevant and
 // Volumes with other reports of the same Prepared and must treat them as
 // read-only.
@@ -165,8 +170,9 @@ func (p *Prepared) Analyze(cfg apps.Config) (*Report, error) {
 
 // run is stage 2 of Analyze, the dynamic taint analysis of one
 // configuration: the taint engine it filled and the interpreter's account of
-// the run. The predecoded program is shared read-only across all concurrent
-// runs of this Prepared.
+// the run. The predecoded program is shared across all concurrent runs of this
+// Prepared, and recycling run memory is its business, inside Machine.Run:
+// a machine per run is cheap, and there is no second pool here.
 func (p *Prepared) run(cfg apps.Config) (*taint.Engine, *interp.Result, error) {
 	pVal := int64(cfg["p"])
 	if pVal <= 0 {

@@ -128,8 +128,6 @@ type kctx struct {
 	path   *pathNode
 	eng    *taint.Engine
 
-	// gen matches Machine.kGen when m/cp/prog/eng are current for this run.
-	gen     uint64
 	pathIdx int32
 	depth   int
 	fuel    int64
@@ -1090,12 +1088,12 @@ func (c *compiler) emitCall(in *dinstr) {
 // resolveChild interns (with site-cache memoization) the callee context.
 // The hit path is inlined at every call step; only the first resolution per
 // (site, parent) pays the childPath walk.
-func resolveChild(k *kctx, site *dcall, siteID int32, tainting bool) int32 {
+func resolveChild(k *kctx, site *dcall, siteID int32) int32 {
 	m := k.m
 	if scv := m.siteCache[siteID]; scv != 0 && int32(scv>>32) == k.pathIdx {
 		return int32(scv)
 	}
-	childIdx := m.childPath(k.prog, k.pathIdx, site, tainting)
+	childIdx := m.childPath(k.prog, k.pathIdx, site)
 	m.siteCache[siteID] = int64(k.pathIdx)<<32 | int64(childIdx)
 	return childIdx
 }
@@ -1106,7 +1104,7 @@ func moduleCallTaint(site *dcall, cdf *dfunc, ccf *cfunc, dst int32, sc *int64, 
 	return func(k *kctx) bool {
 		m := k.m
 		childCtl := k.fr.cs.memCtl()
-		childIdx := resolveChild(k, site, siteID, true)
+		childIdx := resolveChild(k, site, siteID)
 		cfr := m.frame(k.depth+1, cdf)
 		am := taint.None
 		for i, r := range args {
@@ -1142,7 +1140,7 @@ func moduleCallClean(site *dcall, cdf *dfunc, ccf *cfunc, dst int32, sc *int64, 
 	args := site.args
 	return func(k *kctx) bool {
 		m := k.m
-		childIdx := resolveChild(k, site, siteID, true)
+		childIdx := resolveChild(k, site, siteID)
 		cfr := m.frame(k.depth+1, cdf)
 		for i, r := range args {
 			cfr.regs[i] = k.regs[r]
@@ -1164,7 +1162,7 @@ func moduleCallPlain(site *dcall, cdf *dfunc, ccf *cfunc, dst int32, sc *int64, 
 	args := site.args
 	return func(k *kctx) bool {
 		m := k.m
-		childIdx := resolveChild(k, site, siteID, false)
+		childIdx := resolveChild(k, site, siteID)
 		cfr := m.frame(k.depth+1, cdf)
 		for i, r := range args {
 			cfr.regs[i] = k.regs[r]
@@ -1192,7 +1190,7 @@ func externCallStep(site *dcall, dst int32, sc *int64, thr int64, labeling bool)
 			}
 			m.externSlots[site.externOrd] = ext
 		}
-		childIdx := resolveChild(k, site, site.siteID, labeling)
+		childIdx := resolveChild(k, site, site.siteID)
 		fr := k.fr
 		n := len(site.args)
 		if cap(fr.args) < n {

@@ -345,24 +345,35 @@ func TestLoopSummaryMatchesEveryIteration(t *testing.T) {
 			ctl    []ctlScope
 		}
 		exec := func(everyIteration bool) state {
-			eng := taint.NewEngine()
-			eng.ControlFlow = cflow
-			mach := NewMachine(mod)
-			mach.Prog = prog
-			mach.Taint = eng
-			mach.everyIteration = everyIteration
-			argLabels := make([]taint.Label, 3)
-			for i, name := range []string{"x", "y", "z"} {
-				if labelled[i] {
-					argLabels[i] = eng.Table.Base(name)
+			// Main's frame goes back to the program's pool with the run, so
+			// each run gets a program of its own — a fresh arena, the same
+			// epochs on both sides — and its arena is taken out afterwards.
+			// A sync.Pool may mislay what it was given (under the race
+			// detector it drops every fourth Put on purpose): run again.
+			for {
+				eng := taint.NewEngine()
+				eng.ControlFlow = cflow
+				mach := NewMachine(mod)
+				mach.Prog = Predecode(mod)
+				mach.Taint = eng
+				mach.everyIteration = everyIteration
+				argLabels := make([]taint.Label, 3)
+				for i, name := range []string{"x", "y", "z"} {
+					if labelled[i] {
+						argLabels[i] = eng.Table.Base(name)
+					}
 				}
+				res, err := mach.Run("main", args, argLabels)
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				a, _ := mach.Prog.arenas.Get().(*runArena)
+				if a == nil {
+					continue
+				}
+				fr := a.frames[0]
+				return state{*res, renderRecords(eng, mod.Funcs["main"]), fr.regs, fr.labels, fr.cs.born, fr.cs.writeSeq, fr.cs.ctl}
 			}
-			res, err := mach.Run("main", args, argLabels)
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			fr := mach.frames[0]
-			return state{*res, renderRecords(eng, mod.Funcs["main"]), fr.regs, fr.labels, fr.cs.born, fr.cs.writeSeq, fr.cs.ctl}
 		}
 		skip, every := exec(false), exec(true)
 		if skip.res.Summarized > every.res.Summarized {

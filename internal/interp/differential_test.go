@@ -781,6 +781,9 @@ type runOpts struct {
 	tainted bool
 	// params overrides the tainted parameter names (default x, y, z).
 	params []string
+	// prog, when set, is the shared program the run executes on — and
+	// borrows its memory from — instead of a machine-private one.
+	prog *interp.Program
 }
 
 func runOne(t *testing.T, mod *ir.Module, args []int64, o runOpts) string {
@@ -789,6 +792,7 @@ func runOne(t *testing.T, mod *ir.Module, args []int64, o runOpts) string {
 	mach := interp.NewMachine(mod)
 	mach.Mode = o.mode
 	mach.Fuel = o.fuel
+	mach.Prog = o.prog
 	if o.tainted {
 		eng = taint.NewEngine()
 		mach.Taint = eng
@@ -811,14 +815,64 @@ func runOne(t *testing.T, mod *ir.Module, args []int64, o runOpts) string {
 
 func diffModes(t *testing.T, mod *ir.Module, args []int64, fuel int64, tainted bool, params ...string) {
 	t.Helper()
+	diffModesOn(t, mod, nil, args, fuel, tainted, params...)
+}
+
+// diffModesOn is diffModes with the engines under test — the reference one
+// among them — running on prog when it is set, each on an arena out of prog's
+// pool that primeArena just put there. The oracle stays the reference engine
+// on a machine and memory of its own.
+func diffModesOn(t *testing.T, mod *ir.Module, prog *interp.Program, args []int64, fuel int64, tainted bool, params ...string) {
+	t.Helper()
 	ref := runOne(t, mod, args, runOpts{mode: interp.ModeReference, fuel: fuel, tainted: tainted, params: params})
-	for _, m := range []struct {
-		name string
-		mode interp.Mode
-	}{{"fast", interp.ModeFast}, {"compiled", interp.ModeCompiled}} {
-		got := runOne(t, mod, args, runOpts{mode: m.mode, fuel: fuel, tainted: tainted, params: params})
+	modes := []interp.Mode{interp.ModeFast, interp.ModeCompiled}
+	if prog != nil {
+		modes = append(modes, interp.ModeReference)
+	}
+	for _, mode := range modes {
+		if prog != nil {
+			primeArena(t, mod, prog)
+		}
+		got := runOne(t, mod, args, runOpts{mode: mode, fuel: fuel, tainted: tainted, params: params, prog: prog})
 		if ref != got {
-			t.Fatalf("%s engine diverged (tainted=%v fuel=%d):\n--- reference ---\n%s\n--- %s ---\n%s", m.name, tainted, fuel, ref, m.name, got)
+			t.Fatalf("%v engine diverged (tainted=%v fuel=%d recycled=%v):\n--- reference ---\n%s\n--- %v ---\n%s", mode, tainted, fuel, prog != nil, ref, mode, got)
+		}
+	}
+}
+
+// addDirty gives mod the function the recycling harness dirties arenas with:
+// dirty(n, v) allocates n cells and stores v in every one. Nothing calls it;
+// it is an entry of its own, so the rest of the module, its call sites and
+// its loops stay what they were.
+func addDirty(mod *ir.Module) {
+	b := ir.NewFunc(mod, "dirty", 2)
+	a := b.Alloc(b.Param(0))
+	b.For(b.Const(0), b.Param(0), b.Const(1), func(i ir.Reg) {
+		b.Store(b.Add(a, i), 0, b.Param(1))
+	})
+	b.Ret(b.Load(a, 0))
+	b.Finish()
+}
+
+// primeArena leaves in prog's pool an arena used the way a sweep uses one: by
+// a large-heap run, dirty(2048, 7) with a labelled 7 in every cell the
+// scratch arrays of some 250 activations will occupy, then by a small one,
+// dirty(4, 7), then by main itself at the arguments that drive the generated
+// loops furthest. The generated functions read their scratch arrays before
+// they have written all of them, so a cell or label left behind shows.
+func primeArena(t *testing.T, mod *ir.Module, prog *interp.Program) {
+	t.Helper()
+	for _, run := range []struct {
+		entry string
+		args  []int64
+	}{{"dirty", []int64{2048, 7}}, {"dirty", []int64{4, 7}}, {"main", []int64{15, 15, 15}}} {
+		eng := taint.NewEngine()
+		mach := interp.NewMachine(mod)
+		mach.Prog, mach.Taint, mach.Fuel = prog, eng, 20_000
+		libdb.DefaultMPI().Bind(mach, eng, libdb.RunConfig{CommSize: 8, Rank: 0})
+		labels := []taint.Label{eng.Table.Base("x"), eng.Table.Base("y"), eng.Table.Base("z")}
+		if _, err := mach.Run(run.entry, run.args, labels[:len(run.args)]); err != nil && !errors.Is(err, interp.ErrFuel) {
+			t.Fatalf("priming run %s%v: %v", run.entry, run.args, err)
 		}
 	}
 }

@@ -15,7 +15,10 @@ import (
 // calls O(1) slice/pointer updates with zero allocation on the hot loop.
 // Two sites with the same caller and callee produce distinct nodes whose
 // lazily resolved records alias the same engine entry, preserving the
-// reference engine's string-keyed aggregation.
+// reference engine's string-keyed aggregation. The tree belongs to the run
+// arena and outlives the run — path strings and children depend on the
+// program and the entry alone — while the cached records are the run's and
+// are dropped when the arena is released.
 type pathNode struct {
 	str   string
 	fnIdx int32
@@ -338,8 +341,13 @@ func (m *Machine) skipLoop(prog *Program, df *dfunc, fr *fastFrame, path *pathNo
 	return n * ls.charge
 }
 
-// resetFast prepares the per-run fast-engine state against prog.
-func (m *Machine) resetFast(prog *Program) {
+// resetFast prepares the fast-engine state of the arena for a run of entry
+// function fi of prog. A recycled arena arrives sized for prog — it came from
+// prog's pool — with its record and extern slots already nil (releaseFast);
+// a fresh one is sized here. The interned call paths survive from run to run
+// as long as the entry stays the same: a context's path string and children
+// depend on nothing else, and its records were dropped on release.
+func (m *Machine) resetFast(prog *Program, fi int32, entry string) {
 	if len(m.globalBase) != len(prog.Mod.Globals) {
 		m.globalBase = make([]Value, len(prog.Mod.Globals))
 	}
@@ -348,8 +356,6 @@ func (m *Machine) resetFast(prog *Program) {
 	}
 	if len(m.externSlots) != len(prog.externs) {
 		m.externSlots = make([]Extern, len(prog.externs))
-	} else {
-		clear(m.externSlots)
 	}
 	if len(m.activeN) != len(prog.funcs) {
 		m.activeN = make([]int32, len(prog.funcs))
@@ -358,15 +364,53 @@ func (m *Machine) resetFast(prog *Program) {
 	}
 	if len(m.branchRecs) != len(prog.funcs) {
 		m.branchRecs = make([][]*taint.BranchRecord, len(prog.funcs))
-	} else {
-		clear(m.branchRecs)
 	}
 	if len(m.siteCache) != int(prog.numSites) {
 		m.siteCache = make([]int64, prog.numSites)
-	} else {
-		clear(m.siteCache)
 	}
-	m.paths = m.paths[:0]
+	if len(m.paths) == 0 || m.paths[0].fnIdx != fi {
+		clear(m.paths)
+		clear(m.siteCache)
+		m.paths = append(m.paths[:0], newPathNode(prog, entry, fi))
+	}
+}
+
+// newPathNode returns the interned context str, an activation of function fn
+// of prog (negative: an extern call tail, which has no loops).
+func newPathNode(prog *Program, str string, fn int32) *pathNode {
+	pn := &pathNode{str: str, fnIdx: fn}
+	if fn >= 0 {
+		if n := len(prog.funcs[fn].loops); n > 0 {
+			pn.loopRecs = make([]*taint.LoopRecord, n)
+		}
+	}
+	return pn
+}
+
+// releaseFast drops what the finished run left in the engines' scratch: the
+// taint records cached on call paths and branch tables, the extern closures,
+// and the machine and engine pointers in the pooled frames. An aborted run
+// also leaves its frames' epochs behind (scrubEpochs).
+func (m *Machine) releaseFast(aborted bool) {
+	clear(m.externSlots)
+	for _, brs := range m.branchRecs {
+		clear(brs)
+	}
+	if len(m.paths) > maxPooledPaths {
+		m.paths, m.siteCache = nil, nil
+	}
+	for _, pn := range m.paths {
+		clear(pn.loopRecs)
+		pn.libRec = nil
+	}
+	if aborted {
+		m.scrubEpochs()
+	}
+	for _, f := range m.frames {
+		f.ext = ExternCall{}
+		f.k = kctx{}
+	}
+	m.settled.cs = nil
 }
 
 // frame returns the pooled activation record for the given call depth,
@@ -421,7 +465,7 @@ func (m *Machine) frame(depth int, df *dfunc) *fastFrame {
 // childPath interns the calling context reached from parent through site,
 // creating (and rendering) the node exactly once per distinct path. Repeat
 // resolutions of the hottest site hit the front of the child list.
-func (m *Machine) childPath(prog *Program, parent int32, site *dcall, tainting bool) int32 {
+func (m *Machine) childPath(prog *Program, parent int32, site *dcall) int32 {
 	pn := m.paths[parent]
 	kids := pn.children
 	for i := range kids {
@@ -433,11 +477,7 @@ func (m *Machine) childPath(prog *Program, parent int32, site *dcall, tainting b
 		}
 	}
 	id := int32(len(m.paths))
-	nn := &pathNode{str: pn.str + "/" + site.sym, fnIdx: site.callee}
-	if tainting && site.callee >= 0 {
-		nn.loopRecs = make([]*taint.LoopRecord, len(prog.funcs[site.callee].loops))
-	}
-	m.paths = append(m.paths, nn)
+	m.paths = append(m.paths, newPathNode(prog, pn.str+"/"+site.sym, site.callee))
 	pn.children = append(pn.children, pathChild{site: site.siteID, id: id})
 	return id
 }
@@ -519,20 +559,14 @@ func (m *Machine) runFast(entry string, args []Value, argLabels []taint.Label) (
 	if len(args) != int(df.numParams) {
 		return nil, fmt.Errorf("interp: %q wants %d args, got %d", entry, df.numParams, len(args))
 	}
-	if err := m.reset(); err != nil {
+	if err := m.reset(prog); err != nil {
 		return nil, err
 	}
 	// Label banks are maintained only when labels can flow at all; a plain
 	// run skips their zeroing and per-call copies entirely, and its result
 	// label is forced to None below (pooled frames may hold stale labels).
 	m.labeling = m.Taint != nil || argLabels != nil
-	m.resetFast(prog)
-
-	root := &pathNode{str: entry, fnIdx: fi}
-	if m.Taint != nil {
-		root.loopRecs = make([]*taint.LoopRecord, len(df.loops))
-	}
-	m.paths = append(m.paths, root)
+	m.resetFast(prog, fi, entry)
 
 	fr := m.frame(0, df)
 	copy(fr.regs, args)
@@ -549,9 +583,8 @@ func (m *Machine) runFast(entry string, args []Value, argLabels []taint.Label) (
 
 	startFuel := m.fuel
 	v, l, err := m.execFast(prog, df, fr, 0, taint.None, 0)
-	prog.noteArenas(len(m.heap), len(m.shadow))
+	m.release(prog, err != nil)
 	if err != nil {
-		m.scrubEpochs()
 		return &Result{Instructions: startFuel - m.fuel, Summarized: m.summarized}, err
 	}
 	if !m.labeling {
@@ -563,7 +596,8 @@ func (m *Machine) runFast(entry string, args []Value, argLabels []taint.Label) (
 // scrubEpochs ends an aborted run: its activations did not advance their
 // frames' epochs past the sequence numbers they handed out, so born is
 // scrubbed wholesale, to the full capacity (a later activation may reslice
-// the bank wider), and a reused machine cannot take stale entries for live.
+// the bank wider), and the next run on these frames cannot take stale entries
+// for live.
 func (m *Machine) scrubEpochs() {
 	for _, f := range m.frames {
 		clear(f.cs.born[:cap(f.cs.born)])
@@ -775,7 +809,7 @@ func (m *Machine) execLoop(prog *Program, df *dfunc, fr *fastFrame, pathIdx int3
 			if sc := m.siteCache[site.siteID]; sc != 0 && int32(sc>>32) == pathIdx {
 				childIdx = int32(sc)
 			} else {
-				childIdx = m.childPath(prog, pathIdx, site, tainting)
+				childIdx = m.childPath(prog, pathIdx, site)
 				m.siteCache[site.siteID] = int64(pathIdx)<<32 | int64(childIdx)
 			}
 			if site.callee >= 0 {

@@ -26,6 +26,9 @@ import (
 // argument the counted-loop shapes (see countedShapes), whose loops the fast
 // engine executes through loop summaries: there the budget and the sweep end
 // runs inside the skipped iterations, in the last one and at the exit test.
+// The engines under test run on one shared Program per input, each run on
+// recycled memory (see primeArena), so what is fuzzed is what a sweep does:
+// runs of different sizes and fuel handing one arena on.
 //
 // Run it as a fuzzer with:
 //
@@ -60,8 +63,12 @@ func FuzzDifferentialEngines(f *testing.F) {
 		// four times per input) well under the fuzzer's per-exec hang
 		// threshold while still covering thousands of loop iterations.
 		const budget = 20_000
-		diffModes(t, mod, args, budget, true)
-		diffModes(t, mod, args, budget, false)
+		// Every run under test borrows its memory from this program's pool,
+		// after a larger and a smaller run of the module (see primeArena).
+		addDirty(mod)
+		prog := interp.Predecode(mod)
+		diffModesOn(t, mod, prog, args, budget, true)
+		diffModesOn(t, mod, prog, args, budget, false)
 
 		// Probe the full run length cheaply (fast engine, untainted); when
 		// the module finishes within budget, rerun with a fuzzed truncation
@@ -75,8 +82,8 @@ func FuzzDifferentialEngines(f *testing.F) {
 			return
 		}
 		fuel := 1 + int64(fuelSel)%res.Instructions
-		diffModes(t, mod, args, fuel, true)
-		diffModes(t, mod, args, fuel, false)
+		diffModesOn(t, mod, prog, args, fuel, true)
+		diffModesOn(t, mod, prog, args, fuel, false)
 	})
 }
 

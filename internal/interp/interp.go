@@ -49,6 +49,13 @@
 // born that straddles two loop scopes, which scans the stack.
 // ctlState.write is the one register-write path of both engines.
 //
+// A run borrows its memory. Heap, shadow, the global table and the engines'
+// scratch (frames, interned call paths, record caches) form a run arena that
+// Machine.reset takes from the pool of the Program the run executes on and
+// every exit of Run hands back — zero up to its capacity and without a
+// reference to the run that used it — so the runs of a sweep build this memory
+// once per worker, whichever machines they run on (see runArena).
+//
 // The compiled engine (Machine.Mode == ModeCompiled) lowers the same Program
 // once into chains of specialized Go closures — superinstructions for common
 // 2-3 instruction sequences, batched fuel accounting, and provably-clean
@@ -182,51 +189,72 @@ type Machine struct {
 	// caches per machine.
 	Compiled *Compiled
 
+	// The embedded arena is the memory of the run in progress, borrowed
+	// from the program's pool by reset and handed back by release: between
+	// runs it is the zero value and borrowed, its header in the pool, is nil.
+	runArena
+	borrowed *runArena
+
+	infoCache map[string]*funcInfo
+	fuel      int64
+
+	progOwned     *Program
+	compiledOwned *Compiled
+	// labeling records whether the current run maintains register label
+	// banks at all (taint engine attached or argument labels supplied).
+	labeling bool
+	// summarized accumulates Result.Summarized over the run, in the two
+	// summary arms of the dispatch loop only. everyIteration is the tests'
+	// hook that keeps loop summaries from firing.
+	summarized     int64
+	everyIteration bool
+}
+
+// runArena is everything a run allocates that does not outlive it: the heap
+// and its shadow, the global table, and the fast and compiled engines'
+// scratch (see fast.go). Runs of one Program recycle arenas through
+// Program.arenas, so a sweep pays for this memory once per worker instead of
+// once per design point.
+//
+// An arena enters the pool carrying nothing of the run that used it: heap
+// and shadow are zero up to their capacity (release clears the prefix the
+// run used, and a fresh or regrown slice is zero beyond its length), so
+// alloc and growShadow extend them without clearing; every slot that held a
+// taint record, an extern closure, the machine or its engine is nil. What
+// stays is capacity, and the interned call-path tree with its site cache:
+// both are a function of the program and the entry alone.
+type runArena struct {
 	heap []Value
 	// shadow carries the heap labels for the prefix [0, len(shadow)); cells
 	// beyond it are untainted. It grows lazily to the highest address that
 	// has ever held a non-empty label (see growShadow).
-	shadow []taint.Label
-	// heapClean / shadowClean are the starts of the arenas' clean suffixes:
-	// cells at or beyond them (up to capacity) are known zero, so regions
-	// re-extended into them skip the explicit clear. A freshly made arena
-	// is clean everywhere; reuse across runs dirties the previous length.
-	heapClean   int
-	shadowClean int
-	globals     map[string]Value
-	infoCache   map[string]*funcInfo
-	active      map[string]int // recursion detection
-	fuel        int64
+	shadow  []taint.Label
+	globals map[string]Value
+	active  map[string]int // recursion detection of the reference engine
 
-	// Fast-engine per-run state (see fast.go). labeling records whether the
-	// current run maintains register label banks at all (taint engine
-	// attached or argument labels supplied).
-	progOwned     *Program
-	compiledOwned *Compiled
-	globalBase    []Value
-	externSlots   []Extern
-	activeN       []int32
-	frames        []*fastFrame
-	paths         []*pathNode
-	branchRecs    [][]*taint.BranchRecord
-	labeling      bool
-	// summarized accumulates Result.Summarized over the run, in the two
-	// summary arms of the dispatch loop only; settled is the loop
-	// summaries' label snapshot. everyIteration is the tests' hook that
-	// keeps loop summaries from firing.
-	summarized     int64
-	settled        settledScratch
-	everyIteration bool
+	// Fast- and compiled-engine state (see fast.go).
+	globalBase  []Value
+	externSlots []Extern
+	activeN     []int32
+	frames      []*fastFrame
+	paths       []*pathNode
+	branchRecs  [][]*taint.BranchRecord
+	// settled is the loop summaries' label snapshot.
+	settled settledScratch
 	// siteCache memoizes, per module-unique call site, the last
 	// (parent path, child path) resolution packed as parent<<32|child;
 	// child indices are never 0 (the root is index 0), so 0 means empty.
 	siteCache []int64
-	// kGen is the compiled engine's run generation: bumped once per
-	// runCompiled, it invalidates the run-scoped fields cached in every
-	// pooled kctx (see execBlocks). Starts at 0 so a fresh frame's kctx
-	// (gen 0) never matches a live generation (always >= 1).
-	kGen uint64
 }
+
+// maxPooledCells is the heap or shadow capacity, in cells, above which
+// release drops an arena instead of pooling it (32 MiB each): the pool keeps
+// what a sweep's next point will use again, not the largest allocation a
+// spec ever provoked. maxPooledPaths bounds the call-path tree the same way.
+const (
+	maxPooledCells = 1 << 22
+	maxPooledPaths = 1 << 14
+)
 
 // NewMachine prepares a machine for module m. Externs and Taint may be set
 // afterwards, before Run.
@@ -238,11 +266,14 @@ func NewMachine(m *ir.Module) *Machine {
 	}
 }
 
-// Heap returns the current heap image (externs use it for message payloads).
+// Heap returns the heap image of the run in progress (externs use it for
+// message payloads). The heap belongs to the run: once Run has returned it is
+// back in the program's pool and Heap is empty.
 func (m *Machine) Heap() []Value { return m.heap }
 
 // LoadMem reads heap cell addr with its label. Addresses beyond the lazily
-// sized shadow prefix are untainted by construction.
+// sized shadow prefix are untainted by construction. Like Heap it is for
+// externs, during a run: afterwards every address is out of bounds.
 func (m *Machine) LoadMem(addr Value) (Value, taint.Label, error) {
 	if addr < 0 || addr >= Value(len(m.heap)) {
 		return 0, taint.None, fmt.Errorf("interp: load out of bounds at %d (heap %d)", addr, len(m.heap))
@@ -278,17 +309,8 @@ func (m *Machine) StoreMem(addr, v Value, l taint.Label) error {
 func (m *Machine) growShadow(addr Value, l taint.Label) {
 	need := int(addr) + 1
 	if need <= cap(m.shadow) {
-		// Re-extending into capacity retained across runs: clear the stale
-		// region between the old and new length (the clean suffix is zero
-		// by construction).
-		old := len(m.shadow)
+		// An arena is zero beyond its length (see runArena).
 		m.shadow = m.shadow[:need]
-		if clean := m.shadowClean; clean > old {
-			if clean > need {
-				clean = need
-			}
-			clear(m.shadow[old:clean])
-		}
 	} else {
 		newCap := 2 * cap(m.shadow)
 		if p := m.program(); p != nil {
@@ -305,9 +327,6 @@ func (m *Machine) growShadow(addr Value, l taint.Label) {
 		ns := make([]taint.Label, need, newCap)
 		copy(ns, m.shadow)
 		m.shadow = ns
-	}
-	if need > m.shadowClean {
-		m.shadowClean = need
 	}
 	m.shadow[addr] = l
 }
@@ -333,9 +352,9 @@ func (m *Machine) alloc(size Value) (Value, error) {
 	}
 	// Grow with explicit doubling: applications allocate incrementally, and
 	// the default append growth factor for large slices copies the heap far
-	// more often. Regions re-extended into retained capacity (machine or
-	// heap reuse across runs) are zeroed explicitly. The shadow heap is not
-	// grown here — see growShadow.
+	// more often. An arena is zero beyond its length (see runArena), so
+	// extending into capacity clears nothing. The shadow heap is not grown
+	// here — see growShadow.
 	if int64(cap(m.heap)) < need {
 		newCap := 2 * int64(cap(m.heap))
 		if newCap < need {
@@ -346,20 +365,9 @@ func (m *Machine) alloc(size Value) (Value, error) {
 		}
 		heap := make([]Value, len(m.heap), newCap)
 		copy(heap, m.heap)
-		m.heap = heap[:need]
-		m.heapClean = int(need)
-		return base, nil
+		m.heap = heap
 	}
 	m.heap = m.heap[:need]
-	if clean := int64(m.heapClean); clean > base {
-		if clean > need {
-			clean = need
-		}
-		clear(m.heap[base:clean])
-	}
-	if int(need) > m.heapClean {
-		m.heapClean = int(need)
-	}
 	return base, nil
 }
 
@@ -371,35 +379,74 @@ func (m *Machine) program() *Program {
 	return m.progOwned
 }
 
-func (m *Machine) reset() error {
-	m.heapClean = len(m.heap)
-	m.shadowClean = len(m.shadow)
-	m.heap = m.heap[:0]
-	m.shadow = m.shadow[:0]
-	// Size the heap arena from the program's high-water hint so the run
-	// allocates once instead of copying through doubling growth.
-	if p := m.program(); p != nil {
+// reset starts a run: it borrows an arena from the pool of p, the program the
+// run executes on, and lays out the globals. Under the reference engine a
+// machine may have no program; its arena is then fresh and nobody's
+// afterwards.
+func (m *Machine) reset(p *Program) error {
+	m.borrowed, m.runArena = nil, runArena{}
+	if p != nil {
+		a, _ := p.arenas.Get().(*runArena)
+		if a == nil {
+			a = new(runArena)
+		}
+		m.borrowed, m.runArena = a, *a
+		*a = runArena{}
+		// Size a fresh (or outgrown) heap from the program's high-water hint
+		// so the run allocates once instead of copying through doubling
+		// growth.
 		if hint := p.heapHint.Load(); int64(cap(m.heap)) < hint {
 			m.heap = make([]Value, 0, hint)
-			m.heapClean = 0
+		}
+		if m.Taint != nil {
+			m.Taint.Reserve(int(p.loopHint.Load()), int(p.branchHint.Load()))
 		}
 	}
-	m.globals = make(map[string]Value)
-	m.active = make(map[string]int)
+	if m.globals == nil {
+		m.globals = make(map[string]Value, len(m.Mod.Globals))
+	}
 	m.fuel = m.Fuel
 	if m.fuel == 0 {
 		m.fuel = 500_000_000
 	}
 	m.summarized = 0
-	m.settled.cs = nil
 	for _, g := range m.Mod.Globals {
 		base, err := m.alloc(g.Size)
 		if err != nil {
+			m.release(p, true)
 			return err
 		}
 		m.globals[g.Name] = base
 	}
 	return nil
+}
+
+// release ends a run, on every exit of Run: it publishes the run's sizes as
+// hints, restores the arena's invariant (see runArena) and hands it back to
+// p's pool, so the machine keeps neither the memory nor any record of the
+// run. aborted says the run ended in an error, its frames' epochs not
+// advanced (see scrubEpochs). Arenas beyond the pooling bounds are dropped.
+func (m *Machine) release(p *Program, aborted bool) {
+	a := m.borrowed
+	m.borrowed = nil
+	if p != nil {
+		p.noteArenas(len(m.heap), len(m.shadow))
+		if m.Taint != nil {
+			p.noteRecords(len(m.Taint.Loops), len(m.Taint.Branches))
+		}
+		if cap(m.heap) <= maxPooledCells && cap(m.shadow) <= maxPooledCells {
+			clear(m.heap)
+			m.heap = m.heap[:0]
+			clear(m.shadow)
+			m.shadow = m.shadow[:0]
+			clear(m.globals)
+			clear(m.active)
+			m.releaseFast(aborted)
+			*a = m.runArena
+			p.arenas.Put(a)
+		}
+	}
+	m.runArena = runArena{}
 }
 
 func (m *Machine) info(f *ir.Function) *funcInfo {
@@ -443,6 +490,11 @@ type Result struct {
 // Run executes entry with the given arguments; argLabels taints the formal
 // parameters (the paper's register_variable sources) and may be nil.
 //
+// The memory of the run — heap, shadow, globals, engine scratch — is borrowed
+// from the program's arena pool and returned on every exit, result or error:
+// after Run the machine holds no heap and no reference to the records the
+// run filled in Taint.
+//
 // On an execution error the returned Result is non-nil with Instructions
 // set to the fuel consumed up to the abort, so callers can account for
 // truncated runs (most usefully with ErrFuel); Value and Label are zero.
@@ -460,14 +512,16 @@ func (m *Machine) Run(entry string, args []Value, argLabels []taint.Label) (*Res
 	if len(args) != fn.NumParams {
 		return nil, fmt.Errorf("interp: %q wants %d args, got %d", entry, fn.NumParams, len(args))
 	}
-	if err := m.reset(); err != nil {
+	p := m.program()
+	if err := m.reset(p); err != nil {
 		return nil, err
+	}
+	if m.active == nil {
+		m.active = make(map[string]int)
 	}
 	startFuel := m.fuel
 	v, l, err := m.call(fn, args, argLabels, taint.None, entry)
-	if p := m.program(); p != nil {
-		p.noteArenas(len(m.heap), len(m.shadow))
-	}
+	m.release(p, err != nil)
 	if err != nil {
 		return &Result{Instructions: startFuel - m.fuel}, err
 	}

@@ -43,18 +43,11 @@ func (m *Machine) runCompiled(entry string, args []Value, argLabels []taint.Labe
 	if len(args) != int(df.numParams) {
 		return nil, fmt.Errorf("interp: %q wants %d args, got %d", entry, df.numParams, len(args))
 	}
-	if err := m.reset(); err != nil {
+	if err := m.reset(prog); err != nil {
 		return nil, err
 	}
 	m.labeling = m.Taint != nil
-	m.resetFast(prog)
-	m.kGen++
-
-	root := &pathNode{str: entry, fnIdx: fi}
-	if m.Taint != nil {
-		root.loopRecs = make([]*taint.LoopRecord, len(df.loops))
-	}
-	m.paths = append(m.paths, root)
+	m.resetFast(prog, fi, entry)
 
 	fr := m.frame(0, df)
 	copy(fr.regs, args)
@@ -85,9 +78,8 @@ func (m *Machine) runCompiled(entry string, args []Value, argLabels []taint.Labe
 
 	startFuel := m.fuel
 	v, l, err := m.execCompiled(cp, ccf, blocks, fr, 0, taint.None, 0, vk)
-	prog.noteArenas(len(m.heap), len(m.shadow))
+	m.release(prog, err != nil)
 	if err != nil {
-		m.scrubEpochs()
 		return &Result{Instructions: startFuel - m.fuel, Summarized: m.summarized}, err
 	}
 	if !m.labeling {
@@ -103,7 +95,7 @@ func (m *Machine) runCompiled(entry string, args []Value, argLabels []taint.Labe
 //
 // The kctx is pooled inside the frame and most of its pointer fields are
 // loop- or run-invariant, so they are refreshed behind identity guards
-// (gen for run-scoped fields, df for activation-bank fields) rather than
+// (m for run-scoped fields, df for activation-bank fields) rather than
 // stored unconditionally: each skipped pointer store is a skipped GC write
 // barrier on what is the hottest call path in the engine. Recursion
 // accounting is skipped for plain activations — activeN only ever feeds
@@ -119,8 +111,9 @@ func (m *Machine) execCompiled(cp *Compiled, ccf *cfunc, blocks []cblock, fr *fa
 	}
 
 	k := &fr.k
-	if k.gen != m.kGen {
-		k.gen = m.kGen
+	if k.m == nil {
+		// A frame comes out of the arena pool with a zero context (see
+		// releaseFast): bind it to this run.
 		k.m = m
 		k.cp = cp
 		k.prog = cp.prog

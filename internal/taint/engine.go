@@ -74,7 +74,19 @@ type Engine struct {
 	// RecursionWarnings lists functions detected on a recursive call chain
 	// during execution; the analysis over-approximates there (Section 4.1).
 	RecursionWarnings map[string]bool
+
+	// loopSlab / branchSlab are the chunks the next loop and branch records
+	// come from: a record is the next element of a chunk that is never
+	// reallocated (a full chunk is left to the records pointing into it and
+	// a new one started), so record pointers stay valid and a run allocates
+	// per chunk instead of per record. The maps above stay the source of
+	// truth; nothing reads the slabs.
+	loopSlab   []LoopRecord
+	branchSlab []BranchRecord
 }
+
+// slabChunk is the number of records in a chunk nobody reserved.
+const slabChunk = 64
 
 // NewEngine returns an engine with control-flow propagation enabled, the
 // configuration Perf-Taint requires to capture all dependencies.
@@ -87,6 +99,40 @@ func NewEngine() *Engine {
 		LibCalls:          make(map[LibCallKey]*LibCallRecord),
 		RecursionWarnings: make(map[string]bool),
 	}
+}
+
+// Reserve prepares the engine for a run expected to create about loops loop
+// records and branches branch records (the interpreter passes what earlier
+// runs of the same program created): maps still empty are made at that size
+// instead of growing through rehashes, and the records come from one chunk
+// each. Counts are estimates; too small only means further chunks, zero
+// leaves the engine as it is. Call it before the run, not with a map in
+// hand: an empty Loops or Branches map is replaced.
+func (e *Engine) Reserve(loops, branches int) {
+	if len(e.Loops) == 0 && loops > 0 {
+		e.Loops = make(map[LoopKey]*LoopRecord, loops)
+	}
+	if len(e.Branches) == 0 && branches > 0 {
+		e.Branches = make(map[BranchKey]*BranchRecord, branches)
+	}
+	if n := loops - len(e.Loops); n > cap(e.loopSlab)-len(e.loopSlab) {
+		e.loopSlab = make([]LoopRecord, 0, n)
+	}
+	if n := branches - len(e.Branches); n > cap(e.branchSlab)-len(e.branchSlab) {
+		e.branchSlab = make([]BranchRecord, 0, n)
+	}
+}
+
+// slabNext returns the next record of *slab, starting a new chunk when the
+// current one is full.
+func slabNext[T any](slab *[]T) *T {
+	s := *slab
+	if len(s) == cap(s) {
+		s = make([]T, 0, slabChunk)
+	}
+	s = s[:len(s)+1]
+	*slab = s
+	return &s[len(s)-1]
 }
 
 // CallerFromPath extracts the calling function from a call path ending in
@@ -148,7 +194,8 @@ func (e *Engine) LoopRec(fn string, loopID, header int, callPath string) *LoopRe
 	k := LoopKey{Func: fn, LoopID: loopID, CallPath: callPath}
 	r := e.Loops[k]
 	if r == nil {
-		r = &LoopRecord{Key: k, Header: header}
+		r = slabNext(&e.loopSlab)
+		r.Key, r.Header = k, header
 		e.Loops[k] = r
 	}
 	return r
@@ -179,7 +226,8 @@ func (e *Engine) BranchRec(fn string, block int) *BranchRecord {
 	k := BranchKey{Func: fn, Block: block}
 	r := e.Branches[k]
 	if r == nil {
-		r = &BranchRecord{Key: k}
+		r = slabNext(&e.branchSlab)
+		r.Key = k
 		e.Branches[k] = r
 	}
 	return r
