@@ -6,6 +6,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -21,9 +22,26 @@ func main() {
 	workers := flag.Int("workers", 0, "bound analysis/fitting concurrency (0 = all cores)")
 	flag.Parse()
 
-	ctx, err := experiments.NewContextWorkers(*workers)
-	if err != nil {
+	var sb strings.Builder
+	if err := run(&sb, *only, *workers); err != nil {
 		log.Fatal(err)
+	}
+	fmt.Print(sb.String())
+	if *out != "" {
+		if err := os.WriteFile(*out, []byte(sb.String()), 0o644); err != nil {
+			log.Fatal(err)
+		}
+		log.Printf("wrote %s", *out)
+	}
+}
+
+// run regenerates the report — every experiment, or only the named one —
+// with at most workers concurrent analyses and fits (0 = all cores), and
+// writes it to w once it is complete: a failing experiment writes nothing.
+func run(w io.Writer, only string, workers int) error {
+	ctx, err := experiments.NewContextWorkers(workers)
+	if err != nil {
+		return err
 	}
 
 	var sb strings.Builder
@@ -33,7 +51,7 @@ func main() {
 	sb.WriteString("paper's qualitative shapes: who wins, by what factor, where behaviour\n")
 	sb.WriteString("changes.\n\n")
 
-	want := func(name string) bool { return *only == "" || *only == name }
+	want := func(name string) bool { return only == "" || only == name }
 
 	if want("table2") {
 		sb.WriteString(experiments.Table2(ctx).String() + "\n")
@@ -46,14 +64,14 @@ func main() {
 	if want("fig3") {
 		r, err := experiments.Figure3(ctx)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		sb.WriteString(r.String() + "\n")
 	}
 	if want("fig4") {
 		r, err := experiments.Figure4(ctx)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		sb.WriteString(r.String() + "\n")
 	}
@@ -65,7 +83,7 @@ func main() {
 	if want("a3") {
 		rs, err := experiments.CoreHourCosts(ctx)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		for _, r := range rs {
 			sb.WriteString(r.String() + "\n")
@@ -74,7 +92,7 @@ func main() {
 	if want("b1") {
 		rs, err := experiments.NoiseResilienceAll(ctx)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		for _, r := range rs {
 			sb.WriteString(r.String() + "\n")
@@ -83,30 +101,25 @@ func main() {
 	if want("b2") {
 		r, err := experiments.Intrusion(ctx)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		sb.WriteString(r.String() + "\n")
 	}
 	if want("c1") {
 		r, err := experiments.Contention(ctx)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		sb.WriteString(r.String() + "\n")
 	}
 	if want("c2") {
 		r, err := experiments.Validation(ctx)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		sb.WriteString(r.String() + "\n")
 	}
 
-	fmt.Print(sb.String())
-	if *out != "" {
-		if err := os.WriteFile(*out, []byte(sb.String()), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("wrote %s", *out)
-	}
+	_, err = io.WriteString(w, sb.String())
+	return err
 }

@@ -363,7 +363,7 @@ func runModel(args []string) {
 		case "point":
 			log.Printf("point %d/%d done (%d instructions)", ev.Points, ev.Total, ev.Instructions)
 		case "refit":
-			log.Printf("refit at %d/%d points: %d models fit, %d failed",
+			log.Printf("refit at %d/%d points: %d datasets fittable, %d not",
 				ev.Points, ev.Total, ev.Fitted, ev.Failed)
 		}
 	}

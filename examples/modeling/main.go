@@ -59,7 +59,7 @@ func main() {
 			case "point":
 				log.Printf("point %d/%d (%d instructions)", ev.Points, ev.Total, ev.Instructions)
 			case "refit":
-				log.Printf("incremental refit at %d/%d points: %d models", ev.Points, ev.Total, ev.Fitted)
+				log.Printf("refit at %d/%d points: %d datasets fittable", ev.Points, ev.Total, ev.Fitted)
 			}
 		})
 	if err != nil {

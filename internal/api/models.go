@@ -6,8 +6,8 @@ import (
 )
 
 // ModelRequest is the body of POST /v1/models: one end-to-end model
-// extraction — sweep the design, feed every point into the incremental
-// fitter, return the ranked model set. Results are content-addressed:
+// extraction — sweep the design, feed every point into the model
+// pipeline, return the ranked model set. Results are content-addressed:
 // the same app (spec digest) and design answer from the model registry
 // without re-running anything.
 type ModelRequest struct {
@@ -28,12 +28,14 @@ type ModelRequest struct {
 	Seed int64 `json:"seed,omitempty"`
 	// RelNoise is the relative noise level of synthetic measurements.
 	RelNoise float64 `json:"rel_noise,omitempty"`
-	// Batch is the incremental refit cadence in design points.
+	// Batch is the refit-event cadence in design points: every Batch
+	// points the stream reports how many datasets are fittable so far.
 	Batch int `json:"batch,omitempty"`
 	// Metrics names the modeled metrics (first is the ranking metric).
 	Metrics []string `json:"metrics,omitempty"`
 	// Stream, when true, answers with NDJSON: one progress event per
-	// line (taint, point, refit) followed by a terminal "result" line
+	// line (taint, point, refit — a batch boundary's fittability count,
+	// never a model) followed by a terminal "result" line
 	// carrying the ModelResponse. Cache hits skip straight to the
 	// result line.
 	Stream bool `json:"stream,omitempty"`

@@ -82,3 +82,25 @@ func FitAll(reqs []Request, opt Options, workers int) []Fit {
 	})
 	return out
 }
+
+// Check returns the error every fit of d returns — ModelSingle, ModelMulti
+// and each FitAll request over d fail exactly when Check does, with the
+// same error — for the price of validation and the constant hypothesis:
+// a search that gets past that prefix always ends in a model.
+func Check(d *Dataset) error {
+	_, err := check(d)
+	return err
+}
+
+// check is the prefix of every fit: validate d and solve the constant
+// hypothesis over its per-point means, which it returns.
+func check(d *Dataset) ([]float64, error) {
+	if err := d.Validate(); err != nil {
+		return nil, err
+	}
+	y := d.values()
+	if _, ok := lsq(nil, y, -1); !ok {
+		return nil, fmt.Errorf("extrap: constant fit failed: %w", errSingular)
+	}
+	return y, nil
+}

@@ -36,6 +36,42 @@ type axis struct {
 	// sits at its minimum: the line of the experiment design Extra-P's
 	// first heuristic models in isolation.
 	sweep []int
+	// sweepElim[s] factors the one-term normal matrix of shape s over the
+	// sweep; nil when the sweep has fewer than three rows.
+	sweepElim []oneTermElim
+}
+
+// oneTermElim packs the elimination of a two-column normal matrix: the
+// first column may pivot on the second row, the second never swaps, and
+// each column reduces the one other row.
+type oneTermElim struct {
+	inv [2]float64
+	// mult[0] reduced row 1 at column 0, mult[1] row 0 at column 1.
+	mult [2]float64
+	swap bool // column 0 pivoted on row 1
+	ok   bool // false: the system is singular
+}
+
+// packOneTerm packs the successful factorization of a two-column system.
+func packOneTerm(e *elimination) oneTermElim {
+	return oneTermElim{
+		inv:  [2]float64{e.inv[0], e.inv[1]},
+		mult: [2]float64{e.mult[0][1], e.mult[1][0]},
+		swap: e.pivot[0] == 1,
+		ok:   true,
+	}
+}
+
+// unpack writes the elimination into e, whose entries outside a
+// two-column elimination must be zero.
+func (o *oneTermElim) unpack(e *elimination) {
+	e.k = 2
+	e.pivot[0], e.pivot[1] = 0, 1
+	if o.swap {
+		e.pivot[0] = 1
+	}
+	e.inv[0], e.inv[1] = o.inv[0], o.inv[1]
+	e.mult[0][1], e.mult[1][0] = o.mult[0], o.mult[1]
 }
 
 // coordinates extracts the columns of the named parameters from the
@@ -94,8 +130,60 @@ func newGrid(names []string, x [][]float64, shapes []PowLog) *grid {
 				g.axes[a].sweep = append(g.axes[a].sweep, r)
 			}
 		}
+		g.axes[a].factorSweep(len(shapes))
 	}
 	return g
+}
+
+// factorSweep factors, for every shape, the normal matrix of the one-term
+// hypothesis over the sweep: it depends on the design only, so every
+// dataset measured on it replays the factorization (sweepFit).
+func (ax *axis) factorSweep(shapes int) {
+	if len(ax.sweep) < 3 {
+		return
+	}
+	ax.sweepElim = make([]oneTermElim, shapes)
+	col := make([]float64, len(ax.sweep))
+	for s := range ax.sweepElim {
+		ax.column(col, s, ax.sweep)
+		var n normal
+		accumulate(&n, nil, [][]float64{col}, nil, len(col), -1)
+		var e elimination
+		if e.factorize(&n, 2) {
+			ax.sweepElim[s] = packOneTerm(&e)
+		}
+	}
+}
+
+// sweepFit fits the one-term hypothesis of shape s to y over the sweep and
+// returns its coefficients and training SMAPE — bit for bit what
+// search.fit computes on the gathered sweep, from the stored factorization
+// instead of a fresh elimination.
+func (ax *axis) sweepFit(s int, y []float64) (c [maxCols]float64, smape float64, ok bool) {
+	o := &ax.sweepElim[s]
+	if !o.ok {
+		return c, 0, false
+	}
+	// c starts as the right-hand side A^T y, summed in sweep order like
+	// accumulate's (whose 1*y is y), and the replay turns it into the
+	// coefficients.
+	basis := ax.basis[s]
+	for _, r := range ax.sweep {
+		c[0] += y[r]
+		c[1] += basis[ax.idx[r]] * y[r]
+	}
+	var e elimination
+	o.unpack(&e)
+	if !e.solve(&c) {
+		return c, 0, false
+	}
+	sum := 0.0
+	for _, r := range ax.sweep {
+		pred := c[0]
+		pred += c[1] * basis[ax.idx[r]]
+		sum += smapeTerm(pred, y[r])
+	}
+	return c, sum / float64(len(ax.sweep)), true
 }
 
 // column gathers the basis column of shape s over rows (all rows when rows

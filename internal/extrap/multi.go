@@ -1,7 +1,6 @@
 package extrap
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -49,18 +48,15 @@ func ModelMulti(d *Dataset, opt Options, prior *Prior) (*Model, error) {
 }
 
 func modelMulti(d *Dataset, opt Options, prior *Prior, gs *grids) (*Model, error) {
-	if err := d.Validate(); err != nil {
+	y, err := check(d)
+	if err != nil {
 		return nil, err
 	}
 	if prior == nil {
 		prior = allowAll()
 	}
-	y := d.values()
 	flat := newSearch(y, 0, opt.Selection)
-	constant, ok := flat.fit()
-	if !ok {
-		return nil, fmt.Errorf("extrap: constant fit failed: %w", errSingular)
-	}
+	constant, _ := flat.fit() // check solved this system
 	if prior.ForceConstant {
 		return flat.model(constant, nil), nil
 	}
@@ -82,20 +78,31 @@ func modelMulti(d *Dataset, opt Options, prior *Prior, gs *grids) (*Model, error
 
 // bestShape finds the strongest single-term shape for one parameter using
 // its dedicated sweep (the first multi-parameter heuristic of Extra-P).
+// Under SelectCV the score is the leave-one-out SMAPE on the sweep.
 func bestShape(g *grid, y []float64, ax *axis, opt Options) (shape int, found bool) {
 	if len(ax.sweep) < 3 {
 		return 0, false
 	}
-	ys := make([]float64, len(ax.sweep))
-	for i, r := range ax.sweep {
-		ys[i] = y[r]
+	var cv *search
+	if opt.Selection == SelectCV {
+		ys := make([]float64, len(ax.sweep))
+		for i, r := range ax.sweep {
+			ys[i] = y[r]
+		}
+		cv = newSearch(ys, 1, SelectCV)
 	}
-	s := newSearch(ys, 1, opt.Selection)
 	bestScore := math.Inf(1)
 	for si := range g.shapes {
-		ax.column(s.cols[0], si, ax.sweep)
-		if f, ok := s.fit(0); ok && f.score < bestScore {
-			bestScore, shape, found = f.score, si, true
+		_, score, ok := ax.sweepFit(si, y)
+		if !ok {
+			continue
+		}
+		if cv != nil {
+			ax.column(cv.cols[0], si, ax.sweep)
+			score = cv.crossValidate(0)
+		}
+		if score < bestScore {
+			bestScore, shape, found = score, si, true
 		}
 	}
 	return shape, found

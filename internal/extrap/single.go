@@ -1,7 +1,6 @@
 package extrap
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -60,21 +59,19 @@ func ModelSingle(d *Dataset, param string, opt Options) (*Model, error) {
 }
 
 func modelSingle(d *Dataset, param string, opt Options, gs *grids) (*Model, error) {
-	if err := d.Validate(); err != nil {
+	y, err := check(d)
+	if err != nil {
 		return nil, err
 	}
 	ax := &gs.get(d, []string{param}).axes[0]
 	shapes := gs.shapes
 	// Candidate column s is shape s of the parameter over every point.
-	s := newSearch(d.values(), len(shapes), opt.Selection)
+	s := newSearch(y, len(shapes), opt.Selection)
 	for si := range shapes {
 		ax.column(s.cols[si], si, nil)
 	}
 
-	best, ok := s.fit()
-	if !ok {
-		return nil, fmt.Errorf("extrap: constant fit failed: %w", errSingular)
-	}
+	best, _ := s.fit() // check solved this system
 
 	var oneTerm []fitted
 	for si := range shapes {

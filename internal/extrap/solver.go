@@ -21,8 +21,9 @@ const (
 // 0 of A is the constant 1 and column t+1 is cols[t]; the row skip (none
 // when negative) is left out, which is how a leave-one-out fold is fitted
 // without copying the data. Rows accumulate in dataset order: the sums are
-// floating-point, so the order is part of the result. ok is false for a
-// rank-deficient or underdetermined system.
+// floating-point, so the order is part of the result. ok is false, and c
+// zero, for a rank-deficient or underdetermined system or a non-finite
+// solution.
 func lsq(cols [][]float64, y []float64, skip int) (c [maxCols]float64, ok bool) {
 	k := len(cols) + 1
 	rows := len(y)
@@ -32,11 +33,27 @@ func lsq(cols [][]float64, y []float64, skip int) (c [maxCols]float64, ok bool) 
 	if rows <= 0 || rows < k {
 		return c, false
 	}
-	// Normal matrix N = A^T A (k x k), augmented with rhs = A^T y.
-	var n [maxCols][maxCols + 1]float64
+	var n normal
+	var b [maxCols]float64
+	accumulate(&n, &b, cols, y, len(y), skip)
+	var e elimination
+	if !e.factorize(&n, k) || !e.solve(&b) {
+		return c, false
+	}
+	return b, true
+}
+
+// normal is the normal matrix A^T A of a least-squares system.
+type normal [maxCols][maxCols]float64
+
+// accumulate adds the normal equations of lsq's design over rows
+// 0..rows-1 except skip, in row order, to the matrix n = A^T A and, when
+// y is not nil, to the right-hand side b = A^T y.
+func accumulate(n *normal, b *[maxCols]float64, cols [][]float64, y []float64, rows, skip int) {
+	k := len(cols) + 1
 	var row [maxCols]float64
 	row[0] = 1
-	for r, yr := range y {
+	for r := 0; r < rows; r++ {
 		if r == skip {
 			continue
 		}
@@ -44,13 +61,45 @@ func lsq(cols [][]float64, y []float64, skip int) (c [maxCols]float64, ok bool) 
 			row[t+1] = col[r]
 		}
 		for i := 0; i < k; i++ {
-			for j := 0; j < k; j++ {
+			for j := i; j < k; j++ {
 				n[i][j] += row[i] * row[j]
 			}
-			n[i][k] += row[i] * yr
+		}
+		if y != nil {
+			for i := 0; i < k; i++ {
+				b[i] += row[i] * y[r]
+			}
 		}
 	}
-	// Gaussian elimination with partial pivoting on the augmented matrix.
+	// Products commute exactly, so the lower triangle sums the same
+	// addends in the same order as the upper one.
+	for i := 1; i < k; i++ {
+		for j := 0; j < i; j++ {
+			n[i][j] = n[j][i]
+		}
+	}
+}
+
+// elimination is the matrix half of a Gauss-Jordan elimination with
+// partial pivoting: per column the row swapped into the pivot position,
+// the pivot's inverse and the multiplier every other row was reduced by.
+// None of it depends on a right-hand side, so one factorization of a
+// design serves every measurement fitted on it.
+type elimination struct {
+	k     int
+	pivot [maxCols]uint8
+	inv   [maxCols]float64
+	// mult[col][r] is the multiple of the pivot row subtracted from row
+	// r; 0 where the row was left alone (the pivot row itself, or a row
+	// already zero in that column).
+	mult [maxCols][maxCols]float64
+}
+
+// factorize eliminates the k x k matrix n in place and records the steps
+// in e, which must be zero; it reports false when a pivot falls below the
+// singular guard.
+func (e *elimination) factorize(n *normal, k int) bool {
+	e.k = k
 	for col := 0; col < k; col++ {
 		pivot := col
 		for r := col + 1; r < k; r++ {
@@ -59,11 +108,13 @@ func lsq(cols [][]float64, y []float64, skip int) (c [maxCols]float64, ok bool) 
 			}
 		}
 		if math.Abs(n[pivot][col]) < 1e-12 {
-			return c, false
+			return false
 		}
 		n[col], n[pivot] = n[pivot], n[col]
+		e.pivot[col] = uint8(pivot)
 		inv := 1 / n[col][col]
-		for j := col; j <= k; j++ {
+		e.inv[col] = inv
+		for j := col; j < k; j++ {
 			n[col][j] *= inv
 		}
 		for r := 0; r < k; r++ {
@@ -71,18 +122,37 @@ func lsq(cols [][]float64, y []float64, skip int) (c [maxCols]float64, ok bool) 
 				continue
 			}
 			f := n[r][col]
-			for j := col; j <= k; j++ {
+			e.mult[col][r] = f
+			for j := col; j < k; j++ {
 				n[r][j] -= f * n[col][j]
 			}
 		}
 	}
-	for i := 0; i < k; i++ {
-		c[i] = n[i][k]
-		if math.IsNaN(c[i]) || math.IsInf(c[i], 0) {
-			return c, false
+	return true
+}
+
+// solve replays the elimination on the right-hand side b, in place: the
+// same swaps, scalings and reductions, in the same order, as eliminating
+// the matrix augmented with b, so b ends up holding exactly those
+// coefficients. It reports false when a coefficient is NaN or infinite.
+func (e *elimination) solve(b *[maxCols]float64) bool {
+	k := e.k
+	for col := 0; col < k; col++ {
+		p := e.pivot[col]
+		b[col], b[p] = b[p], b[col]
+		b[col] *= e.inv[col]
+		for r, f := range e.mult[col][:k] {
+			if f != 0 {
+				b[r] -= f * b[col]
+			}
 		}
 	}
-	return c, true
+	for _, v := range b[:k] {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // search is one dataset laid out for hypothesis fitting: the per-point

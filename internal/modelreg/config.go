@@ -60,9 +60,10 @@ type Config struct {
 	Seed int64 `json:"seed,omitempty"`
 	// RelNoise is the relative measurement noise level (default 0.02).
 	RelNoise float64 `json:"rel_noise,omitempty"`
-	// Batch is the incremental refit cadence: the pipeline refits after
-	// every Batch completed design points (default 5; 0 keeps the
-	// default, negative disables interim refits).
+	// Batch is the refit-event cadence: after every Batch completed
+	// design points the pipeline reports how many primary-metric
+	// datasets are fittable so far (default 5; 0 keeps the default,
+	// negative disables refit events).
 	Batch int `json:"batch,omitempty"`
 	// Metrics selects the modeled quantities (default: seconds and
 	// iterations). The first metric ranks the report.

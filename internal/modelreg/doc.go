@@ -6,8 +6,10 @@
 //
 //   - Pipeline consumes runner sweep results as they stream (one per
 //     design point, in design order), feeds per-function/per-metric
-//     points into extrap datasets, and refits incrementally whenever a
-//     configurable batch of new points fills. The white-box half comes
+//     points into extrap datasets, and reports at every configurable
+//     batch of new points how many datasets are fittable so far (a
+//     "refit" event); the fits run once, on the complete data. The
+//     white-box half comes
 //     from a taint run at the smallest design point: its per-function
 //     parameter dependencies become extrap priors, its relevance set the
 //     instrumentation filter.

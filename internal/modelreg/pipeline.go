@@ -20,7 +20,8 @@ import (
 // clients as NDJSON lines verbatim.
 type Event struct {
 	// Type is "taint" (white-box run finished), "point" (one design
-	// point consumed), or "refit" (an incremental batch refit ran).
+	// point consumed), or "refit" (a batch boundary: how many of the
+	// primary-metric datasets gathered so far are fittable).
 	Type string `json:"type"`
 	// Relevant and Functions report the taint event: instrumented
 	// function count and total spec functions.
@@ -36,7 +37,8 @@ type Event struct {
 	// Points of Total design points have been consumed so far.
 	Points int `json:"points,omitempty"`
 	Total  int `json:"total,omitempty"`
-	// Fitted and Failed count the interim refit outcomes.
+	// Fitted and Failed count, at a refit, the primary-metric datasets
+	// a fit would model and the ones it would reject (extrap.Check).
 	Fitted int `json:"fitted,omitempty"`
 	Failed int `json:"failed,omitempty"`
 }
@@ -50,9 +52,9 @@ type fnMetric struct {
 // Pipeline incrementally turns streamed sweep results into a ModelSet.
 // Construction runs the white-box taint analysis once (at the smallest
 // design point); every ConsumeSample call folds one design point's
-// measurements into the per-function datasets and refits when the
-// configured batch fills; Finish runs the final fits and assembles the
-// artifact.
+// measurements into the per-function datasets and reports their
+// fittability when the configured batch fills; Finish runs the fits and
+// assembles the artifact.
 //
 // A Pipeline is single-consumer: ConsumeSample and Finish must be called
 // from one goroutine (runner.SweepFitCtx's emit contract guarantees this).
@@ -170,8 +172,8 @@ func ResultSample(res runner.Result) (Sample, error) {
 // ConsumeSample folds one design point's distilled observation into the
 // datasets: the tainted run's per-function loop iteration counts
 // (MetricIterations) and the synthetic instrumented measurement at the
-// same configuration (MetricSeconds), refitting the primary-metric models
-// whenever a full batch of new points has accumulated. The
+// same configuration (MetricSeconds), emitting a refit event whenever a
+// full batch of new points has accumulated. The
 // MetricSeconds measurement is synthesized here — deterministically from
 // the seed and the sample's index, never from who computed the sample —
 // so a coordinator consuming remote samples produces the exact datasets
@@ -225,30 +227,21 @@ func (pl *Pipeline) dataset(fn, metric string) *extrap.Dataset {
 	return d
 }
 
-// refit runs the incremental mid-sweep fit: hybrid models of the primary
-// metric over the points so far. Its purpose is pipelining — consumers
-// watching the event stream see models sharpen while the sweep tail is
-// still running — so it fits only the ranking metric; Finish always
-// refits everything on the complete data.
+// refit reports, at a batch boundary, how many primary-metric datasets
+// gathered so far a fit would model and how many it would reject: the
+// counts extrap.FitAll over the hybrid requests would report, from
+// extrap.Check, without running the searches whose models nobody reads.
+// Finish fits everything on the complete data.
 func (pl *Pipeline) refit() {
 	metric := pl.cfg.Metrics[0]
-	var reqs []extrap.Request
-	for _, fn := range pl.sortedFuncs() {
-		if d := pl.data[fnMetric{fn: fn, metric: metric}]; d != nil {
-			reqs = append(reqs, extrap.Request{
-				Name:    fn,
-				Dataset: d,
-				Prior:   pl.taint.Prior(fn, pl.cfg.Params),
-			})
-		}
-	}
-	fits := extrap.FitAll(reqs, extrap.DefaultOptions(), pl.workers)
 	ok, failed := 0, 0
-	for _, f := range fits {
-		if f.Err != nil {
-			failed++
-		} else {
-			ok++
+	for fn := range pl.funcs {
+		if d := pl.data[fnMetric{fn: fn, metric: metric}]; d != nil {
+			if extrap.Check(d) != nil {
+				failed++
+			} else {
+				ok++
+			}
 		}
 	}
 	pl.emit(Event{Type: "refit", Points: pl.points, Total: len(pl.cfgs),
