@@ -236,13 +236,8 @@ func interpBench(b *testing.B, spec *apps.Spec, cfg apps.Config, mode interp.Mod
 		b.Fatal(err)
 	}
 	// Predecoding happens once per spec (it is cached on core.Prepared in
-	// the pipeline), so it sits outside the measured loop; likewise the
-	// compiled-closure artifact, which the pipeline shares per spec digest.
+	// the pipeline), so it sits outside the measured loop.
 	prog := interp.Predecode(mod)
-	var cp *interp.Compiled
-	if mode == interp.ModeCompiled {
-		cp = interp.Compile(prog)
-	}
 	db := libdb.DefaultMPI()
 	args := apps.TaintArgs(spec, cfg)
 	var total int64
@@ -253,7 +248,6 @@ func interpBench(b *testing.B, spec *apps.Spec, cfg apps.Config, mode interp.Mod
 		mach := interp.NewMachine(mod)
 		mach.Mode = mode
 		mach.Prog = prog
-		mach.Compiled = cp
 		mach.Fuel = 4_000_000_000
 		if tainted {
 			eng = taint.NewEngine()
@@ -291,7 +285,6 @@ func interpBenchApps(b *testing.B, tainted bool) {
 			name string
 			mode interp.Mode
 		}{
-			{"compiled", interp.ModeCompiled},
 			{"fast", interp.ModeFast},
 			{"reference", interp.ModeReference},
 		} {
@@ -309,30 +302,6 @@ func BenchmarkTaintedRun(b *testing.B) { interpBenchApps(b, true) }
 // BenchmarkUntaintedRun measures plain interpretation without a taint
 // engine (the native-run analog of the overhead experiments).
 func BenchmarkUntaintedRun(b *testing.B) { interpBenchApps(b, false) }
-
-// BenchmarkCompiledRun isolates the compiled-closure engine on the same
-// workloads (tainted and untainted), including the one-time Compile cost
-// amortized outside the loop the way the prepared-spec cache amortizes it
-// in the pipeline.
-func BenchmarkCompiledRun(b *testing.B) {
-	for _, app := range []struct {
-		name string
-		spec *apps.Spec
-		cfg  apps.Config
-	}{
-		{"quickstart", apps.LULESH(), apps.LULESHTaintConfig()},
-		{"milc", apps.MILC(), apps.MILCTaintConfig()},
-	} {
-		for _, tv := range []struct {
-			name    string
-			tainted bool
-		}{{"tainted", true}, {"untainted", false}} {
-			b.Run(app.name+"/"+tv.name, func(b *testing.B) {
-				interpBench(b, app.spec, app.cfg, interp.ModeCompiled, tv.tainted)
-			})
-		}
-	}
-}
 
 // --- substrate micro-benchmarks ---
 

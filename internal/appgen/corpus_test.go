@@ -1,16 +1,11 @@
 package appgen
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"path/filepath"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/interp"
-	"repro/internal/modelreg"
 	"repro/internal/runner"
 )
 
@@ -56,59 +51,5 @@ func TestGoldenCorpus(t *testing.T) {
 	}
 	for _, v := range manifest.Check(built) {
 		t.Error(v)
-	}
-}
-
-// TestGoldenCorpusCrossEngine runs every blessed corpus app through the
-// model-extraction pipeline twice — once under ModeFast, once under
-// ModeCompiled — and requires the finished artifacts to be
-// byte-identical: the same content-addressed registry key and the same
-// canonical ModelSet JSON. The compiled tier is an execution strategy,
-// not an analysis variant, so it must be provably invisible in the
-// paper's deliverable.
-func TestGoldenCorpusCrossEngine(t *testing.T) {
-	if testing.Short() {
-		t.Skip("corpus cross-engine sweep is not a -short test")
-	}
-	ctx := context.Background()
-	run := runner.New()
-	extract := func(t *testing.T, app *App, mode interp.Mode) *modelreg.ModelSet {
-		t.Helper()
-		prep, err := core.Prepare(app.Spec)
-		if err != nil {
-			t.Fatalf("%s: prepare: %v", app.Spec.Name, err)
-		}
-		prep.Mode = mode
-		ms, err := modelreg.Extract(ctx, run, prep, app.Design, nil)
-		if err != nil {
-			t.Fatalf("%s: extract (%v): %v", app.Spec.Name, mode, err)
-		}
-		return ms
-	}
-	for _, arch := range Archetypes() {
-		for _, seed := range DefaultCorpusSeeds() {
-			app, err := Generate(arch, seed)
-			if err != nil {
-				t.Fatalf("Generate(%s, %d): %v", arch, seed, err)
-			}
-			fast := extract(t, app, interp.ModeFast)
-			compiled := extract(t, app, interp.ModeCompiled)
-			if fast.Key != compiled.Key {
-				t.Errorf("%s: registry key diverged: fast %s, compiled %s",
-					app.Spec.Name, fast.Key, compiled.Key)
-			}
-			fj, err := json.Marshal(fast)
-			if err != nil {
-				t.Fatalf("%s: marshal fast model set: %v", app.Spec.Name, err)
-			}
-			cj, err := json.Marshal(compiled)
-			if err != nil {
-				t.Fatalf("%s: marshal compiled model set: %v", app.Spec.Name, err)
-			}
-			if !bytes.Equal(fj, cj) {
-				t.Errorf("%s: model set bytes diverged between engines:\n--- fast ---\n%s\n--- compiled ---\n%s",
-					app.Spec.Name, fj, cj)
-			}
-		}
 	}
 }

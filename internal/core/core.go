@@ -55,16 +55,8 @@ type Prepared struct {
 
 	// Mode selects the interpreter engine for Analyze runs; the zero value
 	// is the fast engine. The reference mode exists for differential and
-	// oracle runs; the compiled mode lowers Program into closure chains
-	// once per Prepared (see CompiledProgram).
+	// oracle runs.
 	Mode interp.Mode
-
-	// compiled is the closure-chain artifact of the compiled engine tier,
-	// built at most once per Prepared value, on the first compiled-mode
-	// Analyze. Like the rest of a Prepared it is memory-only: Go closures
-	// cannot be serialized.
-	compiledOnce sync.Once
-	compiled     *interp.Compiled
 
 	// plan is the module-only half of the aggregation stages and of the
 	// census (call graph, bottom-up order, loop forests, static trips,
@@ -75,14 +67,6 @@ type Prepared struct {
 	// signature seen so far (at most maxInterned); see aggregate.
 	internMu sync.Mutex
 	interned map[string]*aggregated
-}
-
-// CompiledProgram returns the compiled-closure artifact for Program,
-// lowering it on first use. Safe for concurrent use; every Analyze run
-// of a ModeCompiled Prepared shares the one artifact read-only.
-func (p *Prepared) CompiledProgram() *interp.Compiled {
-	p.compiledOnce.Do(func() { p.compiled = interp.Compile(p.Program) })
-	return p.compiled
 }
 
 // Prepare builds the module from spec, verifies it against the default MPI
@@ -184,9 +168,6 @@ func (p *Prepared) run(cfg apps.Config) (*taint.Engine, *interp.Result, error) {
 	mach.Fuel = 4_000_000_000
 	mach.Mode = p.Mode
 	mach.Prog = p.Program
-	if p.Mode == interp.ModeCompiled {
-		mach.Compiled = p.CompiledProgram()
-	}
 	p.DB.Bind(mach, engine, libdb.RunConfig{CommSize: pVal, Rank: 0})
 
 	labels := make([]taint.Label, len(p.Spec.Params))

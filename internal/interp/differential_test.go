@@ -825,7 +825,7 @@ func diffModes(t *testing.T, mod *ir.Module, args []int64, fuel int64, tainted b
 func diffModesOn(t *testing.T, mod *ir.Module, prog *interp.Program, args []int64, fuel int64, tainted bool, params ...string) {
 	t.Helper()
 	ref := runOne(t, mod, args, runOpts{mode: interp.ModeReference, fuel: fuel, tainted: tainted, params: params})
-	modes := []interp.Mode{interp.ModeFast, interp.ModeCompiled}
+	modes := []interp.Mode{interp.ModeFast}
 	if prog != nil {
 		modes = append(modes, interp.ModeReference)
 	}

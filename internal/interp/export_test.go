@@ -75,7 +75,6 @@ func (p *Program) TakeArena() (pa PooledArena, ok bool) {
 	}
 	for _, f := range a.frames {
 		keep(f.ext.M != nil || f.ext.recCache != nil || f.ext.Args != nil, "an extern call header")
-		keep(f.k.m != nil || f.k.eng != nil || f.k.path != nil, "a compiled-engine context")
 	}
 	keep(a.settled.cs != nil, "a settled-label snapshot")
 	return pa, true

@@ -52,12 +52,8 @@ type fastFrame struct {
 	args      []Value
 	argLabels []taint.Label
 	ext       ExternCall
-	// cs is the control-taint state of the activation on this frame, in
-	// either engine: the compiled one de-optimizes into the fast loop on it.
+	// cs is the control-taint state of the activation on this frame.
 	cs ctlState
-	// k is the compiled engine's pooled execution context for activations at
-	// this frame's depth (see compile.go); the fast engine never touches it.
-	k kctx
 }
 
 // ctlState carries the control-flow-taint state of one activation: the
@@ -117,14 +113,14 @@ func (cs *ctlState) reset() {
 	cs.summarize()
 }
 
-// write is the one register-write path of the taint engines: it records the
+// write is the fast engine's one register-write path: it records the
 // birth of a register first written by this activation, hands out the write
 // sequence number and returns wl joined with the control label of the write —
 // every non-loop scope, plus the loop scopes that carry the register (it was
 // born before they opened). One born before loopMin is carried by all of
 // them, one born at or after loopMax (or just now) by none; only a born
 // between two loop scopes' openSeq scans the stack. It fits the inliner's
-// budget, so every dispatch arm and step closure takes it inline.
+// budget, so every dispatch arm takes it inline.
 func (cs *ctlState) write(dst int32, wl taint.Label) taint.Label {
 	b := cs.born[dst]
 	if b < cs.seqBase {
@@ -387,10 +383,10 @@ func newPathNode(prog *Program, str string, fn int32) *pathNode {
 	return pn
 }
 
-// releaseFast drops what the finished run left in the engines' scratch: the
-// taint records cached on call paths and branch tables, the extern closures,
-// and the machine and engine pointers in the pooled frames. An aborted run
-// also leaves its frames' epochs behind (scrubEpochs).
+// releaseFast drops what the finished run left in the fast engine's scratch:
+// the taint records cached on call paths and branch tables, the extern
+// closures, and the machine pointers in the pooled frames' extern headers.
+// An aborted run also leaves its frames' epochs behind (scrubEpochs).
 func (m *Machine) releaseFast(aborted bool) {
 	clear(m.externSlots)
 	for _, brs := range m.branchRecs {
@@ -408,7 +404,6 @@ func (m *Machine) releaseFast(aborted bool) {
 	}
 	for _, f := range m.frames {
 		f.ext = ExternCall{}
-		f.k = kctx{}
 	}
 	m.settled.cs = nil
 }
@@ -430,9 +425,6 @@ func (m *Machine) frame(depth int, df *dfunc) *fastFrame {
 		fr.cs.born = make([]int, n)
 		// A fresh born array is all zeros; epoch 1 makes them read stale.
 		fr.cs.seqBase = 1
-		// The pooled compiled-engine context caches these banks behind a
-		// df identity guard; force it to re-derive them.
-		fr.k.df = nil
 		return fr
 	}
 	fr.regs = fr.regs[:n]
@@ -614,7 +606,7 @@ func (m *Machine) execFast(prog *Program, df *dfunc, fr *fastFrame, pathIdx int3
 	}
 	m.activeN[df.idx]++
 	fr.cs.begin(ctlBase, eng != nil && eng.ControlFlow, df.numParams)
-	v, l, err := m.execLoop(prog, df, fr, pathIdx, depth, eng, 0)
+	v, l, err := m.execLoop(prog, df, fr, pathIdx, depth, eng)
 	m.activeN[df.idx]--
 	return v, l, err
 }
@@ -625,13 +617,7 @@ func (m *Machine) execFast(prog *Program, df *dfunc, fr *fastFrame, pathIdx int3
 // action (taint unions, record updates, instruction fuel) happens in exactly
 // the order the reference interpreter produces, which the differential
 // harness asserts.
-//
-// It runs from instruction pc0 on the control-taint state the frame holds:
-// the compiled engine enters it mid-function when the remaining fuel cannot
-// cover a pre-charged superinstruction segment, at the segment's first
-// instruction, so the activation burns down per-instruction and the abort
-// point (and the partial instruction count) is identical to the oracle's.
-func (m *Machine) execLoop(prog *Program, df *dfunc, fr *fastFrame, pathIdx int32, depth int, eng *taint.Engine, pc0 int32) (Value, taint.Label, error) {
+func (m *Machine) execLoop(prog *Program, df *dfunc, fr *fastFrame, pathIdx int32, depth int, eng *taint.Engine) (Value, taint.Label, error) {
 	regs := fr.regs
 	labels := fr.labels
 	code := df.code
@@ -644,7 +630,7 @@ func (m *Machine) execLoop(prog *Program, df *dfunc, fr *fastFrame, pathIdx int3
 	brs := m.branchRecs[df.idx]
 
 	fuel := m.fuel
-	pc := pc0
+	pc := int32(0)
 	for {
 		in := &code[pc]
 		fuel--

@@ -27,7 +27,7 @@ func TestFuelPartialCounts(t *testing.T) {
 	mod := ir.NewModule("spin")
 	buildSpin(mod)
 
-	for _, mode := range []Mode{ModeFast, ModeReference, ModeCompiled} {
+	for _, mode := range []Mode{ModeFast, ModeReference} {
 		mach := NewMachine(mod)
 		mach.Mode = mode
 		res, err := mach.Run("main", []Value{1000}, nil)
@@ -61,10 +61,9 @@ func TestFuelPartialCounts(t *testing.T) {
 }
 
 // buildSpinMem creates main(n): a counted loop that accumulates through a
-// heap cell (a consecutive Load/Add/Store the compiled tier fuses into a
-// triple superinstruction) and calls a helper each iteration (a call-bearing
-// block, so the block's cost splits across segments). Fuel sweeps over this
-// program cross every fused pre-charge and call-segment boundary.
+// heap cell (a consecutive Load/Add/Store) and calls a helper each iteration
+// (a call-bearing block). Fuel sweeps over this program abort on every
+// memory access and on both sides of every call.
 func buildSpinMem(m *ir.Module) {
 	h := ir.NewFunc(m, "bump", 1)
 	h.Ret(h.Add(h.Param(0), h.Const(1)))
@@ -166,12 +165,12 @@ func summarizedAtFullFuel(t *testing.T, mod *ir.Module, tainted bool) (loops, ca
 }
 
 // TestFuelBoundarySweep runs four spin programs at EVERY fuel value from 1
-// through full completion, untainted and tainted, and requires the three
+// through full completion, untainted and tainted, and requires the two
 // engines to agree exactly on the (error, partial instruction count, value,
-// label) observables at each budget. The compiled engine pre-charges fuel
-// per fused segment and de-optimizes to the interpreter when a segment
-// cannot be afforded, so this sweep pins its abort behavior at every
-// superinstruction boundary against the reference oracle.
+// label) observables at each budget. The fast engine charges a summarized
+// call or loop in one step only when the fuel covers all of it, so this
+// sweep pins its abort behavior before, inside and after every summary
+// against the reference oracle.
 func TestFuelBoundarySweep(t *testing.T) {
 	builders := []struct {
 		name  string
@@ -252,10 +251,8 @@ func TestFuelBoundarySweep(t *testing.T) {
 					if wantFuel && ref.ins != fuel+1 {
 						t.Fatalf("reference fuel %d: partial count %d, want %d", fuel, ref.ins, fuel+1)
 					}
-					for _, mode := range []Mode{ModeFast, ModeCompiled} {
-						if got := run(t, mod, mode, fuel, tainted); got != ref {
-							t.Fatalf("%v fuel %d: %+v, reference %+v", mode, fuel, got, ref)
-						}
+					if got := run(t, mod, ModeFast, fuel, tainted); got != ref {
+						t.Fatalf("fast fuel %d: %+v, reference %+v", fuel, got, ref)
 					}
 				}
 			})

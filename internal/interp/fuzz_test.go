@@ -7,17 +7,17 @@ import (
 	"repro/internal/libdb"
 )
 
-// FuzzDifferentialEngines is the three-way differential fuzz gate of the
-// compiled engine tier: every input derives a seeded, always-terminating
-// random module (the same generator as the table-driven differential
-// tests) and executes it under the reference, fast, and compiled engines.
+// FuzzDifferentialEngines is the two-way differential fuzz gate of the fast
+// engine: every input derives a seeded, always-terminating random module
+// (the same generator as the table-driven differential tests) and executes
+// it under the reference and fast engines.
 // All observables must match bit-for-bit — result value and label mask,
 // instruction counts, loop records (iterations, entries, label masks),
 // branch records, library-call records, and recursion warnings; those
 // are exactly the inputs the census and FuncDeps aggregations consume,
-// so agreement here pins the whole pipeline. Each input also reruns with a truncated fuel budget derived
-// from the fuzzed selector, sweeping abort points across superinstruction
-// boundaries: the compiled engine must de-optimize to the oracle's exact
+// so agreement here pins the whole pipeline. Each input also reruns with a
+// truncated fuel budget derived from the fuzzed selector, sweeping abort
+// points across the module: the fast engine must abort at the oracle's exact
 // partial instruction count. The selector's top three bits add straight-line
 // leaf functions (see fuzzShape), the callees the fast engine executes as
 // call summaries, so the same sweep lands budgets before, inside and after
@@ -58,7 +58,7 @@ func FuzzDifferentialEngines(f *testing.F) {
 		// The budget bounds runaway generated modules (they terminate, but
 		// possibly only after hundreds of millions of instructions) and
 		// keeps fuzz throughput useful; an exhausted budget is itself a
-		// compared observable — all three engines must abort identically.
+		// compared observable — both engines must abort identically.
 		// 20k keeps the slowest engine (the tree-walking reference, run
 		// four times per input) well under the fuzzer's per-exec hang
 		// threshold while still covering thousands of loop iterations.
@@ -72,8 +72,8 @@ func FuzzDifferentialEngines(f *testing.F) {
 
 		// Probe the full run length cheaply (fast engine, untainted); when
 		// the module finishes within budget, rerun with a fuzzed truncation
-		// point: as the corpus grows this sweeps every fuel value crossing
-		// a fused segment's pre-charge.
+		// point: as the corpus grows this sweeps every fuel value, inside
+		// summarized calls and loops included.
 		probe := interp.NewMachine(mod)
 		probe.Fuel = budget
 		libdb.DefaultMPI().Bind(probe, nil, libdb.RunConfig{CommSize: 8})

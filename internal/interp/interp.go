@@ -5,7 +5,7 @@
 // branch's immediate post-dominator, loop exit branches act as taint sinks,
 // and loop back edges are counted.
 //
-// Three engines implement these semantics. The default fast engine is the
+// Two engines implement these semantics. The default fast engine is the
 // production tier — every analysis, sweep and daemon request runs on it. It
 // executes a predecoded Program: dense per-function instruction arrays with
 // resolved branch targets and per-edge loop effects, pooled call frames, and
@@ -40,30 +40,26 @@
 // the remaining fuel covers every skipped instruction. Result.Summarized
 // counts the instructions both kinds of summary charged without dispatching.
 //
-// Control-flow taint costs the fast and compiled engines O(1) per register
-// write, store and taken edge. The activation's scope stack (ctlState,
-// fast.go) carries a summary: the union of the non-loop scopes' labels, the
-// union of all, the smallest and largest opening sequence of the loop-exit
-// scopes, and a 64-bit filter of join blocks. The scope summary is derived
-// state — only push, closeAt and reset write it; every read is O(1) except a
-// born that straddles two loop scopes, which scans the stack.
-// ctlState.write is the one register-write path of both engines.
+// Control-flow taint costs the fast engine O(1) per register write, store
+// and taken edge. The activation's scope stack (ctlState, fast.go) carries a
+// summary: the union of the non-loop scopes' labels, the union of all, the
+// smallest and largest opening sequence of the loop-exit scopes, and a
+// 64-bit filter of join blocks. The scope summary is derived state — only
+// push, closeAt and reset write it; every read is O(1) except a born that
+// straddles two loop scopes, which scans the stack. ctlState.write is the
+// fast engine's one register-write path.
 //
-// A run borrows its memory. Heap, shadow, the global table and the engines'
-// scratch (frames, interned call paths, record caches) form a run arena that
-// Machine.reset takes from the pool of the Program the run executes on and
-// every exit of Run hands back — zero up to its capacity and without a
-// reference to the run that used it — so the runs of a sweep build this memory
-// once per worker, whichever machines they run on (see runArena).
+// A run borrows its memory. Heap, shadow, the global table and the fast
+// engine's scratch (frames, interned call paths, record caches) form a run
+// arena that Machine.reset takes from the pool of the Program the run
+// executes on and every exit of Run hands back — zero up to its capacity and
+// without a reference to the run that used it — so the runs of a sweep build
+// this memory once per worker, whichever machines they run on (see
+// runArena).
 //
-// The compiled engine (Machine.Mode == ModeCompiled) lowers the same Program
-// once into chains of specialized Go closures — superinstructions for common
-// 2-3 instruction sequences, batched fuel accounting, and provably-clean
-// block variants that skip all label work (see compile.go); nothing outside
-// tests and benchmarks selects it. The original tree-walking interpreter is
-// kept behind Machine.Mode == ModeReference as the semantic oracle; the
-// differential and fuzz harnesses prove all three produce identical
-// observables.
+// The original tree-walking interpreter is kept behind Machine.Mode ==
+// ModeReference as the semantic oracle; the differential and fuzz harnesses
+// prove both engines produce identical observables.
 package interp
 
 import (
@@ -147,13 +143,6 @@ const (
 	// ModeReference runs the original tree-walking interpreter, kept as
 	// the semantic oracle for differential testing.
 	ModeReference
-	// ModeCompiled runs the compiled-closure engine: the predecoded program
-	// is lowered once (Compile) into per-block chains of specialized Go
-	// closures with fused superinstructions, segment-batched fuel, and
-	// taint-clean block variants. Observables are bit-identical to the
-	// other engines; fuel exhaustion de-optimizes into the fast loop so
-	// even partial instruction counts match exactly.
-	ModeCompiled
 )
 
 // String names the engine the way test and benchmark rows spell it.
@@ -163,8 +152,6 @@ func (m Mode) String() string {
 		return "fast"
 	case ModeReference:
 		return "reference"
-	case ModeCompiled:
-		return "compiled"
 	default:
 		return fmt.Sprintf("mode(%d)", uint8(m))
 	}
@@ -183,11 +170,6 @@ type Machine struct {
 	// Predecode); batch runs cache one Program across all machines. When
 	// nil the fast engine predecodes lazily and caches per machine.
 	Prog *Program
-	// Compiled, when set, is the shared compiled-closure artifact for Prog
-	// (see Compile); batch runs and the daemon cache one per spec digest.
-	// When nil and Mode is ModeCompiled, the machine compiles lazily and
-	// caches per machine.
-	Compiled *Compiled
 
 	// The embedded arena is the memory of the run in progress, borrowed
 	// from the program's pool by reset and handed back by release: between
@@ -198,8 +180,7 @@ type Machine struct {
 	infoCache map[string]*funcInfo
 	fuel      int64
 
-	progOwned     *Program
-	compiledOwned *Compiled
+	progOwned *Program
 	// labeling records whether the current run maintains register label
 	// banks at all (taint engine attached or argument labels supplied).
 	labeling bool
@@ -211,18 +192,18 @@ type Machine struct {
 }
 
 // runArena is everything a run allocates that does not outlive it: the heap
-// and its shadow, the global table, and the fast and compiled engines'
-// scratch (see fast.go). Runs of one Program recycle arenas through
-// Program.arenas, so a sweep pays for this memory once per worker instead of
-// once per design point.
+// and its shadow, the global table, and the fast engine's scratch (see
+// fast.go). Runs of one Program recycle arenas through Program.arenas, so a
+// sweep pays for this memory once per worker instead of once per design
+// point.
 //
 // An arena enters the pool carrying nothing of the run that used it: heap
 // and shadow are zero up to their capacity (release clears the prefix the
 // run used, and a fresh or regrown slice is zero beyond its length), so
 // alloc and growShadow extend them without clearing; every slot that held a
-// taint record, an extern closure, the machine or its engine is nil. What
-// stays is capacity, and the interned call-path tree with its site cache:
-// both are a function of the program and the entry alone.
+// taint record, an extern closure or the machine is nil. What stays is
+// capacity, and the interned call-path tree with its site cache: both are a
+// function of the program and the entry alone.
 type runArena struct {
 	heap []Value
 	// shadow carries the heap labels for the prefix [0, len(shadow)); cells
@@ -232,7 +213,7 @@ type runArena struct {
 	globals map[string]Value
 	active  map[string]int // recursion detection of the reference engine
 
-	// Fast- and compiled-engine state (see fast.go).
+	// Fast-engine state (see fast.go).
 	globalBase  []Value
 	externSlots []Extern
 	activeN     []int32
@@ -483,7 +464,7 @@ type Result struct {
 	// Summarized is the part of Instructions the fast engine charged without
 	// dispatching: the bodies of summarized callees and the skipped
 	// iterations of summarized loops. The reference engine dispatches
-	// everything; the compiled one summarizes only after it de-optimized.
+	// everything.
 	Summarized int64
 }
 
@@ -501,9 +482,6 @@ type Result struct {
 func (m *Machine) Run(entry string, args []Value, argLabels []taint.Label) (*Result, error) {
 	if m.Mode == ModeFast {
 		return m.runFast(entry, args, argLabels)
-	}
-	if m.Mode == ModeCompiled {
-		return m.runCompiled(entry, args, argLabels)
 	}
 	fn, ok := m.Mod.Funcs[entry]
 	if !ok {

@@ -251,6 +251,11 @@ func Predecode(mod *ir.Module) *Program {
 	return PredecodeForests(mod, forests, scev.AnalyzeForests(forests, nil))
 }
 
+// Compile does nothing. Its one caller is the cost ledger's interp.compile_ms
+// probe, which times it; ROADMAP item 1(c) retires that probe and deletes
+// both.
+func Compile(*Program) {}
+
 // PredecodeForests is Predecode over loop forests the caller already built
 // (cfg.ModuleForests, one per function in FuncList order) and their static
 // classification (scev.AnalyzeForests), whose counted loops are the

@@ -57,54 +57,48 @@ func TestReuseAfterAbortInsideScope(t *testing.T) {
 		summarized = res.Summarized
 		return fingerprint(res, err, eng), err
 	}
-	for _, mode := range []interp.Mode{interp.ModeFast, interp.ModeCompiled} {
-		fresh := func() *interp.Machine {
-			m := interp.NewMachine(mod)
-			m.Mode = mode
-			return m
-		}
-		var want [2]string
-		for i, labelled := range []bool{true, false} {
-			fp, err := run(fresh(), 0, labelled)
-			if err != nil {
-				t.Fatalf("%v: full run: %v", mode, err)
-			}
-			want[i] = fp
-		}
-		res, err := fresh().Run("main", args, nil)
+	fresh := func() *interp.Machine { return interp.NewMachine(mod) }
+	var want [2]string
+	for i, labelled := range []bool{true, false} {
+		fp, err := run(fresh(), 0, labelled)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("full run: %v", err)
 		}
-		total := res.Instructions
-		mach := fresh()
-		// The first loop is over within 12 iterations of 10 instructions and
-		// a short preamble: those budgets end before the skip, where it would
-		// cross them, and after it.
-		cuts := []int64{total / 3, total / 2, total - 5}
-		for cut := int64(1); cut < 140; cut++ {
-			cuts = append(cuts, cut)
-		}
-		afterSkip := 0
-		for _, cut := range cuts {
-			for i, labelled := range []bool{true, false} {
-				if _, err := run(mach, cut, true); !errors.Is(err, interp.ErrFuel) {
-					t.Fatalf("%v: fuel %d of %d: want ErrFuel, got %v", mode, cut, total, err)
-				}
-				if summarized > 0 && cut < 140 {
-					afterSkip++
-				}
-				got, err := run(mach, 0, labelled)
-				if err != nil {
-					t.Fatalf("%v: rerun after abort at %d: %v", mode, cut, err)
-				}
-				if got != want[i] {
-					t.Fatalf("%v: reused machine after abort at %d (labelled=%v) differs from a fresh one:\n--- fresh ---\n%s--- reused ---\n%s", mode, cut, labelled, want[i], got)
-				}
+		want[i] = fp
+	}
+	res, err := fresh().Run("main", args, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := res.Instructions
+	mach := fresh()
+	// The first loop is over within 12 iterations of 10 instructions and
+	// a short preamble: those budgets end before the skip, where it would
+	// cross them, and after it.
+	cuts := []int64{total / 3, total / 2, total - 5}
+	for cut := int64(1); cut < 140; cut++ {
+		cuts = append(cuts, cut)
+	}
+	afterSkip := 0
+	for _, cut := range cuts {
+		for i, labelled := range []bool{true, false} {
+			if _, err := run(mach, cut, true); !errors.Is(err, interp.ErrFuel) {
+				t.Fatalf("fuel %d of %d: want ErrFuel, got %v", cut, total, err)
+			}
+			if summarized > 0 && cut < 140 {
+				afterSkip++
+			}
+			got, err := run(mach, 0, labelled)
+			if err != nil {
+				t.Fatalf("rerun after abort at %d: %v", cut, err)
+			}
+			if got != want[i] {
+				t.Fatalf("reused machine after abort at %d (labelled=%v) differs from a fresh one:\n--- fresh ---\n%s--- reused ---\n%s", cut, labelled, want[i], got)
 			}
 		}
-		if mode == interp.ModeFast && afterSkip < 20 {
-			t.Fatalf("%d aborts landed after a loop summary fired, want the last iteration's worth", afterSkip)
-		}
+	}
+	if afterSkip < 20 {
+		t.Fatalf("%d aborts landed after a loop summary fired, want the last iteration's worth", afterSkip)
 	}
 }
 
@@ -174,7 +168,7 @@ func TestReuseStaleArena(t *testing.T) {
 		}
 		return fingerprint(res, err, eng)
 	}
-	for _, mode := range []interp.Mode{interp.ModeFast, interp.ModeReference, interp.ModeCompiled} {
+	for _, mode := range []interp.Mode{interp.ModeFast, interp.ModeReference} {
 		for _, tainted := range []bool{true, false} {
 			for oi, order := range orders {
 				for _, oneMachine := range []bool{true, false} {
@@ -244,7 +238,7 @@ func TestArenaRetention(t *testing.T) {
 		_, err := mach.Run("peek", []int64{n, 7}, []taint.Label{eng.Table.Base("n"), eng.Table.Base("v")})
 		return mach, err
 	}
-	for _, mode := range []interp.Mode{interp.ModeFast, interp.ModeReference, interp.ModeCompiled} {
+	for _, mode := range []interp.Mode{interp.ModeFast, interp.ModeReference} {
 		prog := interp.Predecode(mod)
 		if _, err := peek(prog, mode, interp.MaxPooledCells+1); err != nil {
 			t.Fatal(err)
@@ -279,7 +273,7 @@ func TestArenaRetention(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		gmod := genModule(seed, genConfig{funcs: 3, stmts: 6, maxDepth: 2, leaves: 2, scopes: 0xf, counted: 0xff})
 		total := instructionsOf(t, gmod, []int64{5, 9, 3})
-		for _, mode := range []interp.Mode{interp.ModeFast, interp.ModeReference, interp.ModeCompiled} {
+		for _, mode := range []interp.Mode{interp.ModeFast, interp.ModeReference} {
 			for _, fuel := range []int64{0, total / 2} {
 				prog := interp.Predecode(gmod)
 				got := pooledAfter(t, prog, func() {

@@ -185,7 +185,7 @@ func TestDifferentialSummaryAnalysis(t *testing.T) {
 
 	// The arity error and the recursion warning survive summaries, in
 	// every engine.
-	for _, mode := range []Mode{ModeReference, ModeFast, ModeCompiled} {
+	for _, mode := range []Mode{ModeReference, ModeFast} {
 		mach := NewMachine(mod)
 		mach.Mode = mode
 		if _, err := mach.Run("badarity", nil, nil); err == nil || err.Error() != "interp: call getter with 1 args, wants 0" {
